@@ -17,13 +17,15 @@ synopsis from the same mutated document:
   mutation + synopsis upkeep, both timed) must beat the rebuild
   baseline (rebuild only — the mutation it would also need is *not*
   charged to it) by :data:`SPEEDUP_FLOOR` x at every asserted sweep
-  point.
+  point.  Each point also reports the median maintenance latency per
+  op kind and how many ops took the localized path.
 
 Results land in ``BENCH_updates.json``.
 """
 
 import gc
 import random
+import statistics
 from time import perf_counter
 
 import common
@@ -74,6 +76,7 @@ def _sweep_point(scale, seed, op_source):
 
     applied = 0
     maintain_seconds = 0.0
+    latency = {"insert": [], "delete": [], "set_value": []}
     rebuild_seconds = 0.0
     drift = 0
     gc.collect()
@@ -86,7 +89,9 @@ def _sweep_point(scale, seed, op_source):
                 continue
             started = perf_counter()
             maintainer.apply(op)
-            maintain_seconds += perf_counter() - started
+            seconds = perf_counter() - started
+            maintain_seconds += seconds
+            latency[op.op].append(seconds)
             started = perf_counter()
             rebuilt = build_reference_synopsis(doc, None, SummaryConfig())
             rebuild_seconds += perf_counter() - started
@@ -115,7 +120,12 @@ def _sweep_point(scale, seed, op_source):
         "speedup": round(speedup, 3),
         "drift_steps": drift,
         "equivalent": drift == 0,
+        "latency_ms": {
+            kind: round(1000 * statistics.median(samples), 3) if samples else None
+            for kind, samples in latency.items()
+        },
         "full_recomputes": stats.full_recomputes,
+        "localized_updates": stats.localized_updates,
         "fast_path_updates": stats.fast_path_updates,
         "summaries_reused": stats.summaries_reused,
     }
@@ -167,7 +177,8 @@ def test_incremental_maintenance_speedup(experiment_context):
         f"{headline['maintain_seconds']:.3f}s "
         f"({headline['updates_per_sec']:.1f} ops/s), rebuild "
         f"{headline['rebuild_seconds']:.3f}s, speedup "
-        f"{headline['speedup']:.2f}x ({out_path})"
+        f"{headline['speedup']:.2f}x, median ms per op {headline['latency_ms']} "
+        f"({out_path})"
     )
 
     assert equivalent, "maintained synopsis drifted from rebuild-from-scratch"

@@ -8,6 +8,8 @@ The correctness tooling behind ``python -m repro check``:
 * :mod:`repro.check.diffharness` — :class:`DifferentialHarness`, the
   seeded fuzzer running reference-vs-kernel builds and scalar-vs-
   compiled estimation side by side on generated documents;
+* :mod:`repro.check.oracles` — slow reference implementations kept off
+  the production call path (the fixpoint partition oracle);
 * :mod:`repro.check.shrink` — delta-debugging minimization of failing
   documents and queries;
 * :mod:`repro.check.report` — :class:`CheckReport` aggregation.

@@ -6,7 +6,9 @@ the scalar estimation oracle vs the compiled twig-plan engine.  The
 paper's fixtures exercise them on two dataset families; this harness
 exercises them on *arbitrary* documents, generated from a seed:
 
-1. generate a random document and derive its reference synopsis;
+1. generate a random document, require its two-pass reference
+   partition to equal the fixpoint oracle's
+   (:mod:`repro.check.oracles`), and derive its reference synopsis;
 2. **audit** the reference with the :class:`InvariantAuditor`;
 3. build the budgeted synopsis twice — once per engine stack — and
    require identical shapes (node multiset + structural bytes);
@@ -62,6 +64,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.invariants import InvariantAuditor
+from repro.check.oracles import fixpoint_reference_classes
 from repro.check.report import CheckReport, Failure
 from repro.check.shrink import (
     copy_query,
@@ -73,7 +76,7 @@ from repro.check.shrink import (
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.estimation import CompiledEstimator
 from repro.core.estimator import XClusterEstimator
-from repro.core.reference import build_reference_synopsis
+from repro.core.reference import build_reference_synopsis, reference_classes
 from repro.core.serialization import synopsis_from_dict, synopsis_to_dict
 from repro.core.snapshot import snapshot_to_bytes, synopsis_from_snapshot
 from repro.core.sizing import structural_size_bytes, value_size_bytes
@@ -342,6 +345,16 @@ class DifferentialHarness:
         document = self.documents.generate(rng)
         dataset = Dataset("fuzz", document, document.value_paths())
 
+        if reference_classes(document) != fixpoint_reference_classes(document):
+            report.failures.append(
+                Failure(
+                    kind="partition-divergence",
+                    seed=seed,
+                    message="two-pass reference partition differs from "
+                    "the fixpoint oracle",
+                    document_size=len(document),
+                )
+            )
         reference = build_reference_synopsis(document, dataset.value_paths)
         self._audit(reference, seed, "reference synopsis", document, report)
 

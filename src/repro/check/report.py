@@ -20,8 +20,8 @@ class Failure:
     """One differential-harness failure, reproducible from its seed.
 
     Attributes:
-        kind: failure class (``"build-divergence"``,
-            ``"estimate-divergence"``, ``"audit"``,
+        kind: failure class (``"partition-divergence"``,
+            ``"build-divergence"``, ``"estimate-divergence"``, ``"audit"``,
             ``"serialization-divergence"``, ``"columnar-divergence"``,
             ``"evaluator-divergence"``, ``"tokenizer-divergence"``,
             ``"update-divergence"``, ``"crash"``).  For

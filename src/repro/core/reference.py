@@ -10,11 +10,20 @@ a refinement of the lossless *count-stable* summary in which
   correlations (the reference synopsis of a tree document is itself a
   tree).
 
-The partition is the coarsest fixpoint of a both-ways refinement: an
-element's class is refined by its label path, its parent's class, and
-the multiset of its children's classes, iterated to stability.  Classes
-only ever split, so the iteration converges in at most the document
-diameter; stability is detected when the class count stops growing.
+The partition is the coarsest stable refinement of the ``(label path,
+value type)`` partition under both-ways refinement (an element's class
+is refined by its parent's class and the multiset of its children's
+classes).  On a rooted tree that is the automorphism-orbit partition,
+computed here in two linear passes with no fixpoint iteration:
+
+* the **down pass** (:func:`down_pass`) gives every element the id of
+  its subtree's isomorphism type, bottom-up: the interned pair of its
+  initial key and the sorted ids of its children;
+* the **up pass** (:func:`up_pass`) interns ``(down id, parent class)``
+  in preorder, so classes are numbered in first-occurrence order.
+
+The iterative refinement this replaces lives on as the partition oracle
+in :mod:`repro.check.oracles`.
 
 Value summaries are attached only to clusters reachable by the
 caller-specified *value paths* (the paper provides 7 such paths for IMDB
@@ -41,21 +50,24 @@ from typing import (
 )
 
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
-from repro.values.summary import SummaryConfig, build_summary
+from repro.values.summary import SummaryConfig, ValueSummary, build_summary
 from repro.xmltree.columnar import KIND_TO_TYPE, ColumnarDocument
 from repro.xmltree.paths import LabelPath, matches_any
 from repro.xmltree.tree import XMLElement, XMLTree
 from repro.xmltree.types import ValueType
 
 #: Either document substrate: the object tree or the columnar store.
-#: Construction is substrate-generic — both feed the same class
-#: refinement and assembly code through flat per-index columns, so the
-#: resulting synopses are bit-identical (pinned by tests and the
-#: differential harness's columnar round).
+#: Construction is substrate-generic — both feed the same partition
+#: and assembly code through flat per-index columns, so the resulting
+#: synopses are bit-identical (pinned by tests and the differential
+#: harness's columnar round).
 Document = Union[XMLTree, ColumnarDocument]
 
-#: Safety cap on refinement iterations (convergence is far faster).
-MAX_REFINEMENT_ROUNDS = 200
+#: Per-class aggregates of a class column, each keyed in class order:
+#: element counts, labels, value types, and parent -> child edge totals.
+Aggregates = Tuple[
+    Dict[int, int], Dict[int, str], Dict[int, ValueType], Dict[Tuple[int, int], int]
+]
 
 
 def _document_order(tree: XMLTree) -> Tuple[List[XMLElement], List[int], List[LabelPath]]:
@@ -79,49 +91,75 @@ def _document_order(tree: XMLTree) -> Tuple[List[XMLElement], List[int], List[La
     return elements, parents, paths
 
 
-def _refine_classes(
-    size: int,
-    parents: Sequence[int],
-    initial: List[int],
-) -> List[int]:
-    """Iterate both-ways refinement to the coarsest stable fixpoint.
+def subtree_key(raw: Hashable, child_ids: List[int]) -> Hashable:
+    """The down-pass key of one element (sorts ``child_ids`` in place).
 
-    Substrate-neutral: only the element count and the preorder parent
-    column are consulted (``parents`` may be a list or an ``array``).
+    A leaf is keyed by its initial key alone; an interior element by
+    that key paired with its children's down ids as a sorted tuple (the
+    multiset of child subtree types).  :func:`down_pass` inlines this
+    encoding; the update maintainer calls it to re-key single elements.
     """
-    classes = initial
-    class_count = len(set(classes))
-    children_of: List[List[int]] = [[] for _ in range(size)]
-    for index, parent_index in enumerate(parents):
-        if parent_index >= 0:
-            children_of[parent_index].append(index)
+    if not child_ids:
+        return raw
+    child_ids.sort()
+    return (raw, tuple(child_ids))
 
-    for _ in range(MAX_REFINEMENT_ROUNDS):
-        # The sorted tuple of child classes is multiset-equivalent to the
-        # sorted (class, count) items it replaces: two elements get equal
-        # keys under one encoding exactly when they do under the other,
-        # and keys are interned in the same first-occurrence order — so
-        # the class numbering is unchanged, only cheaper to compute.
-        parent_classes = list(map(classes.__getitem__, parents))
-        if size:
-            parent_classes[0] = -1  # the root's parent index is -1
-        lookup = classes.__getitem__
-        interned: Dict[Tuple, int] = {}
-        setdefault = interned.setdefault
-        refined = [
-            setdefault(
-                (own, parent_class, tuple(sorted(map(lookup, kids)))),
-                len(interned),
-            )
-            for own, parent_class, kids in zip(
-                classes, parent_classes, children_of
-            )
-        ]
-        refined_count = len(interned)
-        if refined_count == class_count:
-            return classes  # refinement is a pure split: same count => stable
-        classes = refined
-        class_count = refined_count
+
+def down_pass(
+    parents: Sequence[int],
+    raw: Sequence[Hashable],
+    table: Optional[Dict[Hashable, int]] = None,
+) -> List[int]:
+    """Bottom-up subtree-isomorphism ids over a preorder parent column.
+
+    Two elements get equal ids exactly when their subtrees are
+    isomorphic as trees labelled by ``raw`` (the initial partition key).
+    Reverse preorder visits every child before its parent, so each
+    element's child ids are complete when it is reached.  ``table``
+    maps :func:`subtree_key` keys to ids; a caller that passes its own
+    can keep re-keying elements against it later.
+    """
+    if table is None:
+        table = {}
+    setdefault = table.setdefault
+    down = [0] * len(parents)
+    pending: Dict[int, List[int]] = {}  # element -> child ids so far
+    for index in range(len(parents) - 1, -1, -1):
+        kids = pending.pop(index, None)
+        if kids is None:
+            key = raw[index]
+        else:
+            kids.sort()
+            key = (raw[index], tuple(kids))
+        down_id = down[index] = setdefault(key, len(table))
+        parent_index = parents[index]
+        siblings = pending.get(parent_index)
+        if siblings is None:
+            pending[parent_index] = [down_id]
+        else:
+            siblings.append(down_id)
+    return down
+
+
+def up_pass(down: Sequence[int], parents: Sequence[int]) -> List[int]:
+    """Preorder class ids: ``(down id, parent class)`` interned.
+
+    Parents precede children in preorder, so every parent's class is
+    known when its children are reached; interning in index order
+    numbers classes by first occurrence, the root's class being 0.
+    """
+    classes = [0]
+    append = classes.append
+    interned: Dict[Tuple[int, int], int] = {}
+    get = interned.get
+    for down_id, parent_index in zip(
+        islice(down, 1, None), islice(parents, 1, None)
+    ):
+        key = (down_id, classes[parent_index])
+        class_id = get(key)
+        if class_id is None:
+            class_id = interned[key] = len(interned) + 1
+        append(class_id)
     return classes
 
 
@@ -184,21 +222,10 @@ def _assemble_synopsis(
             edge = (classes[parent_index], key)
             edge_totals[edge] = edge_totals.get(edge, 0) + 1
 
-    synopsis = XClusterSynopsis()
-    node_of: Dict[int, SynopsisNode] = {}
-    for key, count in counts.items():
-        vsumm = None
-        if key in values:
-            vsumm = build_summary(node_vtypes[key], values[key], config)
-        node_of[key] = synopsis.add_node(
-            node_labels[key], node_vtypes[key], count, vsumm
-        )
-    for (parent_key, child_key), total in edge_totals.items():
-        synopsis.add_edge(
-            node_of[parent_key], node_of[child_key], total / counts[parent_key]
-        )
-    synopsis.set_root(node_of[classes[0]])
-    return synopsis
+    aggregates = (counts, node_labels, node_vtypes, edge_totals)
+    return materialize_synopsis(
+        aggregates, _summaries(aggregates, values, config), classes[0]
+    )
 
 
 def build_synopsis_from_classes(
@@ -235,17 +262,98 @@ def _intern_column(keys: List[int]) -> List[int]:
     return list(map(ids.__getitem__, keys))
 
 
-def _columnar_reference_classes(doc: ColumnarDocument) -> List[int]:
-    """Initial partition over columnar arrays: (path id, value kind).
+def columnar_initial_keys(doc: ColumnarDocument) -> List[int]:
+    """Initial partition keys over columnar arrays: ``(path id, kind)``.
 
     Path ids biject with label-path tuples and kinds with value types,
-    both assigned in first-occurrence preorder, so the produced class
-    column is identical to the object path's ``(path, value_type)``
-    interning.
+    so these keys partition elements exactly as the object path's
+    ``(path, value_type)`` keys do.
     """
-    return _intern_column(
-        [(pid << 2) | kind for pid, kind in zip(doc.path_ids, doc.value_kind)]
+    return [(pid << 2) | kind for pid, kind in zip(doc.path_ids, doc.value_kind)]
+
+
+def _object_initial_keys(
+    elements: List[XMLElement], paths: List[LabelPath]
+) -> List[int]:
+    """Initial partition keys over the object tree, interned to ints."""
+    interned: Dict[Tuple, int] = {}
+    return [
+        interned.setdefault((path, element.value_type), len(interned))
+        for element, path in zip(elements, paths)
+    ]
+
+
+def reference_classes(document: Document) -> List[int]:
+    """The reference partition as a preorder class column.
+
+    Both substrates yield the same column for the same document.
+    """
+    if isinstance(document, ColumnarDocument):
+        parents: Sequence[int] = document.parent
+        raw = columnar_initial_keys(document)
+    else:
+        elements, parents, paths = _document_order(document)
+        raw = _object_initial_keys(elements, paths)
+    return up_pass(down_pass(parents, raw), parents)
+
+
+def columnar_aggregates(doc: ColumnarDocument, classes: List[int]) -> Aggregates:
+    """Per-class aggregates, each one C-level pass over the columns.
+
+    ``Counter`` and ``dict(zip(...))`` keep first-occurrence insertion
+    order (and last-write-wins label/type values, which are
+    class-constant anyway), exactly as :func:`_assemble_synopsis`'s
+    per-index loop builds them.
+    """
+    edge_totals = Counter(
+        zip(
+            map(classes.__getitem__, islice(doc.parent, 1, None)),
+            islice(classes, 1, None),
+        )
     )
+    return (
+        Counter(classes),
+        dict(zip(classes, map(doc.label_table.__getitem__, doc.labels))),
+        dict(zip(classes, map(KIND_TO_TYPE.__getitem__, doc.value_kind))),
+        edge_totals,
+    )
+
+
+def _summaries(
+    aggregates: Aggregates, values: Dict[int, list], config: SummaryConfig
+) -> Dict[int, ValueSummary]:
+    """Detailed summaries of the valued classes, built in class order.
+
+    Class order is the order TEXT summaries intern their terms in, so
+    it is part of the output.
+    """
+    vtypes = aggregates[2]
+    return {
+        key: build_summary(vtypes[key], values[key], config)
+        for key in aggregates[0]
+        if key in values
+    }
+
+
+def materialize_synopsis(
+    aggregates: Aggregates,
+    summaries: Dict[int, ValueSummary],
+    root_class: int,
+) -> XClusterSynopsis:
+    """Nodes in class order, then edges in first-occurrence order."""
+    counts, labels, vtypes, edge_totals = aggregates
+    synopsis = XClusterSynopsis()
+    node_of: Dict[int, SynopsisNode] = {}
+    for key, count in counts.items():
+        node_of[key] = synopsis.add_node(
+            labels[key], vtypes[key], count, summaries.get(key)
+        )
+    for (parent_key, child_key), total in edge_totals.items():
+        synopsis.add_edge(
+            node_of[parent_key], node_of[child_key], total / counts[parent_key]
+        )
+    synopsis.set_root(node_of[root_class])
+    return synopsis
 
 
 def _assemble_columnar(
@@ -258,29 +366,13 @@ def _assemble_columnar(
     """Whole-column synopsis assembly over the columnar store.
 
     Produces exactly what :func:`_assemble_synopsis` produces for the
-    same class column — ``Counter`` and ``dict(zip(...))`` preserve the
-    per-index loop's first-occurrence insertion order (and its
-    last-write-wins label/type values, which are class-constant anyway)
-    — but every aggregate runs as a C-level column pass.  Value
-    gathering consults a per-path-id wanted bitmap instead of building a
-    label-path tuple per element.
+    same class column, but every aggregate runs as a C-level column
+    pass.  Value gathering consults a per-path-id wanted bitmap instead
+    of building a label-path tuple per element.
     """
     config = config if config is not None else SummaryConfig()
-    table = doc.label_table
-    kinds = doc.value_kind
-    counts = Counter(classes)
-    node_labels = dict(zip(classes, map(table.__getitem__, doc.labels)))
-    node_vtypes = dict(
-        zip(classes, map(KIND_TO_TYPE.__getitem__, kinds))
-    )
-    edge_totals = Counter(
-        zip(
-            map(classes.__getitem__, islice(doc.parent, 1, None)),
-            islice(classes, 1, None),
-        )
-    )
-
-    values: Dict[int, list] = {}
+    aggregates = columnar_aggregates(doc, classes)
+    summaries: Dict[int, ValueSummary] = {}
     if with_summaries:
         path_total = len(doc.path_parent)
         if value_paths is None:
@@ -296,30 +388,14 @@ def _assemble_columnar(
                 path in exact or matches_any(path, wildcard)
                 for path in map(doc.path_tuple, range(path_total))
             ]
+        values: Dict[int, list] = {}
         pids = doc.path_ids
         value_of = doc.value
-        for index, kind in enumerate(kinds):
+        for index, kind in enumerate(doc.value_kind):
             if kind and wanted[pids[index]]:  # kind 0 is KIND_NULL
                 values.setdefault(classes[index], []).append(value_of(index))
-
-    synopsis = XClusterSynopsis()
-    node_of: Dict[int, SynopsisNode] = {}
-    for key, count in counts.items():
-        vals = values.get(key)
-        vsumm = (
-            build_summary(node_vtypes[key], vals, config)
-            if vals is not None
-            else None
-        )
-        node_of[key] = synopsis.add_node(
-            node_labels[key], node_vtypes[key], count, vsumm
-        )
-    for (parent_key, child_key), total in edge_totals.items():
-        synopsis.add_edge(
-            node_of[parent_key], node_of[child_key], total / counts[parent_key]
-        )
-    synopsis.set_root(node_of[classes[0]])
-    return synopsis
+        summaries = _summaries(aggregates, values, config)
+    return materialize_synopsis(aggregates, summaries, classes[0])
 
 
 def build_reference_synopsis(
@@ -337,18 +413,16 @@ def build_reference_synopsis(
     bit-identical synopsis.
     """
     if isinstance(document, ColumnarDocument):
-        initial = _columnar_reference_classes(document)
-        classes = _refine_classes(len(document), document.parent, initial)
         return _assemble_columnar(
-            document, classes, value_paths, config, with_summaries
+            document,
+            reference_classes(document),
+            value_paths,
+            config,
+            with_summaries,
         )
     elements, parents, paths = _document_order(document)
-    interned: Dict[Tuple, int] = {}
-    initial = [
-        interned.setdefault((paths[i], elements[i].value_type), len(interned))
-        for i in range(len(elements))
-    ]
-    classes = _refine_classes(len(elements), parents, initial)
+    raw = _object_initial_keys(elements, paths)
+    classes = up_pass(down_pass(parents, raw), parents)
     return build_synopsis_from_classes(
         elements, parents, paths, classes, value_paths, config, with_summaries
     )
@@ -392,10 +466,7 @@ def build_path_synopsis(
     return _build_with_classifier(
         document,
         lambda element, path: (path, element.value_type),
-        lambda doc: [
-            (pid << 2) | kind
-            for pid, kind in zip(doc.path_ids, doc.value_kind)
-        ],
+        columnar_initial_keys,
         value_paths,
         config,
         with_summaries,

@@ -14,10 +14,10 @@ structural ops are array splices plus one reference-remapping pass:
   append-only logs indexed by ``value_ref``, and every consumer reads
   them through live elements only.
 
-After either op the ``post`` column is rebuilt by the same
-explicit-stack pass :func:`~repro.xmltree.columnar.freeze` uses
-(:func:`_fill_postorder`), ``level`` is maintained directly (a splice
-only ever changes depths inside the spliced range), and the lazily
+Both ops also keep ``post`` and ``level`` current without a whole-tree
+walk: a subtree is contiguous in postorder too, so a splice shifts the
+post ranks past it by the subtree size (see :func:`insert_subtree`),
+and depths only ever change inside the spliced range.  The lazily
 built interval-join caches (``subtree_ends`` / ``label_positions``)
 are dropped — they were documented as "immutable documents only" and
 this module is what made that qualifier real.
@@ -49,7 +49,6 @@ from repro.xmltree.columnar import (
     _Q_MAX,
     _Q_MIN,
     ColumnarDocument,
-    _fill_postorder,
     _intern_path,
     _store_text_terms,
 )
@@ -82,12 +81,17 @@ def invalidate_derived(doc: ColumnarDocument) -> None:
     doc._label_positions = None
 
 
+def _shift_column(column: array, floor: int, delta: int) -> None:
+    """Add ``delta`` to every entry ``>= floor``, in place."""
+    column[:] = array(
+        "i", [value + delta if value >= floor else value for value in column]
+    )
+
+
 def _shift_references(doc: ColumnarDocument, floor: int, delta: int) -> None:
     """Shift every structure reference ``>= floor`` by ``delta``."""
     for column in (doc.parent, doc.first_child, doc.next_sibling):
-        for index, value in enumerate(column):
-            if value >= floor:
-                column[index] = value + delta
+        _shift_column(column, floor, delta)
 
 
 def _path_key_index(doc: ColumnarDocument) -> Dict[Tuple[int, int], int]:
@@ -184,8 +188,14 @@ def insert_subtree(
         displaced = -1
     previous = children[position - 1] if position > 0 else -1
 
-    # 1. Shift every host reference at or past the splice point.
+    # 1. Shift every host reference at or past the splice point.  In
+    # postorder the fragment lands after exactly the host elements that
+    # precede ``at`` and are not its ancestors (``parent`` and the
+    # ``level[parent]`` above it), so it takes ranks from ``base`` on
+    # and every later-finishing host element moves up by its size.
     _shift_references(doc, at, count)
+    base = at - doc.level[parent] - 1
+    _shift_column(doc.post, base, count)
 
     # 2. Re-intern the fragment's labels, paths, and values against the
     # host tables, and renumber its structure columns to their final
@@ -231,7 +241,7 @@ def insert_subtree(
     # (already shifted to its post-splice home), or nothing on append.
     if displaced >= 0:
         new_next[0] = displaced + count
-    new_post = array("i", [-1]) * count
+    new_post = array("i", (value + base for value in fragment.post))
     new_level = array("i", (value + base_level for value in fragment.level))
     new_pids = array("i", (pid_map[pid] for pid in fragment.path_ids))
     new_kind = array("b", fragment.value_kind)
@@ -267,7 +277,6 @@ def insert_subtree(
     else:
         doc.first_child[parent] = at
 
-    _fill_postorder(doc)
     invalidate_derived(doc)
     return at
 
@@ -282,6 +291,8 @@ def delete_subtree(doc: ColumnarDocument, index: int) -> int:
     end = doc.subtree_end(index)
     count = end - index
     parent = doc.parent[index]
+    # The subtree holds the ``count`` post ranks ending at its root's.
+    last_post = doc.post[index]
 
     # Unlink from the sibling chain before the rows disappear.
     following = doc.next_sibling[index]
@@ -302,8 +313,8 @@ def delete_subtree(doc: ColumnarDocument, index: int) -> int:
     # Surviving references can only point below the cut or past it:
     # in-range targets were all inside the deleted subtree.
     _shift_references(doc, end, -count)
+    _shift_column(doc.post, last_post + 1, -count)
 
-    _fill_postorder(doc)
     invalidate_derived(doc)
     return count
 

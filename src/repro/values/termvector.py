@@ -51,6 +51,16 @@ class Vocabulary:
         """The term with the given id (IndexError if out of range)."""
         return self._id_to_term[term_id]
 
+    def truncate(self, size: int) -> None:
+        """Forget every term with id ``>= size``.
+
+        Ids are assigned in interning order, so this rewinds the
+        vocabulary to the state it had when it held ``size`` terms.
+        """
+        for term in self._id_to_term[size:]:
+            del self._term_to_id[term]
+        del self._id_to_term[size:]
+
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
 

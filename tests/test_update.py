@@ -15,6 +15,7 @@ mutation.
 
 import asyncio
 import json
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.core.estimation import WorkloadEstimator
 from repro.core.estimation.indexes import shared_index
 from repro.core.reference import build_reference_synopsis
 from repro.core.serialization import synopsis_to_dict
+from repro.datasets import generate_xmark
 from repro.query import parse_twig
 from repro.serve import ServeClient, ServeEngine, SynopsisServer
 from repro.update import (
@@ -34,6 +36,7 @@ from repro.update import (
     ValueChange,
     apply_update_tree,
     enforce_summary_budget,
+    tree_preorder,
     update_from_dict,
     update_to_dict,
     validate_update,
@@ -42,6 +45,7 @@ from repro.values.summary import SummaryConfig
 from repro.xmltree.columnar import freeze, ingest_string, thaw
 from repro.xmltree.parser import parse_string
 from repro.xmltree.serializer import serialize
+from repro.xmltree.tree import XMLTree
 
 THRESHOLD = 2
 
@@ -165,13 +169,115 @@ def test_delete_interior_subtree():
     _check_step(maintainer, twin, DeleteSubtree(1))  # first <item> + children
 
 
+def test_structural_ops_take_the_localized_path():
+    maintainer, twin = _pair()
+    insert = _check_step(maintainer, twin, InsertSubtree(0, 2, "<note>x y</note>"))
+    delete = _check_step(maintainer, twin, DeleteSubtree(4))
+    assert insert["path"] == delete["path"] == "localized"
+    stats = maintainer.stats
+    assert stats.localized_updates == 2
+    assert stats.full_recomputes == 1  # construction's, and only that
+
+
+def test_updates_never_refine_the_whole_document(monkeypatch):
+    """After construction, the maintainer only re-keys touched rows."""
+    import repro.update.maintainer as maintainer_module
+
+    maintainer, twin = _pair()
+
+    def whole_document_down_pass(*args, **kwargs):
+        raise AssertionError("an update ran a whole-document down pass")
+
+    monkeypatch.setattr(maintainer_module, "down_pass", whole_document_down_pass)
+    for op in (
+        InsertSubtree(0, 1, "<item><name>gammaword</name><qty>3</qty></item>"),
+        InsertSubtree(3, 0, "<mark>deepword</mark>"),
+        DeleteSubtree(5),
+        ValueChange(3, "now three words"),  # kind flip
+        ValueChange(2, "other words here"),
+        ValueChange(7, "12"),
+    ):
+        _check_step(maintainer, twin, op)
+    assert maintainer.stats.full_recomputes == 1
+
+
+def _xmark_fragments(tree, rng, count):
+    """Serialized copies of random records and leaves of ``tree``."""
+    candidates = [
+        element
+        for element in tree_preorder(tree)[1:]
+        if element.label in ("item", "person", "open_auction", "closed_auction")
+        or not element.children
+    ]
+    fragments = []
+    for element in rng.sample(candidates, count):
+        element.parent.children.remove(element)
+        element.parent = None
+        fragments.append(serialize(XMLTree(element), declaration=False))
+    return fragments
+
+
+def _xmark_update(doc, rng, fragments):
+    """One random op: record/leaf inserts, small deletes, value changes."""
+    size = len(doc)
+    roll = rng.random()
+    if roll < 0.35:
+        parent = doc.parent[rng.randrange(1, size)]
+        position = rng.randint(0, sum(1 for _ in doc.children(parent)))
+        return InsertSubtree(parent, position, rng.choice(fragments))
+    if roll < 0.6:
+        for _ in range(20):
+            index = rng.randrange(1, size)
+            if doc.subtree_end(index) - index <= 64:
+                return DeleteSubtree(index)
+    index = rng.randrange(size)
+    value = doc.value(index)
+    flip = rng.random() < 0.2
+    if isinstance(value, int) and not flip:
+        text = str(rng.randint(0, 5000))
+    elif isinstance(value, frozenset) and not flip:
+        text = " ".join(rng.sample(sorted(value) * 3, 3))
+    elif isinstance(value, str) and not flip:
+        text = rng.choice(("alpha", "beta", "gamma")) + str(rng.randrange(99))
+    else:
+        text = rng.choice(("17", "word", "three plain words", " "))
+    return ValueChange(index, text)
+
+
+def test_xmark_mixed_stream_200_ops_matches_rebuild():
+    """200 seeded XMark updates, each followed by a bit-exact rebuild check."""
+    dataset = generate_xmark(scale=0.1, seed=11)
+    xml = serialize(dataset.tree)
+    rng = random.Random(20260402)
+    fragments = _xmark_fragments(parse_string(xml), rng, 40)
+    # Every summary family and a wildcard path; person names are left
+    # out only because their large string summaries dominate rebuilds.
+    value_paths = [
+        path for path in dataset.value_paths if path[-2:] != ("person", "name")
+    ]
+    doc = ingest_string(xml)
+    maintainer = IncrementalMaintainer(doc, value_paths)
+    for step in range(200):
+        op = _xmark_update(doc, rng, fragments)
+        maintainer.apply(op)
+        rebuilt = build_reference_synopsis(doc, value_paths)
+        assert synopsis_to_dict(maintainer.synopsis) == synopsis_to_dict(
+            rebuilt
+        ), f"step {step}: {op}"
+    stats = maintainer.stats
+    assert stats.updates_applied == 200
+    assert stats.full_recomputes == 1
+    assert stats.localized_updates + stats.fast_path_updates > 150
+    assert stats.summaries_reused > stats.summaries_built
+
+
 # -- value edge cases --------------------------------------------------------
 
 
 def test_value_kind_flip_numeric_to_text():
     maintainer, twin = _pair()
     result = _check_step(maintainer, twin, ValueChange(3, "now three words"))
-    assert result["path"] == "recompute"  # a kind flip re-partitions
+    assert result["path"] == "localized"  # a kind flip re-partitions
 
 
 def test_same_kind_numeric_change_takes_fast_path():
@@ -184,7 +290,8 @@ def test_same_kind_numeric_change_takes_fast_path():
 def test_same_kind_text_change_reencodes():
     maintainer, twin = _pair()
     result = _check_step(maintainer, twin, ValueChange(7, "other words here"))
-    assert result["path"] == "text-reencode"
+    assert result["path"] == "localized"
+    assert maintainer.stats.text_reencodes == 1
 
 
 def test_int64_overflow_value():
