@@ -20,8 +20,9 @@ Subcommands::
     python -m repro collection stats ROOT [--json]
     python -m repro collection export ROOT --edge-model OUT_DIR
 
-``summarize`` parses an XML file, builds a budgeted XCluster synopsis,
-and saves it as interchange JSON or the binary mmap snapshot format;
+``summarize`` stream-parses an XML file into the columnar store, builds
+a budgeted XCluster synopsis, and saves it as interchange JSON or the
+binary mmap snapshot format;
 ``estimate`` loads a saved synopsis (either format, auto-detected by
 magic bytes) and prints the estimated selectivity of a twig query;
 ``convert`` re-encodes a saved synopsis between the two formats;
@@ -69,15 +70,17 @@ def _save_in_format(synopsis, path: str, format_name: str) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    tree = parse_document(args.input)
+    from repro.xmltree import ingest_file
+
+    doc = ingest_file(args.input)
     synopsis = build_xcluster(
-        tree,
+        doc,
         structural_budget=args.structural_budget,
         value_budget=args.value_budget,
     )
     _save_in_format(synopsis, args.output, args.format)
     print(
-        f"{args.input}: {len(tree)} elements -> {len(synopsis)} clusters, "
+        f"{args.input}: {len(doc)} elements -> {len(synopsis)} clusters, "
         f"{structural_size_bytes(synopsis)} structural + "
         f"{value_size_bytes(synopsis)} value bytes "
         f"({total_size_bytes(synopsis)} total) -> {args.output} [{args.format}]"

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.distance import SelectivityCache, compression_delta
+from repro.core.distance import (
+    SelectivityCache,
+    compression_baseline,
+    compression_delta,
+)
 from repro.core.pool import CandidatePool, build_pool
 from repro.core.scoring import ScoringEngine
 from repro.core.reference import Document, LabelPath, build_reference_synopsis
@@ -140,7 +144,8 @@ class BuildStats:
     #: Phase-2 compression engine actually used ("kernel"/"reference").
     value_engine_used: str = "kernel"
     #: Phase-2 wall-clock split: seconds inside compression advances,
-    #: per summary family, plus Δ evaluation of the resulting candidates.
+    #: per summary family, plus Δ evaluation of the resulting candidates
+    #: (including the σ_old baseline/profile taken before each advance).
     hist_cmprs_seconds: float = 0.0
     st_cmprs_seconds: float = 0.0
     tv_cmprs_seconds: float = 0.0
@@ -440,20 +445,30 @@ class XClusterBuilder:
         summary = node.vsumm
         if summary is None or not summary.can_compress:
             return None
+        # The kernel PST stepper prunes the trie the node's summary may
+        # share, so the committed size and the Δ baseline (σ_old) are
+        # taken before the advance.
+        size = summary.size_bytes()
+        started = perf_counter()
+        if self._engine is not None:
+            baseline = self._engine.profile_for(node)
+        else:
+            baseline = compression_baseline(
+                node, self.config.predicate_limit, self._cache
+            )
+        self.stats.value_delta_seconds += perf_counter() - started
         compressed = self._advance_stepper(node, steppers)
         if compressed is None:
             return None
-        saving = summary.size_bytes() - compressed.size_bytes()
+        saving = size - compressed.size_bytes()
         if saving <= 0:
             return None
         self.stats.scoring_calls += 1
         started = perf_counter()
         if self._engine is not None:
-            delta = self._engine.compression_delta(node, compressed)
+            delta = self._engine.compression_delta(node, compressed, baseline)
         else:
-            delta = compression_delta(
-                node, compressed, self.config.predicate_limit, self._cache
-            )
+            delta = compression_delta(node, compressed, baseline=baseline)
         self.stats.value_delta_seconds += perf_counter() - started
         return _ValueCandidate(
             marginal_loss=delta / saving,
@@ -491,6 +506,12 @@ class XClusterBuilder:
             follow_up = self._value_candidate(node, steppers)
             if follow_up is not None:
                 heapq.heappush(heap, follow_up)
+        # Candidates left unapplied may have advanced a working trie the
+        # node's committed summary shares: undo them.
+        for node_id, stepper in steppers.items():
+            node = synopsis.nodes.get(node_id)
+            if node is not None and stepper.expected is not node.vsumm:
+                stepper.rollback()
 
 
 def build_xcluster(

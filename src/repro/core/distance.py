@@ -119,28 +119,48 @@ def merge_delta(
     return delta
 
 
+def compression_baseline(
+    node: SynopsisNode,
+    predicate_limit: int = 48,
+    cache: Optional[SelectivityCache] = None,
+) -> List[Tuple[Predicate, float]]:
+    """``(p, σ_p(u))`` over the atomic predicates of ``node``'s summary.
+
+    The "before" half of :func:`compression_delta`, split out so a caller
+    whose compression step mutates the node's summary in place can take
+    it before the step.
+    """
+    if node.vsumm is None:
+        raise ValueError("compression_delta needs a node with a value summary")
+    return [
+        (predicate, node_selectivity(node, predicate, cache))
+        for predicate in node.vsumm.canonical_atomic_predicates(predicate_limit)
+    ]
+
+
 def compression_delta(
     node: SynopsisNode,
     compressed: ValueSummary,
     predicate_limit: int = 48,
     cache: Optional[SelectivityCache] = None,
+    baseline: Optional[List[Tuple[Predicate, float]]] = None,
 ) -> float:
     """Δ(S, S′) for a value-compression step on ``node``.
 
     The synopsis structure is unchanged, so only the first summand of the
     merge formula applies (with ``w = u``): the estimation-error change of
-    the atomic queries ``u[p]/c`` under the coarser summary.
+    the atomic queries ``u[p]/c`` under the coarser summary.  ``baseline``
+    is a :func:`compression_baseline` taken earlier; by default it is
+    taken now.
     """
-    if node.vsumm is None:
-        raise ValueError("compression_delta needs a node with a value summary")
-    predicates = node.vsumm.canonical_atomic_predicates(predicate_limit)
+    if baseline is None:
+        baseline = compression_baseline(node, predicate_limit, cache)
     if node.children:
         squared_counts = sum(avg * avg for avg in node.children.values())
     else:
         squared_counts = 1.0
     delta = 0.0
-    for predicate in predicates:
-        sigma_old = node_selectivity(node, predicate, cache)
+    for predicate, sigma_old in baseline:
         sigma_new = compressed.selectivity(predicate)
         difference = sigma_old - sigma_new
         delta += node.count * difference * difference * squared_counts

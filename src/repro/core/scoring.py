@@ -320,11 +320,22 @@ class ScoringEngine:
             delta += u.count * error_u * error_u + v.count * error_v * error_v
         return delta
 
-    def compression_delta(self, node: SynopsisNode, compressed) -> float:
-        """Δ(S, S′) for a value-compression step (vectorized σ_old)."""
+    def compression_delta(
+        self,
+        node: SynopsisNode,
+        compressed,
+        profile: Optional[SelectivityProfile] = None,
+    ) -> float:
+        """Δ(S, S′) for a value-compression step (vectorized σ_old).
+
+        ``profile`` is ``profile_for(node)`` taken before a compression
+        step that mutates the node's summary in place; by default it is
+        looked up now.
+        """
         if node.vsumm is None:
             raise ValueError("compression_delta needs a node with a value summary")
-        profile = self.profile_for(node)
+        if profile is None:
+            profile = self.profile_for(node)
         squared_counts = profile.child_sq if node.children else 1.0
         sigmas = profile.sigmas
         predicates = profile.predicates

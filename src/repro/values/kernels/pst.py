@@ -126,8 +126,12 @@ class PSTPruneKernel:
         """True when no prunable leaves remain."""
         return not self._latest
 
-    def prune(self, count: int) -> int:
-        """Prune up to ``count`` more leaves; returns the number pruned."""
+    def prune(self, count: int, journal: Optional["PruneJournal"] = None) -> int:
+        """Prune up to ``count`` more leaves; returns the number pruned.
+
+        With a ``journal``, every deletion is recorded there first, so
+        the batch can be undone (:meth:`PruneJournal.undo`).
+        """
         tree = self.tree
         heap = self._heap
         latest = self._latest
@@ -137,6 +141,8 @@ class PSTPruneKernel:
             if latest.get(node) != serial:
                 continue  # superseded or already deleted
             parent = node.parent
+            if journal is not None:
+                journal.record(parent, node, substring)
             del parent.children[node.char]
             tree._node_count -= 1
             pruned += 1
@@ -155,6 +161,38 @@ class PSTPruneKernel:
             if not parent.children and parent.parent is not tree.root:
                 self._push(parent, substring[:-1])
         return pruned
+
+
+class PruneJournal:
+    """Undo log of one ``PSTPruneKernel.prune`` batch.
+
+    Pruning only ever deletes children-dict entries; the deleted nodes
+    keep their ``parent``, ``count`` and own children.  Saving each
+    touched parent's children dict as it was before the batch's first
+    deletion from it is therefore enough to restore the trie exactly,
+    dict insertion order included (re-inserting the deleted keys would
+    append them at the end instead).
+    """
+
+    __slots__ = ("children", "removed")
+
+    def __init__(self) -> None:
+        #: parent -> its children dict before the batch touched it.
+        self.children: Dict[_Node, Dict[str, _Node]] = {}
+        #: ``(-count, substring)`` of every pruned node, in prune order.
+        self.removed: List[Tuple[int, str]] = []
+
+    def record(self, parent: _Node, node: _Node, substring: str) -> None:
+        """Note that ``node`` (``substring``) is about to be deleted."""
+        if parent not in self.children:
+            self.children[parent] = dict(parent.children)
+        self.removed.append((-node.count, substring))
+
+    def undo(self, tree: PrunedSuffixTree) -> None:
+        """Restore ``tree`` to its state before the recorded batch."""
+        for parent, children in self.children.items():
+            parent.children = children
+        tree._node_count += len(self.removed)
 
 
 def fuse_psts(left: PrunedSuffixTree, right: PrunedSuffixTree) -> PrunedSuffixTree:

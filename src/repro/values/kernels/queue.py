@@ -11,7 +11,10 @@ re-rank of every prunable leaf, per step).
 A :class:`SummaryStepper` owns the incremental kernel state for one
 node's summary chain, so the follow-up candidate costs one incremental
 advance (heap pops for PSTs and histograms, an order-slice for EBTHs)
-plus a snapshot.  Both engines are provided behind the same interface:
+plus a snapshot — or, for PSTs, no snapshot at all: the candidate is a
+view of the stepper's working trie, undone by
+:meth:`SummaryStepper.rollback` if it is never applied.  Both engines
+are provided behind the same interface:
 
 * ``make_stepper(summary, "kernel")`` — the incremental kernels;
 * ``make_stepper(summary, "reference")`` — the scalar oracles
@@ -28,11 +31,16 @@ indexes).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Optional
 
 from repro.values.kernels.ebth import EBTHCompressionKernel
 from repro.values.kernels.histogram import HistogramCompressionKernel
-from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
+from repro.values.kernels.pst import (
+    PruneJournal,
+    PSTPruneKernel,
+    prune_leaves_reference,
+)
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
@@ -55,6 +63,14 @@ class SummaryStepper:
     def advance(self, amount: int) -> Optional[ValueSummary]:
         """The next summary ``amount`` steps smaller, or ``None``."""
         raise NotImplementedError
+
+    def rollback(self) -> None:
+        """Undo the last advance's effect on summaries it shares state with.
+
+        Only steppers whose results are views of a shared working
+        structure need this; the default (independent snapshots) is a
+        no-op.
+        """
 
 
 class GenericStepper(SummaryStepper):
@@ -87,19 +103,65 @@ class KernelHistogramStepper(SummaryStepper):
 
 
 class KernelPSTStepper(SummaryStepper):
+    """Copy-free ``st_cmprs`` chain over one working trie.
+
+    The stepper copies the node's trie once and prunes that copy in
+    place; every summary ``advance`` returns is a view of the same
+    working trie, so it describes the trie only until the next advance
+    or rollback.  Alongside the trie the stepper keeps the sorted
+    ``(-count, substring)`` list of its substrings (deletions are
+    ``bisect``-located), and each returned summary gets a snapshot of it
+    for its atomic predicates.  The last advance is journaled so that an
+    unapplied candidate can be undone with :meth:`rollback`.
+    """
+
     family = "st_cmprs"
 
     def __init__(self, summary: StringSummary) -> None:
         super().__init__(summary)
         self._working = _copy_pst(summary.pst)
-        self._kernel = PSTPruneKernel(self._working)
+        self._kernel: Optional[PSTPruneKernel] = PSTPruneKernel(self._working)
+        self._ranked = sorted(
+            (-count, substring) for substring, count in self._working.substrings()
+        )
+        #: Undo log of the last advance, and the summary it continued from.
+        self._journal: Optional[PruneJournal] = None
+        self._previous: ValueSummary = summary
 
     def advance(self, amount: int) -> Optional[ValueSummary]:
-        if self._kernel.prune(amount) == 0:
+        # Advancing accepts the previous step: it can no longer be undone.
+        self._journal = None
+        if self._kernel is None:
+            self._kernel = PSTPruneKernel(self._working)
+        journal = PruneJournal()
+        if self._kernel.prune(amount, journal) == 0:
             return None
-        compressed = StringSummary(_copy_pst(self._working))
+        ranked = self._ranked
+        for key in journal.removed:
+            del ranked[bisect_left(ranked, key)]
+        self._journal = journal
+        self._previous = self.expected
+        compressed = StringSummary(self._working, list(ranked))
         self.expected = compressed
         return compressed
+
+    def rollback(self) -> None:
+        """Undo the last advance: the working trie (dict order included),
+        the ranked list and ``expected`` return to their prior state.
+
+        The prune queue has moved past the restored trie, so it is
+        reseeded on the next advance; the greedy prune sequence is a
+        fixed point of the trie, so the chain continues unchanged.
+        """
+        journal = self._journal
+        if journal is None:
+            return
+        journal.undo(self._working)
+        for key in journal.removed:
+            insort(self._ranked, key)
+        self._journal = None
+        self._kernel = None
+        self.expected = self._previous
 
 
 class KernelEBTHStepper(SummaryStepper):

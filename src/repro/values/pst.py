@@ -230,11 +230,10 @@ class PrunedSuffixTree:
             suffix_node = self._lookup_node(substring[start:])
             if suffix_node is None:
                 continue
-            conditioning = (
-                self.lookup(substring[start:-1]) if len(substring) - start > 1 else None
-            )
-            if conditioning is None:
-                conditioning = self.string_count
+            # The conditioning context ``substring[start:-1]`` is the
+            # suffix node's trie parent (the root, whose count is the
+            # string count, for a one-symbol suffix).
+            conditioning = suffix_node.parent.count
             if conditioning:
                 return parent_count * (suffix_node.count / conditioning), suffix_node
         # No usable suffix: fall back to the parent's count scaled by the
@@ -294,7 +293,9 @@ class PrunedSuffixTree:
 
     @property
     def can_prune(self) -> bool:
-        return bool(self._prunable_leaves())
+        # A leaf at depth >= 2 exists exactly when some depth-1 node has
+        # children (follow any child chain down to a leaf).
+        return any(child.children for child in self.root.children.values())
 
     # -- fusion ---------------------------------------------------------------
 

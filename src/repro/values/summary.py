@@ -334,8 +334,15 @@ class StringSummary(ValueSummary):
 
     value_type = ValueType.STRING
 
-    def __init__(self, pst: PrunedSuffixTree) -> None:
+    def __init__(
+        self,
+        pst: PrunedSuffixTree,
+        ranked: Optional[List[Tuple[int, str]]] = None,
+    ) -> None:
         self.pst = pst
+        #: Optional ``sorted((-count, substring))`` over ``pst``, kept by
+        #: the phase-2 stepper so the atomic predicates need no trie walk.
+        self._ranked = ranked
 
     @classmethod
     def from_values(
@@ -369,8 +376,15 @@ class StringSummary(ValueSummary):
         the count ranking.  Both ends are heap-selected (O(n log limit)),
         preserving the full-sort order exactly — the ``(-count,
         substring)`` key is unique per substring, so head and tail slices
-        are well defined without materializing the middle.
+        are well defined without materializing the middle.  A summary
+        built with a ranked list slices it directly instead.
         """
+        ranked = self._ranked
+        if ranked is not None:
+            if len(ranked) > limit:
+                tail = limit // 2
+                ranked = ranked[: limit - tail] + ranked[len(ranked) - tail :]
+            return [SubstringPredicate(substring) for _, substring in ranked]
         items = list(self.pst.substrings())
         key = lambda item: (-item[1], item[0])  # noqa: E731
         if len(items) <= limit:

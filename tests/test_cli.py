@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
-from repro.datasets import bibliography_tree
-from repro.xmltree import serialize
+from repro.core import build_xcluster, save_snapshot
+from repro.datasets import bibliography_tree, generate_xmark
+from repro.xmltree import XMLParseError, parse_document, serialize
 
 
 @pytest.fixture
@@ -98,6 +103,48 @@ class TestCli:
         assert main(["convert", json2, back_path, "--format", "snapshot"]) == 0
         with open(snap_path, "rb") as a, open(back_path, "rb") as b:
             assert a.read() == b.read()
+
+    def test_summarize_matches_object_parser_build(self, tmp_path, capsys):
+        """``summarize`` streams its input through the byte tokenizer; the
+        snapshot is byte-identical to a build from the object parser."""
+        xml = tmp_path / "auction.xml"
+        xml.write_text(
+            serialize(generate_xmark(scale=0.05, seed=4).tree), encoding="utf-8"
+        )
+        cli_path = tmp_path / "cli.snap"
+        assert main(
+            ["summarize", str(xml), "-o", str(cli_path), "--format", "snapshot"]
+        ) == 0
+        capsys.readouterr()
+        object_path = tmp_path / "object.snap"
+        save_snapshot(
+            build_xcluster(
+                parse_document(str(xml)),
+                structural_budget=4096,
+                value_budget=32768,
+            ),
+            str(object_path),
+        )
+        assert cli_path.read_bytes() == object_path.read_bytes()
+
+    def test_summarize_malformed_xml_fails(self, tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<a><b></a>", encoding="utf-8")
+        with pytest.raises(XMLParseError):
+            parse_document(str(bad))
+        with pytest.raises(XMLParseError):
+            main(["summarize", str(bad), "-o", str(tmp_path / "out.json")])
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "summarize", str(bad),
+             "-o", str(tmp_path / "out.json")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode != 0
+        assert "XMLParseError" in completed.stderr
+        assert not (tmp_path / "out.json").exists()
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

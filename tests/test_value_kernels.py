@@ -19,6 +19,8 @@ from repro.core.sizing import (
     value_size_breakdown,
     value_size_bytes,
 )
+from repro.core.snapshot import snapshot_to_bytes
+from repro.datasets import generate_imdb, generate_xmark
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram
 from repro.values.kernels.ebth import EBTHCompressionKernel, fuse_ebth
@@ -307,6 +309,67 @@ class TestSteppers:
         with pytest.raises(ValueError):
             make_stepper(self.summaries()[0], "quantum")
 
+    def string_stepper(self):
+        summary = self.summaries()[1]
+        return summary, make_stepper(summary, "kernel")
+
+    def test_pst_advance_shares_one_working_trie(self):
+        summary, stepper = self.string_stepper()
+        first = stepper.advance(2)
+        second = stepper.advance(2)
+        assert first.pst is second.pst
+        assert first.pst is not summary.pst  # the node's own trie is copied once
+
+    def test_pst_rollback_restores_trie_exactly(self):
+        _, stepper = self.string_stepper()
+        committed = stepper.advance(3)
+        trie = committed.pst
+        before = ordered_substrings(trie)
+        node_count = trie.node_count
+        pending = stepper.advance(5)
+        assert pending.pst is trie
+        assert trie.node_count < node_count
+        stepper.rollback()
+        assert ordered_substrings(trie) == before  # dict order included
+        assert trie.node_count == node_count
+        assert trie.invariant_issues() == []
+        assert stepper.expected is committed
+        stepper.rollback()  # nothing left to undo
+        assert ordered_substrings(trie) == before
+
+    def test_pst_chain_continues_after_rollback(self):
+        _, stepper = self.string_stepper()
+        _, oracle = self.string_stepper()
+        stepper.advance(3)
+        oracle.advance(3)
+        stepper.advance(4)
+        stepper.rollback()
+        for _ in range(4):
+            resumed = stepper.advance(4)
+            expected = oracle.advance(4)
+            assert (resumed is None) == (expected is None)
+            if resumed is None:
+                break
+            assert ordered_substrings(resumed.pst) == ordered_substrings(
+                expected.pst
+            )
+            assert stepper._ranked == oracle._ranked
+
+    def test_pst_ranked_list_tracks_the_trie(self):
+        _, stepper = self.string_stepper()
+        while True:
+            advanced = stepper.advance(3)
+            if advanced is None:
+                break
+            fresh = sorted(
+                (-count, substring) for substring, count in advanced.pst.substrings()
+            )
+            assert stepper._ranked == fresh
+            for limit in (1, 5, 32, 10_000):
+                assert advanced.atomic_predicates(limit) == StringSummary(
+                    _copy_pst(advanced.pst)
+                ).atomic_predicates(limit)
+
 
 # -- heap-selected rankings ----------------------------------------------------
 
@@ -368,6 +431,81 @@ class TestBuilderEngineParity:
         assert value_size_breakdown(kernel_synopsis) == value_size_breakdown(
             reference_synopsis
         )
+
+    def test_budget_stop_with_pending_string_candidates(self, xmark_small):
+        """Phase 2 stops on the budget while STRING nodes that already took
+        steps still hold pending candidates on their shared working tries;
+        rollback must leave each node's trie exactly as committed."""
+
+        def build(engine):
+            synopsis = build_reference_synopsis(
+                xmark_small.tree, xmark_small.value_paths
+            )
+            original = {
+                node.node_id: node.vsumm.pst.node_count
+                for node in synopsis.valued_nodes()
+                if isinstance(node.vsumm, StringSummary)
+            }
+            config = BuildConfig(
+                structural_budget=structural_size_bytes(synopsis),
+                value_budget=value_size_bytes(synopsis) * 3 // 4,
+                value_engine=engine,
+            )
+            builder = XClusterBuilder(config)
+            builder.compress(synopsis)
+            assert builder.stats.value_budget_met
+            return synopsis, original
+
+        kernel, original = build("kernel")
+        reference, _ = build("reference")
+        strings = [
+            node
+            for node in kernel.valued_nodes()
+            if isinstance(node.vsumm, StringSummary)
+        ]
+        assert any(
+            node.vsumm.can_compress
+            and node.vsumm.pst.node_count < original[node.node_id]
+            for node in strings
+        )
+        for node in strings:
+            other = reference.nodes[node.node_id].vsumm
+            assert ordered_substrings(node.vsumm.pst) == ordered_substrings(
+                other.pst
+            )
+            assert node.vsumm.size_bytes() == other.size_bytes()
+            assert node.vsumm.invariant_issues() == []
+
+    @pytest.mark.parametrize(
+        "dataset, value_budget",
+        [("xmark", 32768), ("imdb", 8000)],
+    )
+    def test_engine_matrix_snapshots_identical(self, dataset, value_budget):
+        """scoring x value_engine: four byte-identical snapshots.  The
+        scalar Δ path reads σ_old through the node's summary, which the
+        kernel PST stepper shares with its working trie."""
+        if dataset == "xmark":
+            source = generate_xmark(scale=0.1, seed=7)
+            value_paths = None
+        else:
+            source = generate_imdb(scale=0.05, seed=42)
+            value_paths = source.value_paths
+        snapshots = set()
+        for scoring in ("scalar", "vectorized"):
+            for engine in ("kernel", "reference"):
+                synopsis = build_reference_synopsis(source.tree, value_paths)
+                builder = XClusterBuilder(
+                    BuildConfig(
+                        structural_budget=4096,
+                        value_budget=value_budget,
+                        scoring=scoring,
+                        value_engine=engine,
+                    )
+                )
+                builder.compress(synopsis)
+                assert builder.stats.value_steps_applied > 0
+                snapshots.add(snapshot_to_bytes(synopsis))
+        assert len(snapshots) == 1
 
     def test_unknown_value_engine_rejected(self):
         with pytest.raises(ValueError):
