@@ -300,7 +300,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         synopsis = load_synopsis(args.synopsis, verify=False)
         report.violations.extend(auditor.audit(synopsis))
     else:
-        from repro.core.builder import build_xcluster
+        from repro.core.builder import BuildConfig, XClusterBuilder
         from repro.core.reference import build_reference_synopsis
         from repro.core.sizing import structural_size_bytes, value_size_bytes
         from repro.datasets import generate_xmark
@@ -310,13 +310,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
             dataset.tree, dataset.value_paths
         )
         report.violations.extend(auditor.audit(reference))
-        synopsis = build_xcluster(
-            dataset.tree,
-            structural_budget=max(256, structural_size_bytes(reference) // 2),
-            value_budget=max(256, value_size_bytes(reference) // 2),
-            value_paths=dataset.value_paths,
+        # The audited build also re-derives the scoring engine's cached
+        # profiles (child moments and every σ) against the synopsis.
+        builder = XClusterBuilder(
+            BuildConfig(
+                structural_budget=max(256, structural_size_bytes(reference) // 2),
+                value_budget=max(256, value_size_bytes(reference) // 2),
+                audit=True,
+            )
         )
-        report.violations.extend(auditor.audit(synopsis))
+        builder.build(dataset.tree, dataset.value_paths)
+        report.violations.extend(builder.stats.audit_violations)
 
     if not args.skip_fuzz:
         harness = DifferentialHarness(

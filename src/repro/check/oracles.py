@@ -3,6 +3,9 @@
 :func:`fixpoint_reference_classes` is the partition oracle for
 :func:`repro.core.reference.reference_classes`: the paper-literal
 both-ways refinement, iterated until the class count stops growing.
+:func:`greedy_estimate_count` is the PST estimation oracle for
+:meth:`repro.values.pst.PrunedSuffixTree.estimate_count`: the greedy
+maximal-overlap chaining, re-walking and re-looking-up every piece.
 Only the differential harness and the tests import this module.
 """
 
@@ -17,6 +20,7 @@ from repro.core.reference import (
     _object_initial_keys,
     columnar_initial_keys,
 )
+from repro.values.pst import PrunedSuffixTree
 from repro.xmltree.columnar import ColumnarDocument
 
 #: Safety cap on refinement iterations (convergence is far faster).
@@ -77,8 +81,63 @@ def fixpoint_reference_classes(document: Document) -> List[int]:
     return refine_to_fixpoint(len(initial), parents, initial)
 
 
+def _longest_match(tree: PrunedSuffixTree, text: str, start: int) -> int:
+    """Length of the longest indexed substring of ``text`` at ``start``."""
+    node = tree.root
+    length = 0
+    for offset in range(start, len(text)):
+        node = node.children.get(text[offset])
+        if node is None:
+            break
+        length += 1
+    return length
+
+
+def greedy_estimate_count(tree: PrunedSuffixTree, query: str) -> float:
+    """PST substring-count estimate by greedy maximal-overlap chaining.
+
+    ``P(q) = P(s1) * Π P(si | overlap(si-1, si))``: the first piece is
+    the longest indexed prefix; each continuation at ``position`` takes
+    the smallest overlap start (within ``max_depth``) whose longest
+    indexed match extends past ``position``, and multiplies in
+    ``count(overlap + extension) / count(overlap)``.
+    """
+    total = tree.string_count
+    if total == 0:
+        return 0.0
+    if not query:
+        return float(total)
+    prefix_len = _longest_match(tree, query, 0)
+    if prefix_len == 0:
+        return 0.0
+    probability = tree.lookup(query[:prefix_len]) / total
+    position = prefix_len
+    while position < len(query):
+        piece = None
+        for overlap_start in range(max(0, position - tree.max_depth + 1), position + 1):
+            matched = _longest_match(tree, query, overlap_start)
+            if overlap_start + matched > position:
+                piece = (overlap_start, overlap_start + matched - position)
+                break
+        if piece is None:
+            return 0.0
+        overlap_start, extension = piece
+        joint = tree.lookup(query[overlap_start : position + extension])
+        conditioning = (
+            tree.lookup(query[overlap_start:position])
+            if overlap_start < position
+            else total
+        )
+        if not conditioning:
+            return 0.0
+        probability *= joint / conditioning
+        position += extension
+    return probability * total
+
+
 __all__ = [
     "MAX_REFINEMENT_ROUNDS",
     "fixpoint_reference_classes",
+    "greedy_estimate_count",
     "refine_to_fixpoint",
 ]

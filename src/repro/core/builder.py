@@ -38,7 +38,8 @@ from repro.values.summary import (
     TextSummary,
     ValueSummary,
 )
-#: Stepper family -> the BuildStats timer its advances accumulate into.
+
+
 def _profile_violation(message: str):
     """Wrap a scoring-engine staleness finding as a check Violation."""
     from repro.check.invariants import Violation
@@ -46,6 +47,7 @@ def _profile_violation(message: str):
     return Violation("scoring-profile", message)
 
 
+#: Stepper family -> the BuildStats timer its advances accumulate into.
 _FAMILY_TIMERS = {
     "hist_cmprs": "hist_cmprs_seconds",
     "st_cmprs": "st_cmprs_seconds",
@@ -237,7 +239,7 @@ class XClusterBuilder:
         self.stats.value_engine_used = self.config.value_engine
         self._cache = {}
         self._engine = (
-            ScoringEngine(synopsis, self.config.predicate_limit, self._cache)
+            ScoringEngine(synopsis, self.config.predicate_limit)
             if self.config.scoring == "vectorized"
             else None
         )

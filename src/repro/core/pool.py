@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.distance import SelectivityCache, merge_delta
 from repro.core.scoring import ScoringEngine, score_pairs_parallel
@@ -51,23 +50,23 @@ EXHAUSTIVE_GROUP_SIZE = 24
 POOL_SLACK = 1.5
 
 
-@dataclass(order=True)
-class MergeCandidate:
+class MergeCandidate(NamedTuple):
     """One candidate ``merge(u, v)`` with its cached score.
 
-    Ordering is total — marginal loss with the node-id pair as a tie
-    breaker — so heap pops and capacity trims are deterministic
-    regardless of insertion order (serial and parallel pool builds pop
-    identically).
+    A plain tuple, so heap pops and capacity trims compare in C.  The
+    order is total on the leading ``(marginal_loss, u_id, v_id)`` — a
+    pool holds at most one entry per node-id pair, so comparisons never
+    reach the payload fields — and pops are deterministic regardless of
+    insertion order (serial and parallel pool builds pop identically).
     """
 
     marginal_loss: float
     u_id: int
     v_id: int
-    delta: float = field(compare=False)
-    size_saving: int = field(compare=False)
+    delta: float
+    size_saving: int
     #: Sum of the neighborhood versions of u and v at scoring time.
-    version: int = field(compare=False, default=0)
+    version: int = 0
 
 
 def _summary_key(node: SynopsisNode) -> Tuple:

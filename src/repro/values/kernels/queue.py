@@ -111,8 +111,10 @@ class KernelPSTStepper(SummaryStepper):
     or rollback.  Alongside the trie the stepper keeps the sorted
     ``(-count, substring)`` list of its substrings (deletions are
     ``bisect``-located), and each returned summary gets a snapshot of it
-    for its atomic predicates.  The last advance is journaled so that an
-    unapplied candidate can be undone with :meth:`rollback`.
+    for its atomic predicates, plus the substrings the advance pruned
+    (``StringSummary.pruned``), so Δ re-scores only those.  The last
+    advance is journaled so that an unapplied candidate can be undone
+    with :meth:`rollback`.
     """
 
     family = "st_cmprs"
@@ -141,7 +143,11 @@ class KernelPSTStepper(SummaryStepper):
             del ranked[bisect_left(ranked, key)]
         self._journal = journal
         self._previous = self.expected
-        compressed = StringSummary(self._working, list(ranked))
+        compressed = StringSummary(
+            self._working,
+            list(ranked),
+            tuple(substring for _, substring in journal.removed),
+        )
         self.expected = compressed
         return compressed
 

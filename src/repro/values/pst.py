@@ -128,17 +128,6 @@ class PrunedSuffixTree:
                 return None
         return node
 
-    def _longest_match(self, text: str, start: int) -> int:
-        """Length of the longest indexed substring starting at ``start``."""
-        node = self.root
-        length = 0
-        for offset in range(start, len(text)):
-            node = node.children.get(text[offset])
-            if node is None:
-                break
-            length += 1
-        return length
-
     # -- estimation -----------------------------------------------------------
 
     def estimate_count(self, query: str) -> float:
@@ -147,51 +136,51 @@ class PrunedSuffixTree:
         Exact for indexed substrings; greedy maximal-overlap Markov
         chaining otherwise.  Returns 0 when the query uses a symbol that
         never occurs in the collection.
+
+        Each continuation at ``position`` takes the smallest overlap
+        start whose longest indexed match reaches past ``position``.  A
+        start that fails (or succeeds) at one position fails at every
+        later one, so the scan over starts only moves forward and each
+        start is walked once; the walk itself records the conditioning
+        count (the node it stands on when it crosses ``position`` — the
+        root, counting every string, for an empty overlap) and ends on
+        the joint count.  The greedy oracle that re-walks and re-looks-up
+        each piece is :func:`repro.check.oracles.greedy_estimate_count`.
         """
-        if self.string_count == 0:
+        total = self.root.count
+        if total == 0:
             return 0.0
         if not query:
-            return float(self.string_count)
-        prefix_len = self._longest_match(query, 0)
-        if prefix_len == 0:
-            return 0.0
-        probability = self.lookup(query[:prefix_len]) / self.string_count
-        position = prefix_len
-        while position < len(query):
-            piece = self._best_overlap_piece(query, position)
-            if piece is None:
-                return 0.0
-            overlap_start, extension = piece
-            joint = self.lookup(query[overlap_start : position + extension])
-            conditioning = (
-                self.lookup(query[overlap_start:position])
-                if overlap_start < position
-                else self.string_count
-            )
+            return float(total)
+        root = self.root
+        end = len(query)
+        probability = 1.0
+        position = 0
+        start = 0
+        while position < end:
+            first = max(start, position - self.max_depth + 1)
+            for start in range(first, position + 1):
+                node = root
+                conditioning = 0
+                reached = start
+                for offset in range(start, end):
+                    child = node.children.get(query[offset])
+                    if child is None:
+                        break
+                    if offset == position:
+                        conditioning = node.count
+                    node = child
+                    reached = offset + 1
+                if reached > position:
+                    break
+            else:
+                return 0.0  # query[position] is an absent symbol
             if not conditioning:
                 return 0.0
-            probability *= joint / conditioning
-            position += extension
-        return probability * self.string_count
-
-    def _best_overlap_piece(
-        self, query: str, position: int
-    ) -> Optional[Tuple[int, int]]:
-        """The maximal-overlap continuation at ``position``.
-
-        Returns ``(overlap_start, extension)`` where
-        ``query[overlap_start : position + extension]`` is indexed,
-        ``extension >= 1``, and the overlap ``position - overlap_start`` is
-        maximal (ties broken toward longer extensions).  ``None`` when even
-        the single character ``query[position]`` is unindexed.
-        """
-        min_start = max(0, position - self.max_depth + 1)
-        for overlap_start in range(min_start, position + 1):
-            matched = self._longest_match(query, overlap_start)
-            extension = overlap_start + matched - position
-            if extension >= 1:
-                return (overlap_start, extension)
-        return None
+            probability *= node.count / conditioning
+            position = reached
+            start += 1
+        return probability * total
 
     def selectivity(self, query: str) -> float:
         """Estimated fraction of strings containing ``query``."""
@@ -199,6 +188,18 @@ class PrunedSuffixTree:
             return 0.0
         estimate = self.estimate_count(query) / self.string_count
         return min(1.0, max(0.0, estimate))
+
+    def indexed_selectivity(self, count: int) -> float:
+        """``selectivity(s)`` of an indexed substring ``s`` with ``count``.
+
+        For an indexed query the chaining stops after its first piece, so
+        ``estimate_count`` returns ``(count / N) * N``; this is the same
+        float expression, clamped the same way, without the trie walk.
+        """
+        total = self.root.count
+        if total == 0:
+            return 0.0
+        return min(1.0, max(0.0, ((count / total) * total) / total))
 
     # -- pruning (st_cmprs) ------------------------------------------------------
 

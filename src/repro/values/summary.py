@@ -56,8 +56,6 @@ class SummaryConfig:
             detail; the paper's reference summaries approximate value
             distributions "with low error", not losslessly).
         vocabulary: the synopsis-wide term-id space for TEXT summaries.
-        atomic_predicate_limit: cap on atomic predicates per summary when
-            evaluating the Δ metric.
     """
 
     histogram_buckets: int = 64
@@ -69,7 +67,6 @@ class SummaryConfig:
     pst_max_nodes: int = 2048
     pst_nodes_per_string: int = 16
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
-    atomic_predicate_limit: int = 48
 
 
 class ValueSummary:
@@ -338,11 +335,17 @@ class StringSummary(ValueSummary):
         self,
         pst: PrunedSuffixTree,
         ranked: Optional[List[Tuple[int, str]]] = None,
+        pruned: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.pst = pst
         #: Optional ``sorted((-count, substring))`` over ``pst``, kept by
         #: the phase-2 stepper so the atomic predicates need no trie walk.
         self._ranked = ranked
+        #: Set by the phase-2 stepper on the summary one ``st_cmprs``
+        #: step returns: the substrings that step pruned from the trie it
+        #: continued from.  Every other substring keeps its count, so its
+        #: selectivity is unchanged (see ``ScoringEngine.compression_delta``).
+        self.pruned = pruned
 
     @classmethod
     def from_values(
@@ -373,27 +376,36 @@ class StringSummary(ValueSummary):
         Using only top-count substrings would make leaf pruning look free
         in the Δ metric (pruning damages *rare* substrings first), so the
         atomic set takes half from the top and half from the bottom of
-        the count ranking.  Both ends are heap-selected (O(n log limit)),
-        preserving the full-sort order exactly — the ``(-count,
-        substring)`` key is unique per substring, so head and tail slices
-        are well defined without materializing the middle.  A summary
-        built with a ranked list slices it directly instead.
+        the count ranking (see :meth:`atomic_counts`).
+        """
+        return [
+            SubstringPredicate(substring)
+            for substring, _ in self.atomic_counts(limit)
+        ]
+
+    def atomic_counts(self, limit: int = 48) -> List[Tuple[str, int]]:
+        """``(substring, count)`` of the atomic predicates, in their order.
+
+        One enumeration yields both the predicates and their trie counts.
+        Both ends of the ``(-count, substring)`` ranking are heap-selected
+        (O(n log limit)), preserving the full-sort order exactly — the key
+        is unique per substring, so head and tail slices are well defined
+        without materializing the middle.  A summary built with a ranked
+        list slices it directly instead.
         """
         ranked = self._ranked
         if ranked is not None:
             if len(ranked) > limit:
                 tail = limit // 2
                 ranked = ranked[: limit - tail] + ranked[len(ranked) - tail :]
-            return [SubstringPredicate(substring) for _, substring in ranked]
+            return [(substring, -negative) for negative, substring in ranked]
         items = list(self.pst.substrings())
         key = lambda item: (-item[1], item[0])  # noqa: E731
         if len(items) <= limit:
-            chosen = sorted(items, key=key)
-        else:
-            head = limit - limit // 2
-            chosen = heapq.nsmallest(head, items, key=key)
-            chosen.extend(reversed(heapq.nlargest(limit // 2, items, key=key)))
-        return [SubstringPredicate(substring) for substring, _ in chosen]
+            return sorted(items, key=key)
+        chosen = heapq.nsmallest(limit - limit // 2, items, key=key)
+        chosen.extend(reversed(heapq.nlargest(limit // 2, items, key=key)))
+        return chosen
 
     def fuse(self, other: "ValueSummary") -> "StringSummary":
         if not isinstance(other, StringSummary):

@@ -78,6 +78,19 @@ def test_fresh_xmark_audit_is_clean(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_fresh_audit_catches_wrong_count_backed_sigma(capsys, monkeypatch):
+    from repro.values.pst import PrunedSuffixTree
+
+    exact = PrunedSuffixTree.indexed_selectivity
+    monkeypatch.setattr(
+        PrunedSuffixTree,
+        "indexed_selectivity",
+        lambda tree, count: exact(tree, count) * 0.5,
+    )
+    assert main(["check", "--skip-fuzz", "--scale", "0.05"]) == 1
+    assert "scoring-profile" in capsys.readouterr().out
+
+
 def test_evaluator_rounds_from_cli(capsys):
     """--evaluator runs interval-vs-treewalk parity rounds only."""
     exit_code = main(["check", "--evaluator", "--rounds", "2", "--seed", "21"])

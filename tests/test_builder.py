@@ -48,6 +48,15 @@ class TestPool:
         assert candidate.delta >= 0.0
         assert candidate.size_saving >= 1
 
+    def test_candidates_are_plain_tuples(self, reference):
+        synopsis = copy.deepcopy(reference)
+        pool = build_pool(synopsis, 500, 1, synopsis.levels())
+        candidate = pool.pop_best()
+        assert isinstance(candidate, tuple)
+        assert candidate[:3] == (
+            candidate.marginal_loss, candidate.u_id, candidate.v_id
+        )
+
     def test_pool_capacity_enforced(self, reference):
         synopsis = copy.deepcopy(reference)
         levels = synopsis.levels()

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.oracles import greedy_estimate_count
 from repro.values import PrunedSuffixTree
 
 
@@ -66,6 +67,58 @@ class TestEstimation:
         tree = PrunedSuffixTree()
         assert tree.estimate_count("a") == 0.0
         assert tree.selectivity("a") == 0.0
+
+
+class TestOneWalkEstimate:
+    """The one-walk ``estimate_count`` equals the greedy oracle bit for bit."""
+
+    @staticmethod
+    def random_tree(rng, alphabet):
+        def strings(count):
+            return [
+                "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+                for _ in range(count)
+            ]
+
+        tree = PrunedSuffixTree.from_strings(
+            strings(rng.randint(1, 15)), max_depth=rng.randint(1, 6)
+        )
+        if rng.random() < 0.5:
+            other = PrunedSuffixTree.from_strings(
+                strings(rng.randint(1, 8)), max_depth=rng.randint(1, 6)
+            )
+            tree = tree.fuse(other)
+        if rng.random() < 0.7:
+            tree.prune_leaves(rng.randint(1, max(1, tree.node_count)))
+        return tree
+
+    def test_matches_greedy_oracle(self, seeded_rng):
+        absent = longer = chained = 0
+        for _ in range(150):
+            alphabet = "abcde"[: seeded_rng.randint(2, 5)]
+            tree = self.random_tree(seeded_rng, alphabet)
+            for _ in range(25):
+                query = "".join(
+                    seeded_rng.choices(alphabet + "xz", k=seeded_rng.randint(0, 14))
+                )
+                expected = greedy_estimate_count(tree, query)
+                assert tree.estimate_count(query) == expected, query
+                absent += "x" in query or "z" in query
+                longer += len(query) > tree.max_depth
+                chained += 0.0 < expected and tree.lookup(query) is None
+        assert absent and longer and chained
+
+    def test_indexed_selectivity_is_the_walked_selectivity(self, seeded_rng):
+        for _ in range(40):
+            tree = self.random_tree(seeded_rng, "abc")
+            for substring, count in tree.substrings():
+                assert tree.indexed_selectivity(count) == tree.selectivity(substring)
+
+    def test_long_query_over_pruned_tree(self):
+        tree = small_tree()
+        tree.prune_leaves(20)
+        for query in ("star wars", "dark stardust", "trek star war", "zstar"):
+            assert tree.estimate_count(query) == greedy_estimate_count(tree, query)
 
 
 class TestPruning:

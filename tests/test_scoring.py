@@ -15,11 +15,13 @@ from repro.core import build_reference_synopsis, build_xcluster
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.distance import compression_delta, merge_delta
 from repro.core.pool import CandidatePool, build_pool
-from repro.core.scoring import ScoringEngine
+from repro.core.scoring import ScoringEngine, predicate_key
 from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import XClusterSynopsis
 from repro.values.histogram import Histogram
-from repro.values.summary import SummaryConfig, build_summary
+from repro.values.kernels.queue import make_stepper
+from repro.values.pst import PrunedSuffixTree
+from repro.values.summary import StringSummary, SummaryConfig, build_summary
 from repro.xmltree.types import ValueType
 
 TOLERANCE = dict(rel=1e-9, abs=1e-9)
@@ -78,7 +80,7 @@ class TestMergeDeltaParity:
         rng = random.Random(hash(value_type.name) & 0xFFFF)
         for trial in range(12):
             synopsis, members = make_random_synopsis(rng, value_type)
-            engine = ScoringEngine(synopsis, predicate_limit=24, cache={})
+            engine = ScoringEngine(synopsis, predicate_limit=24)
             scalar_cache = {}
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
@@ -140,7 +142,7 @@ class TestCompressionDeltaParity:
         rng = random.Random(hash(value_type.name) & 0xFF)
         for trial in range(10):
             synopsis, members = make_random_synopsis(rng, value_type)
-            engine = ScoringEngine(synopsis, predicate_limit=24, cache={})
+            engine = ScoringEngine(synopsis, predicate_limit=24)
             for node in members:
                 if node.vsumm is None or not node.vsumm.can_compress:
                     continue
@@ -383,3 +385,138 @@ class TestCanonicalPredicates:
         assert list(canonical) == summary.atomic_predicates(16)
         other_limit = summary.canonical_atomic_predicates(8)
         assert list(other_limit) == summary.atomic_predicates(8)
+
+
+def built_synopsis(dataset, **overrides):
+    """A synopsis through both phases (phase 2 takes real steps)."""
+    synopsis = build_reference_synopsis(dataset.tree, dataset.value_paths)
+    config = BuildConfig(
+        structural_budget=structural_size_bytes(synopsis) // 2,
+        value_budget=value_size_bytes(synopsis) // 3,
+        **overrides,
+    )
+    builder = XClusterBuilder(config)
+    builder.compress(synopsis)
+    assert builder.stats.value_steps_applied > 0
+    return builder, synopsis
+
+
+class TestCountBackedProfiles:
+    """A PST's own σ come from its counts; they must equal the trie walk."""
+
+    @pytest.mark.parametrize("dataset", ["xmark", "imdb"])
+    def test_profile_sigmas_equal_resolve(self, dataset, xmark_small, imdb_small):
+        source = xmark_small if dataset == "xmark" else imdb_small
+        reference = build_reference_synopsis(source.tree, source.value_paths)
+        builder, synopsis = built_synopsis(source)
+        strings = 0
+        for graph, engine in (
+            (reference, ScoringEngine(reference, predicate_limit=32)),
+            (synopsis, builder._engine),
+            (synopsis, ScoringEngine(synopsis, predicate_limit=32)),
+        ):
+            for node in graph:
+                profile = engine.profile_for(node)
+                strings += isinstance(node.vsumm, StringSummary)
+                for predicate, key, sigma in zip(
+                    profile.predicates, profile.keys, profile.sigmas
+                ):
+                    assert key == predicate_key(predicate)
+                    assert sigma == engine._resolve(node, predicate, key, {})
+                    if key is not None:
+                        assert sigma == node.vsumm.fast_selectivity(predicate)
+        assert strings > 0
+
+    def test_atomic_table_memoized_on_the_summary(self, imdb_reference):
+        engine = ScoringEngine(imdb_reference, predicate_limit=16)
+        node = next(
+            n for n in imdb_reference if isinstance(n.vsumm, StringSummary)
+        )
+        table = engine.atomic_table(node.vsumm)
+        assert ScoringEngine(imdb_reference, 16).atomic_table(node.vsumm) is table
+        assert ScoringEngine(imdb_reference, 8).atomic_table(node.vsumm) is not table
+        predicates, keys, index, _ = table
+        assert list(predicates[1:]) == node.vsumm.atomic_predicates(16)
+        assert all(index[key] == position for position, key in enumerate(keys))
+
+
+class TestTouchedOnlyCompressionDelta:
+    """Along a kernel ``st_cmprs`` chain, Δ evaluated over the pruned
+    substrings only equals the full predicate loop bit for bit."""
+
+    @staticmethod
+    def string_node(rng):
+        synopsis = XClusterSynopsis()
+        root = synopsis.add_node("r", ValueType.NULL, 1)
+        synopsis.set_root(root)
+        values = [
+            "".join(rng.choices("abcdef", k=rng.randint(2, 10))) for _ in range(60)
+        ]
+        node = synopsis.add_node(
+            "y", ValueType.STRING, len(values),
+            build_summary(ValueType.STRING, values, SummaryConfig()),
+        )
+        synopsis.add_edge(root, node, 1.0)
+        synopsis.add_edge(node, synopsis.add_node("c", ValueType.NULL, 1), 2.5)
+        return synopsis, node
+
+    def test_equals_full_loop_along_chain_with_rollbacks(self, seeded_rng):
+        synopsis, node = self.string_node(seeded_rng)
+        engine = ScoringEngine(synopsis, predicate_limit=16)
+        stepper = make_stepper(node.vsumm, "kernel")
+        applied = rolled_back = nonzero = 0
+        while True:
+            profile = engine.profile_for(node)
+            compressed = stepper.advance(seeded_rng.randint(1, 6))
+            if compressed is None:
+                break
+            assert compressed.pruned
+            touched = engine.compression_delta(node, compressed, profile)
+            # The same view without the pruned mark takes the full loop.
+            unmarked = StringSummary(compressed.pst, compressed._ranked)
+            assert touched == engine.compression_delta(node, unmarked, profile)
+            nonzero += touched > 0.0
+            if seeded_rng.random() < 0.3:
+                stepper.rollback()
+                rolled_back += 1
+            else:
+                node.vsumm = compressed
+                applied += 1
+        assert applied and rolled_back and nonzero
+
+    def test_reference_stepper_leaves_summaries_unmarked(self):
+        _, node = self.string_node(random.Random(5))
+        assert make_stepper(node.vsumm, "reference").advance(4).pruned is None
+
+
+class TestProfileSigmaAudit:
+    def test_corrupted_sigma_is_reported(self, xmark_small):
+        builder, synopsis = built_synopsis(xmark_small)
+        engine = builder._engine
+        assert engine.audit_profiles() == []
+        node_id, profile = next(
+            (node_id, profile)
+            for node_id, profile in engine.profiles.items()
+            if node_id in synopsis.nodes
+            and profile.vsumm is synopsis.nodes[node_id].vsumm
+            and len(profile.sigmas) > 1
+        )
+        profile.sigmas[1] = profile.sigmas[1] * 0.5 + 0.25
+        issues = engine.audit_profiles()
+        assert len(issues) == 1
+        assert f"node {node_id}" in issues[0] and "σ" in issues[0]
+
+    def test_audited_build_catches_wrong_count_backed_sigma(
+        self, monkeypatch, xmark_small
+    ):
+        exact = PrunedSuffixTree.indexed_selectivity
+        monkeypatch.setattr(
+            PrunedSuffixTree,
+            "indexed_selectivity",
+            lambda tree, count: exact(tree, count) * 0.5,
+        )
+        builder, _ = built_synopsis(xmark_small, audit=True)
+        assert any(
+            violation.invariant == "scoring-profile"
+            for violation in builder.stats.audit_violations
+        )
