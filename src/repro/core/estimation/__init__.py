@@ -41,6 +41,7 @@ from repro.core.estimation.plan import (
     PlanVariable,
     compile_query,
     edge_key_of,
+    twig_of,
 )
 from repro.core.estimation.serving import (
     MIN_PARALLEL_QUERIES,
@@ -64,4 +65,5 @@ __all__ = [
     "edge_key_of",
     "estimate_many",
     "shared_index",
+    "twig_of",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.estimation.indexes import EdgeKey
-from repro.query.ast import EdgePath, QueryNode, TwigQuery
+from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
 from repro.query.predicates import Predicate
 
 #: Canonical cross-query plan-cache key: one ``(parent index, edge key,
@@ -106,3 +106,17 @@ def compile_query(query: TwigQuery) -> CompiledPlan:
 
     visit(query.root, -1)
     return CompiledPlan(tuple(signature), tuple(variables))
+
+
+def twig_of(signature: PlanSignature) -> TwigQuery:
+    """A twig whose compiled plan has ``signature``.
+
+    Variables are named ``q<index>``.  Names never reach a signature, so
+    ``compile_query(twig_of(s)).signature == s`` and the twig estimates
+    exactly like every query that compiles to ``s``.
+    """
+    nodes = [QueryNode("q0", None, signature[0][2])]
+    for index, (parent, edge_key, predicate) in enumerate(signature[1:], 1):
+        edge = EdgePath(tuple(AxisStep(axis, label) for axis, label in edge_key))
+        nodes.append(nodes[parent].add_child(QueryNode(f"q{index}", edge, predicate)))
+    return TwigQuery(nodes[0])

@@ -1,18 +1,20 @@
 """Collection-backed serving engine (``repro serve --collection``).
 
 Implements the same engine surface :mod:`repro.serve.http` dispatches
-against — ``parse_request_query`` / ``estimate`` / ``estimate_batch`` /
-``stats_snapshot`` / a :class:`~repro.serve.engine.PlanCoalescer` — but
-backed by a :class:`~repro.collection.store.CollectionStore` instead of
-one loaded synopsis:
+against — ``parse_request_query`` / ``plan_signature`` / ``estimate`` /
+``estimate_batch`` / ``stats_snapshot`` / a
+:class:`~repro.serve.engine.PlanCoalescer` — but backed by a
+:class:`~repro.collection.store.CollectionStore` instead of one loaded
+synopsis:
 
 * ``/estimate`` with a ``"doc"`` key routes to the document's own
   payload synopsis (shard by id hash, payload by content hash) through
   the store's LRU of open mmaps;
 * ``/estimate`` without ``"doc"`` is collection-wide: the exact
-  multiplicity-weighted sum over every payload, coalesced and batched
-  exactly like single-synopsis serving (the store's single shared plan
-  cache makes one compiled twig serve all shards);
+  multiplicity-weighted sum over every payload, coalesced, batched and
+  remembered in the estimate memo exactly like single-synopsis serving
+  (the store's single shared plan cache makes one compiled twig serve
+  all shards);
 * ``"scope": "rollup"`` answers from the merged rollup synopsis
   without touching any shard — the cheap approximate path;
 * ``/update`` is rejected: a collection directory is rebuilt or
@@ -26,9 +28,10 @@ per-shard budgets) nested under ``"collection"`` in ``/stats``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.collection.store import CollectionStore
+from repro.core.estimation.plan import PlanSignature, compile_query
 from repro.query.ast import TwigQuery
 from repro.serve.engine import (
     DEFAULT_MAX_BATCH,
@@ -75,15 +78,21 @@ class CollectionServeEngine:
             "directory with `repro collection` instead of POST /update"
         )
 
+    def plan_signature(self, query: TwigQuery) -> PlanSignature:
+        """The plan signature of ``query`` (the estimate-memo key)."""
+        return compile_query(query).signature
+
     def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
         """Collection-wide exact sums for one coalesced batch."""
         return [self.store.estimate_collection(query) for query in queries]
 
-    async def estimate(self, query: TwigQuery) -> float:
+    async def estimate(
+        self, query: Optional[TwigQuery], signature: Optional[PlanSignature] = None
+    ) -> float:
         """One collection-wide request through the coalescer."""
         started = perf_counter()
         try:
-            value = await self.coalescer.submit(query)
+            value = await self.coalescer.submit(query, signature)
         except Exception:
             self.stats.errors += 1
             raise
@@ -111,6 +120,7 @@ class CollectionServeEngine:
     def stats_snapshot(self) -> Dict[str, Any]:
         """Serving stats plus a nested ``collection`` store section."""
         snapshot = self.stats.snapshot()
+        snapshot["memo"] = {"estimates": self.coalescer.memo_snapshot()}
         snapshot["collection"] = self.store.stats_snapshot()
         return snapshot
 

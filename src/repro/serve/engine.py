@@ -17,7 +17,9 @@ Three pieces compose the daemon's hot path:
   shards over the copy-on-write fork pool once batches are large
   enough to amortize it).  Under a repetition-heavy user mix — the
   redbench-style banded workload — most of a window is duplicates, so
-  the executed batch is far smaller than the arrival batch.
+  the executed batch is far smaller than the arrival batch.  Flushed
+  estimates are remembered per synopsis version, so a repeated plan is
+  answered without another execution until the synopsis changes.
 * :class:`ServingStats` — latency/throughput observability riding on
   the estimator counters: a bounded reservoir of per-request latencies
   (p50/p99), batch occupancy, coalescing rate, and the cross-user plan
@@ -34,7 +36,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.core.estimation import WorkloadEstimator, estimate_many
 from repro.core.estimation.engine import CompiledEstimator, EstimatorStats
-from repro.core.estimation.plan import PlanSignature, compile_query
+from repro.core.estimation.plan import PlanSignature, compile_query, twig_of
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import TwigQuery
 from repro.query.jsonast import QueryFormatError, twig_from_dict
@@ -55,6 +57,10 @@ DEFAULT_MAX_BATCH = 64
 #: Latency reservoir size: enough for stable p99 at serving rates
 #: without unbounded growth on a long-lived daemon.
 LATENCY_WINDOW = 8192
+
+#: Cap on the coalescer's estimate memo: distinct plan signatures
+#: remembered for the current synopsis version (oldest dropped first).
+ESTIMATE_MEMO_ENTRIES = 16384
 
 
 class ServingStats:
@@ -217,6 +223,11 @@ class ServeEngine:
             results.append(self.maintainer.apply(op))
         return results
 
+    def plan_signature(self, query: TwigQuery) -> PlanSignature:
+        """The plan signature of ``query``, compiled through the shared
+        plan cache (so the lookup counts in the estimator's stats)."""
+        return self.estimator.compile(query).signature
+
     def parse_request_query(self, payload: Dict[str, Any]) -> TwigQuery:
         """A twig from a request body: ``query`` (XPath) or ``ast``.
 
@@ -253,11 +264,19 @@ class ServeEngine:
             estimator=self.estimator,
         )
 
-    async def estimate(self, query: TwigQuery) -> float:
-        """Estimate one request through the coalescer, recording latency."""
+    async def estimate(
+        self, query: Optional[TwigQuery], signature: Optional[PlanSignature] = None
+    ) -> float:
+        """Estimate one request through the coalescer, recording latency.
+
+        ``signature`` is ``query``'s plan signature when the caller
+        already has it (the HTTP request memo does); only such a request
+        can be answered from the coalescer's estimate memo, and its
+        ``query`` may be ``None`` (see :meth:`PlanCoalescer.submit`).
+        """
         started = perf_counter()
         try:
-            value = await self.coalescer.submit(query)
+            value = await self.coalescer.submit(query, signature)
         except Exception:
             self.stats.errors += 1
             raise
@@ -267,6 +286,7 @@ class ServeEngine:
     def stats_snapshot(self) -> Dict[str, Any]:
         """A point-in-time copy of the serving counters (see ``/stats``)."""
         snapshot = self.stats.snapshot()
+        snapshot["memo"] = {"estimates": self.coalescer.memo_snapshot()}
         if self.maintainer is not None:
             maintenance = self.maintainer.stats.snapshot()
             maintenance["synopsis_version"] = self.synopsis.version
@@ -294,6 +314,22 @@ class PlanCoalescer:
     ``window_seconds`` or as soon as ``max_batch`` distinct plans are
     pending, whichever comes first.  All state is touched only from the
     event loop, so no locking is needed.
+
+    Every flushed estimate is also remembered, keyed by plan signature,
+    for the current ``engine.synopsis.version``: an estimate is a pure
+    function of the synopsis and the plan, so a later request that
+    brings the same signature returns the remembered float without a
+    future, a loop turn, or a batch.  The memo is dropped whenever the
+    version changes and holds at most :data:`ESTIMATE_MEMO_ENTRIES`
+    signatures.
+    This relies on every synopsis mutation bumping the version —
+    :meth:`~repro.update.maintainer.IncrementalMaintainer.apply` does so
+    after every op, including the summary-local ``ValueChange`` path
+    that swaps a value summary in place.  The memo deliberately does not
+    live in :class:`~repro.core.estimation.indexes.SynopsisIndex`: that
+    index tolerates summary swaps that leave the version alone (its
+    selectivity cache keys on the summary object), which a
+    signature-keyed estimate cannot.
     """
 
     def __init__(
@@ -307,16 +343,52 @@ class PlanCoalescer:
         self._max_batch = max_batch
         self._pending: Dict[PlanSignature, _PendingPlan] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._memo: Dict[PlanSignature, float] = {}
+        self._memo_version: Optional[int] = None
+        #: Requests answered from the estimate memo.
+        self.memo_hits = 0
 
     @property
     def pending_plans(self) -> int:
         return len(self._pending)
 
-    async def submit(self, query: TwigQuery) -> float:
-        """Enqueue ``query``, coalescing with signature-identical in-flight
-        plans, and await its estimate from the next dispatched batch."""
+    def memo_snapshot(self) -> Dict[str, int]:
+        """Estimate-memo counters for ``/stats``."""
+        return {"hits": self.memo_hits, "entries": len(self._memo)}
+
+    def _current_memo(self) -> Dict[PlanSignature, float]:
+        """The estimate memo, emptied first if the synopsis version moved."""
+        version = self._engine.synopsis.version
+        if version != self._memo_version:
+            self._memo = {}
+            self._memo_version = version
+        return self._memo
+
+    async def submit(
+        self, query: Optional[TwigQuery], signature: Optional[PlanSignature] = None
+    ) -> float:
+        """The estimate of ``query``, awaited from the next dispatched
+        batch and coalesced with signature-identical in-flight plans.
+
+        ``signature`` is ``query``'s plan signature when the caller has
+        it, as the HTTP request memo does; only then is the estimate
+        memo read first, and ``query`` may be ``None``: on a miss the
+        twig is rebuilt from the signature (:func:`twig_of`), which
+        estimates exactly alike.  Without a signature the query is
+        compiled for one and always reaches ``engine.estimate_batch``,
+        so an in-process caller sees every estimate executed, as before
+        the memo existed.
+        """
+        if signature is None:
+            signature = compile_query(query).signature
+        else:
+            estimate = self._current_memo().get(signature)
+            if estimate is not None:
+                self.memo_hits += 1
+                return estimate
+            if query is None:
+                query = twig_of(signature)
         loop = asyncio.get_running_loop()
-        signature = compile_query(query).signature
         future: "asyncio.Future[float]" = loop.create_future()
         pending = self._pending.get(signature)
         if pending is None:
@@ -353,7 +425,11 @@ class PlanCoalescer:
                         future.set_exception(err)
             return
         self._engine.stats.record_batch(requests, len(plans))
-        for plan, estimate in zip(plans, estimates):
+        memo = self._current_memo()
+        for (signature, plan), estimate in zip(pending.items(), estimates):
+            memo[signature] = estimate
+            if len(memo) > ESTIMATE_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
             for future in plan.futures:
                 if not future.done():
                     future.set_result(estimate)

@@ -5,13 +5,32 @@ over HTTP/1.1 with keep-alive — so any client (curl, a load generator,
 another service) can talk to the daemon without a client library:
 
 * ``GET /healthz`` — liveness: ``{"status": "ok"}``.
-* ``GET /stats`` — the :class:`~repro.serve.engine.ServingStats`
-  snapshot (latency percentiles, coalescing, estimator cache rates).
+* ``GET /stats`` — the serving counters::
+
+      {"requests_total", "errors", "uptime_seconds",
+       "latency": {"p50_ms", "p99_ms", "window"},
+       "coalescing": {"coalesced_requests", "coalesce_rate",
+                      "batches_dispatched", "mean_batch_occupancy",
+                      "batched_plans_total"},
+       "estimator": {"queries_estimated", "plans_compiled",
+                     "plan_cache_hits", "plan_cache_hit_rate",
+                     "reach_cache_hit_rate",
+                     "selectivity_cache_hit_rate", "workers_used"},
+       "memo": {"requests": {"hits", "entries", "bytes"},
+                "estimates": {"hits", "entries"}}}
+
+  plus ``"maintenance"`` on a ``--document`` daemon and
+  ``"collection"`` on a ``--collection`` daemon.
 * ``POST /estimate`` — body ``{"query": "//item/name"}`` or
   ``{"ast": {...}}`` (:mod:`repro.query.jsonast`), optional ``"user"``
   tag echoed back; response ``{"estimate": <float>}``.  Requests flow
   through the plan coalescer, so concurrent identical plans cost one
-  execution.
+  execution.  Two memos answer repeated requests: the request memo
+  maps coalescer-bound body bytes that parsed to ``(routing keys, plan
+  signature)``, skipping the JSON decode, the query parse and the
+  compile; the coalescer's estimate memo maps a plan signature to its
+  estimate for the current synopsis version.  Document-routed and
+  rollup requests use neither.
 * ``POST /batch`` — body ``{"queries": [<request body>, ...]}``;
   response ``{"estimates": [...]}``.  Large batches shard over the
   copy-on-write worker pool.
@@ -27,23 +46,55 @@ another service) can talk to the daemon without a client library:
   job; a production deployment would firewall it).
 
 Malformed queries map to 400 with a JSON error body; unknown routes to
-404.  The server never lets a request exception kill the connection
-loop.
+404; a ``Transfer-Encoding`` request to 501 (bodies are framed by
+``Content-Length`` only), after which the connection closes.  The
+server never lets a request exception kill the connection loop.  One
+sweeper task per server closes keep-alive connections idle for
+:data:`IDLE_TIMEOUT_SECONDS` and connections whose started request is
+still incomplete after :data:`REQUEST_TIMEOUT_SECONDS`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
+from time import monotonic
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.estimation.plan import PlanSignature
+from repro.query.ast import TwigQuery
 from repro.serve.engine import ServeEngine
 from repro.update.ops import UpdateFormatError, update_from_dict
 
 #: Request bodies above this size are rejected (a twig AST is tiny).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: ``/estimate`` bodies above this size are never kept in the request memo.
+MEMO_MAX_BODY_BYTES = 4 * 1024
+
+#: The request memo's bodies total at most this many bytes; the oldest
+#: entry is evicted first.
+MEMO_MAX_TOTAL_BYTES = 1024 * 1024
+
+#: A keep-alive connection waiting this long for its next request is closed.
+IDLE_TIMEOUT_SECONDS = 60.0
+
+#: A connection whose started request is still incomplete after this
+#: long is closed.
+REQUEST_TIMEOUT_SECONDS = 10.0
+
 _MAX_HEADER_LINES = 100
+
+#: The ``/estimate`` body keys read once the query is parsed.
+_ROUTING_KEYS = ("doc", "scope", "user")
+
+#: A parsed ``/estimate`` body: its routing keys, its twig (``None`` on
+#: a request-memo hit) and its plan signature (``None`` when the body is
+#: routed past the coalescer).
+_ParsedEstimate = Tuple[
+    Dict[str, Any], Optional[TwigQuery], Optional[PlanSignature]
+]
 
 
 class _HttpError(Exception):
@@ -60,6 +111,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -77,15 +129,32 @@ def _response_bytes(
     return head + payload
 
 
+class _Connection:
+    """One open connection: its handler task and its current deadline."""
+
+    __slots__ = ("task", "deadline")
+
+    def __init__(self, task: "asyncio.Task[None]") -> None:
+        self.task = task
+        self.deadline = math.inf
+
+
 async def _read_request(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, connection: _Connection
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """One request as (method, path, headers, body); None at EOF."""
+    """One request as (method, path, headers, body); None at EOF.
+
+    Sets ``connection.deadline``: the idle limit until the request's
+    first byte arrives, then the request limit until its body is read.
+    """
+    connection.deadline = monotonic() + IDLE_TIMEOUT_SECONDS
     try:
-        request_line = await reader.readline()
+        first = await reader.read(1)
+        if not first:
+            return None
+        connection.deadline = monotonic() + REQUEST_TIMEOUT_SECONDS
+        request_line = first + await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
-        return None
-    if not request_line:
         return None
     try:
         method, target, _version = request_line.decode("ascii").split(None, 2)
@@ -103,12 +172,15 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         raise _HttpError(400, "too many headers")
+    if "transfer-encoding" in headers:
+        raise _HttpError(
+            501, "transfer-encoding is not supported; send Content-Length"
+        )
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    if not length_text.isdigit():
         raise _HttpError(400, f"bad content-length {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     body = b""
     if length:
@@ -116,6 +188,7 @@ async def _read_request(
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             return None
+    connection.deadline = math.inf
     return method, target.split("?", 1)[0], headers, body
 
 
@@ -142,7 +215,14 @@ class SynopsisServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-        self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self._connections: Dict[asyncio.StreamWriter, _Connection] = {}
+        self._sweeper: Optional["asyncio.Task[None]"] = None
+        #: The request memo: coalescer-bound ``/estimate`` body bytes
+        #: that parsed, in insertion order, to their routing keys and
+        #: plan signature, and the total size of those bodies.
+        self._requests: Dict[bytes, Tuple[Dict[str, Any], PlanSignature]] = {}
+        self._request_bytes = 0
+        self.request_memo_hits = 0
 
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is the bound port."""
@@ -150,6 +230,19 @@ class SynopsisServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._sweeper = asyncio.ensure_future(self._sweep())
+
+    async def _sweep(self) -> None:
+        """Cancel every connection past its deadline, a few times per limit."""
+        while True:
+            await asyncio.sleep(
+                min(IDLE_TIMEOUT_SECONDS, REQUEST_TIMEOUT_SECONDS) / 4
+            )
+            now = monotonic()
+            for connection in list(self._connections.values()):
+                if connection.deadline < now:
+                    connection.deadline = math.inf
+                    connection.task.cancel()
 
     async def serve_until_shutdown(self) -> None:
         """Run until ``/shutdown`` (or :meth:`shutdown`) is called."""
@@ -165,6 +258,10 @@ class SynopsisServer:
     async def _close(self) -> None:
         # Flush anything still pending so no request hangs forever.
         self.engine.coalescer.flush()
+        if self._sweeper is not None:
+            self._sweeper.cancel()
+            await asyncio.gather(self._sweeper, return_exceptions=True)
+            self._sweeper = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -173,7 +270,7 @@ class SynopsisServer:
         # tasks finish, so loop teardown never cancels them mid-write.
         for writer in list(self._connections):
             writer.close()
-        tasks = list(self._connections.values())
+        tasks = [connection.task for connection in self._connections.values()]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._connections.clear()
@@ -191,13 +288,12 @@ class SynopsisServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[writer] = task
+        connection = _Connection(asyncio.current_task())
+        self._connections[writer] = connection
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await _read_request(reader, connection)
                 except _HttpError as err:
                     writer.write(
                         _response_bytes(
@@ -231,7 +327,59 @@ class SynopsisServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _estimate_routed(self, payload: Any, query: Any) -> float:
+    def _parse_estimate(self, body: bytes) -> _ParsedEstimate:
+        """An ``/estimate`` body's routing keys, twig and plan signature.
+
+        A body bound for the coalescer (no ``doc``, no rollup scope)
+        that parsed is remembered with its routing keys and signature
+        only: a repeat skips the JSON decode, the query parse and the
+        compile, and has no twig — the coalescer rebuilds one from the
+        signature if its estimate memo misses.  Plans hold no synopsis
+        state, so entries stay valid across ``/update``.
+        """
+        remembered = self._requests.get(body)
+        if remembered is not None:
+            self.request_memo_hits += 1
+            return remembered[0], None, remembered[1]
+        payload = _parse_json_body(body)
+        try:
+            query = self.engine.parse_request_query(payload)
+        except ValueError as err:
+            self.engine.stats.errors += 1
+            raise _HttpError(400, str(err))
+        routing = {key: payload[key] for key in _ROUTING_KEYS if key in payload}
+        coalesced = routing.get("doc") is None and routing.get("scope") in (
+            None,
+            "collection",
+        )
+        if not coalesced:
+            return routing, query, None
+        signature = self.engine.plan_signature(query)
+        if len(body) <= MEMO_MAX_BODY_BYTES:
+            self._requests[body] = (routing, signature)
+            self._request_bytes += len(body)
+            while self._request_bytes > MEMO_MAX_TOTAL_BYTES:
+                oldest = next(iter(self._requests))
+                del self._requests[oldest]
+                self._request_bytes -= len(oldest)
+        return routing, query, signature
+
+    def _stats(self) -> Dict[str, Any]:
+        """The engine's ``/stats`` snapshot plus the request memo."""
+        snapshot = self.engine.stats_snapshot()
+        snapshot["memo"]["requests"] = {
+            "hits": self.request_memo_hits,
+            "entries": len(self._requests),
+            "bytes": self._request_bytes,
+        }
+        return snapshot
+
+    async def _estimate_routed(
+        self,
+        routing: Dict[str, Any],
+        query: Optional[TwigQuery],
+        signature: Optional[PlanSignature],
+    ) -> float:
         """Route one ``/estimate`` body: by document id, rollup, or whole.
 
         ``{"doc": <id>}`` asks for the document's own synopsis and
@@ -240,8 +388,8 @@ class SynopsisServer:
         other engines answer 400 so the client learns the capability
         gap rather than silently getting a different quantity.
         """
-        doc_id = payload.get("doc") if isinstance(payload, dict) else None
-        scope = payload.get("scope") if isinstance(payload, dict) else None
+        doc_id = routing.get("doc")
+        scope = routing.get("scope")
         if scope not in (None, "collection", "rollup"):
             raise _HttpError(400, f"unknown scope {scope!r}")
         if doc_id is not None:
@@ -269,7 +417,7 @@ class SynopsisServer:
                     "`repro serve --collection`",
                 )
             return await estimate_rollup(query)
-        return await self.engine.estimate(query)
+        return await self.engine.estimate(query, signature)
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
@@ -281,20 +429,15 @@ class SynopsisServer:
         if path == "/stats":
             if method != "GET":
                 raise _HttpError(405, "use GET /stats")
-            return 200, self.engine.stats_snapshot()
+            return 200, self._stats()
         if path == "/estimate":
             if method != "POST":
                 raise _HttpError(405, "use POST /estimate")
-            payload = _parse_json_body(body)
-            try:
-                query = self.engine.parse_request_query(payload)
-            except ValueError as err:
-                self.engine.stats.errors += 1
-                raise _HttpError(400, str(err))
-            estimate = await self._estimate_routed(payload, query)
+            routing, query, signature = self._parse_estimate(body)
+            estimate = await self._estimate_routed(routing, query, signature)
             response: Dict[str, Any] = {"estimate": estimate}
-            if isinstance(payload, dict) and "user" in payload:
-                response["user"] = payload["user"]
+            if "user" in routing:
+                response["user"] = routing["user"]
             return 200, response
         if path == "/batch":
             if method != "POST":

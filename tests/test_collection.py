@@ -671,6 +671,51 @@ class TestServing:
         assert status == 400
         assert "--collection" in body["error"]
 
+    def test_only_collection_wide_requests_use_the_estimate_memo(
+        self, exact_collection
+    ):
+        from repro.serve import ServeClient
+        from repro.serve.http import SynopsisServer
+
+        root, _, _ = exact_collection
+        engine = self._engine(root)
+        text = "//item/entry/name"
+
+        async def main():
+            async with SynopsisServer(engine) as server:
+                client = ServeClient(server.host, server.port)
+                answers = {}
+                for name, body in (
+                    ("doc", {"query": text, "doc": "doc-001"}),
+                    ("rollup", {"query": text, "scope": "rollup"}),
+                    ("total", {"query": text}),
+                ):
+                    for _ in range(3):
+                        status, response = await client.estimate(body)
+                        assert status == 200, response
+                        answers.setdefault(name, []).append(
+                            response["estimate"]
+                        )
+                    answers[name + "-memo"] = (await client.stats())["memo"]
+                await client.close()
+            return answers
+
+        answers = asyncio.run(main())
+        store = CollectionStore(root)
+        assert answers["doc"] == [store.estimate("doc-001", QUERIES[0])] * 3
+        assert answers["rollup"] == [store.estimate_rollup(QUERIES[0])] * 3
+        assert answers["total"] == [store.estimate_collection(QUERIES[0])] * 3
+        untouched = {
+            "requests": {"hits": 0, "entries": 0, "bytes": 0},
+            "estimates": {"hits": 0, "entries": 0},
+        }
+        assert answers["doc-memo"] == untouched
+        assert answers["rollup-memo"] == untouched
+        total = answers["total-memo"]
+        assert total["requests"]["hits"] == 2
+        assert total["requests"]["entries"] == 1
+        assert total["estimates"] == {"hits": 2, "entries": 1}
+
 
 # ---------------------------------------------------------------------------
 # CLI

@@ -20,6 +20,7 @@ from repro.core.estimation import (
     compile_query,
     estimate_many,
     shared_index,
+    twig_of,
 )
 from repro.core.estimator import VIRTUAL_ROOT, XClusterEstimator
 from repro.core.synopsis import XClusterSynopsis
@@ -201,6 +202,17 @@ class TestSharedCaches:
         plan_b = compile_query(parse_twig("//author/paper"))
         assert plan_a.signature == plan_b.signature
         assert plan_a.variable_count == 3  # root + two steps
+
+    def test_twig_of_a_signature_estimates_alike(self, imdb_small, imdb_reference):
+        queries = [wq.query for wq in generate_workload(imdb_small, 4, seed=3).queries]
+        fresh = CompiledEstimator(imdb_reference)
+        for query in queries:
+            signature = compile_query(query).signature
+            rebuilt = twig_of(signature)
+            assert compile_query(rebuilt).signature == signature
+            assert fresh.estimate(rebuilt) == CompiledEstimator(
+                imdb_reference
+            ).estimate(query)
 
     def test_repeat_workload_hits_caches(self, imdb_small, imdb_reference):
         workload = generate_workload(imdb_small, 4, seed=3)

@@ -336,3 +336,262 @@ class TestHttpServer:
         results, stats = asyncio.run(main())
         assert len(set(results)) == 1
         assert stats["requests_total"] == 6
+
+
+async def _raw_exchange(server, data):
+    """Send raw bytes on a fresh connection; everything read until EOF."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _run_raw(synopsis, data):
+    async def main():
+        async with SynopsisServer(ServeEngine(synopsis)) as server:
+            return await _raw_exchange(server, data)
+
+    return asyncio.run(main())
+
+
+class TestHttpFraming:
+    def test_transfer_encoding_gets_one_501_and_close(self, synopsis):
+        received = _run_raw(
+            synopsis,
+            b"POST /estimate HTTP/1.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"1d\r\n{\"query\": \"//movie/title\"}\r\n0\r\n\r\n",
+        )
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 501 ")
+        assert b"Connection: close" in received
+
+    @pytest.mark.parametrize("length", [b"1_9", b"+19", b" 19x", b""])
+    def test_content_length_must_be_ascii_digits(self, synopsis, length):
+        body = b'{"query": "//a"}'.ljust(19)
+        received = _run_raw(
+            synopsis,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n" + body,
+        )
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b"content-length" in received
+
+
+class TestConnectionDeadlines:
+    def test_half_request_line_is_disconnected(self, synopsis, monkeypatch):
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_SECONDS", 30.0)
+        # No response at all: the connection is dropped, not answered.
+        assert _run_raw(synopsis, b"GET /hea") == b""
+
+    def test_idle_keep_alive_is_disconnected(self, synopsis, monkeypatch):
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_SECONDS", 30.0)
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_SECONDS", 0.2)
+        received = _run_raw(
+            synopsis,
+            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+        )
+        # The request is answered, then the idle connection is closed.
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert received.endswith(b'{"status": "ok"}')
+
+
+class TestMemos:
+    """The request memo and the estimate memo answer exactly."""
+
+    def _serve(self, engine, scenario):
+        async def main():
+            async with SynopsisServer(engine) as server:
+                client = ServeClient(server.host, server.port)
+                try:
+                    return await scenario(server, client)
+                finally:
+                    await client.close()
+
+        return asyncio.run(main())
+
+    def test_pool_asked_twice_in_both_forms_matches_fresh(
+        self, synopsis, imdb_small
+    ):
+        from repro.workload.generator import generate_workload
+
+        pool = [wq.query for wq in generate_workload(imdb_small, 4, 11).queries]
+        expected = [CompiledEstimator(synopsis).estimate(q) for q in pool]
+
+        async def scenario(server, client):
+            answers = []
+            for _ in range(2):
+                for query in pool:
+                    for body in (
+                        {"query": query.to_xpath()},
+                        {"ast": twig_to_dict(query)},
+                    ):
+                        status, response = await client.estimate(body)
+                        assert status == 200, response
+                        answers.append(response["estimate"])
+            return answers, await client.stats()
+
+        answers, stats = self._serve(ServeEngine(synopsis), scenario)
+        assert answers == [e for e in expected for _ in range(2)] * 2
+        memo = stats["memo"]
+        assert memo["requests"]["hits"] == 2 * len(pool)
+        assert memo["requests"]["entries"] == 2 * len(pool)
+        distinct = len({CompiledEstimator(synopsis).compile(q).signature
+                        for q in pool})
+        assert memo["estimates"]["entries"] == distinct
+        assert memo["estimates"]["hits"] == 4 * len(pool) - distinct
+        assert stats["requests_total"] == 4 * len(pool)
+
+    def test_malformed_body_is_never_stored(self, synopsis):
+        async def scenario(server, client):
+            first = await client.estimate({"query": "///[[["})
+            second = await client.estimate({"query": "///[[["})
+            return first, second, await client.stats()
+
+        first, second, stats = self._serve(ServeEngine(synopsis), scenario)
+        assert first[0] == 400
+        assert first == second
+        assert stats["errors"] == 2
+        assert stats["memo"]["requests"] == {"hits": 0, "entries": 0, "bytes": 0}
+
+    def test_request_memo_bytes_stay_bounded(self, synopsis):
+        from repro.serve.http import MEMO_MAX_BODY_BYTES, MEMO_MAX_TOTAL_BYTES
+
+        pad = "x" * 1000
+        count = MEMO_MAX_TOTAL_BYTES // 1000 + 100
+
+        async def scenario(server, client):
+            for user in range(count):
+                body = {"query": PROBES[0], "user": f"{user}-{pad}"}
+                assert (await client.estimate(body))[0] == 200
+            big = {"query": PROBES[0], "user": "y" * MEMO_MAX_BODY_BYTES}
+            for _ in range(2):
+                assert (await client.estimate(big))[0] == 200
+            return await client.stats()
+
+        stats = self._serve(ServeEngine(synopsis), scenario)
+        requests = stats["memo"]["requests"]
+        assert 0 < requests["bytes"] <= MEMO_MAX_TOTAL_BYTES
+        assert requests["entries"] < count
+        assert requests["hits"] == 0  # the oversized body was never kept
+        assert stats["memo"]["estimates"]["hits"] == count + 1
+
+    def test_in_process_callers_execute_every_estimate(self, synopsis):
+        engine = ServeEngine(synopsis)
+        query = parse_twig(PROBES[1])
+        signature = engine.plan_signature(query)
+
+        async def run():
+            plain = [await engine.estimate(query) for _ in range(3)]
+            signed = [await engine.estimate(query, signature) for _ in range(2)]
+            return plain, signed
+
+        plain, signed = asyncio.run(run())
+        expected = CompiledEstimator(synopsis).estimate(query)
+        assert plain == [expected] * 3 and signed == [expected] * 2
+        estimator = engine.stats.snapshot()["estimator"]
+        # Without a signature each request reaches the estimator; with
+        # one the repeats are answered from the estimate memo.
+        assert estimator["queries_estimated"] == 3
+        assert estimator["plans_compiled"] + estimator["plan_cache_hits"] == 4
+        assert engine.coalescer.memo_snapshot() == {"hits": 2, "entries": 1}
+        assert engine.stats.requests_total == 5
+
+
+#: element indexes (preorder):  0 root, 1 item, 2 name, 3 qty,
+#: 4 item, 5 name, 6 qty, 7 note (TEXT at two words and up)
+UPDATE_BASE = (
+    "<root>"
+    "<item><name>alphaword</name><qty>7</qty></item>"
+    "<item><name>betaword</name><qty>9</qty></item>"
+    "<note>term one two</note>"
+    "</root>"
+)
+
+UPDATE_PROBES = (
+    "//item/name",
+    "//item/qty[. >= 20]",
+    "//item/name[. contains(gamma)]",
+    "//note[. ftcontains(other)]",
+)
+
+
+class TestMemoAcrossUpdates:
+    @pytest.mark.parametrize(
+        "op_dict, counter",
+        [
+            ({"op": "insert", "parent": 0, "position": 0,
+              "xml": "<item><name>gammaword</name><qty>30</qty></item>"},
+             "inserts"),
+            ({"op": "delete", "index": 1}, "deletes"),
+            ({"op": "set_value", "index": 3, "text": "42"},
+             "fast_path_updates"),
+            ({"op": "set_value", "index": 7, "text": "other words here"},
+             "text_reencodes"),
+        ],
+    )
+    def test_update_invalidates_the_memo(self, op_dict, counter):
+        from repro.core.reference import build_reference_synopsis
+        from repro.update import (
+            IncrementalMaintainer,
+            apply_update_tree,
+            update_from_dict,
+        )
+        from repro.values.summary import SummaryConfig
+        from repro.xmltree.columnar import freeze, ingest_string
+        from repro.xmltree.parser import parse_string
+
+        maintainer = IncrementalMaintainer(
+            ingest_string(UPDATE_BASE, text_word_threshold=2), None,
+            text_word_threshold=2,
+        )
+        twin = parse_string(UPDATE_BASE, text_word_threshold=2)
+        engine = ServeEngine(maintainer=maintainer)
+
+        async def ask_all(client):
+            answers = []
+            for text in UPDATE_PROBES:
+                for body in (
+                    {"query": text},
+                    {"ast": twig_to_dict(parse_twig(text))},
+                ):
+                    for _ in range(2):
+                        status, response = await client.estimate(body)
+                        assert status == 200, response
+                        answers.append(response["estimate"])
+            return answers
+
+        async def scenario(server, client):
+            before = await ask_all(client)
+            status, applied = await client.request(
+                "POST", "/update", {"updates": [op_dict]}
+            )
+            assert status == 200, applied
+            return before, await ask_all(client), await client.stats()
+
+        before, after, stats = TestMemos()._serve(engine, scenario)
+        assert stats["maintenance"]["updates_applied"] == 1
+        assert stats["maintenance"][counter] == 1
+        apply_update_tree(twin, update_from_dict(op_dict), 2)
+        rebuilt = CompiledEstimator(
+            build_reference_synopsis(freeze(twin), None, SummaryConfig())
+        )
+        expected = [
+            rebuilt.estimate(parse_twig(text))
+            for text in UPDATE_PROBES
+            for _ in range(4)
+        ]
+        assert after == expected
+        assert after != before
+        # Each version answered its repeats from the memos.
+        assert stats["memo"]["estimates"]["hits"] > 0
+        assert stats["memo"]["requests"]["hits"] > 0
