@@ -12,7 +12,6 @@ import copy
 from repro.core.baselines import naive_prune_pst
 from repro.experiments import format_table
 from repro.values.pst import PrunedSuffixTree
-from repro.values.summary import _copy_pst
 from repro.xmltree.types import ValueType
 
 
@@ -44,9 +43,9 @@ def test_pruning_error_vs_naive(experiment_context, benchmark, capsys):
     prune_count = int(full.node_count * 0.7)
 
     def run():
-        guided = _copy_pst(full)
+        guided = full.copy()
         guided.prune_leaves(prune_count)
-        naive = _copy_pst(full)
+        naive = full.copy()
         naive_prune_pst(naive, prune_count)
 
         def mean_absolute_error(tree):

@@ -39,11 +39,23 @@ from repro.core import (
     total_size_bytes,
     value_size_bytes,
 )
-from repro.check import audit_synopsis, run_differential_check
 from repro.query import evaluate_selectivity, parse_twig
 from repro.xmltree import XMLElement, XMLTree, parse_string
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # The correctness harness pulls in the differential fuzzer, the
+    # update maintainer, the dataset generators and the workload
+    # generator; load it on first use rather than on every import (and
+    # every CLI start) of the package (PEP 562).
+    if name in ("audit_synopsis", "run_differential_check"):
+        import repro.check
+
+        return getattr(repro.check, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BuildConfig",

@@ -82,12 +82,11 @@ def fixpoint_reference_classes(document: Document) -> List[int]:
 
 
 def _longest_match(tree: PrunedSuffixTree, text: str, start: int) -> int:
-    """Length of the longest indexed substring of ``text`` at ``start``."""
-    node = tree.root
+    """Length of the longest indexed substring of ``text`` at ``start``,
+    grown one symbol at a time (the trie walk over the flat layout)."""
     length = 0
-    for offset in range(start, len(text)):
-        node = node.children.get(text[offset])
-        if node is None:
+    while start + length < len(text):
+        if text[start : start + length + 1] not in tree.counts:
             break
         length += 1
     return length

@@ -106,16 +106,16 @@ def naive_prune_pst(pst: PrunedSuffixTree, count: int) -> int:
     contrasts this with the pruning-error scheme of
     :meth:`~repro.values.pst.PrunedSuffixTree.prune_leaves`.
     """
+    counts = pst.counts
     pruned = 0
     while pruned < count:
         leaves = pst._prunable_leaves()
         if not leaves:
             break
-        leaves.sort(key=lambda node: (node.count, node.char))
-        for node in leaves:
+        leaves.sort(key=lambda leaf: (counts[leaf], leaf[-1]))
+        for leaf in leaves:
             if pruned >= count:
                 break
-            del node.parent.children[node.char]
-            pst._node_count -= 1
+            del counts[leaf]
             pruned += 1
     return pruned

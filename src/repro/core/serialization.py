@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram, HistogramBucket
-from repro.values.pst import PrunedSuffixTree, _Node
+from repro.values.pst import PrunedSuffixTree
 from repro.values.rle import RunLengthBitmap
 from repro.values.summary import (
     HistogramSummary,
@@ -86,42 +86,42 @@ def _decode_wavelet(data: Dict[str, Any]) -> WaveletSummary:
     )
 
 
-def _encode_pst_node(node: _Node) -> List[Any]:
-    return [
-        node.char,
-        node.count,
-        [_encode_pst_node(child) for child in node.children.values()],
-    ]
-
-
 def _encode_pst(summary: StringSummary) -> Dict[str, Any]:
     tree = summary.pst
+    counts = tree.counts
+    child_lists = tree.child_lists()
+
+    def encode(substring: str) -> List[Any]:
+        return [
+            substring[-1],
+            counts[substring],
+            [encode(child) for child in child_lists.get(substring, ())],
+        ]
+
     return {
         "kind": "pst",
         "max_depth": tree.max_depth,
         "string_count": tree.string_count,
-        "children": [_encode_pst_node(child) for child in tree.root.children.values()],
+        "children": [encode(child) for child in child_lists.get("", ())],
     }
 
 
 def _decode_pst(data: Dict[str, Any]) -> StringSummary:
     tree = PrunedSuffixTree(int(data["max_depth"]))
-    tree.root.count = int(data["string_count"])
-    node_count = 0
+    tree.string_count = int(data["string_count"])
+    counts = tree.counts
 
-    def attach(parent: _Node, encoded: List[Any]) -> None:
-        nonlocal node_count
+    def attach(parent: str, encoded: List[Any]) -> None:
         char, count, children = encoded
-        node = _Node(char, parent)
-        node.count = int(count)
-        parent.children[char] = node
-        node_count += 1
+        if not isinstance(char, str) or len(char) != 1:
+            raise ValueError(f"PST symbol {char!r} is not one character")
+        substring = parent + char
+        counts[substring] = int(count)
         for child in children:
-            attach(node, child)
+            attach(substring, child)
 
     for encoded in data["children"]:
-        attach(tree.root, encoded)
-    tree._node_count = node_count
+        attach("", encoded)
     return StringSummary(tree)
 
 

@@ -40,7 +40,7 @@ from repro.core.serialization import SynopsisFormatError, _find_vocabulary
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram, HistogramBucket
-from repro.values.pst import PrunedSuffixTree, _Node
+from repro.values.pst import PrunedSuffixTree
 from repro.values.rle import RunLengthBitmap
 from repro.values.summary import (
     HistogramSummary,
@@ -168,24 +168,24 @@ def _encode_wavelet(summary: WaveletSummary, out: bytearray) -> int:
 def _encode_pst(summary: StringSummary, out: bytearray) -> int:
     offset = len(out)
     tree = summary.pst
-    head_at = len(out)
-    out += _PST_HEAD.pack(tree.max_depth, tree.string_count, 0)
+    counts = tree.counts
+    out += _PST_HEAD.pack(tree.max_depth, tree.string_count, len(counts))
+    # Pre-order, each parent's children in trie order, so the decoder
+    # rebuilds the same per-parent order (and thus the same bytes).
+    child_lists = tree.child_lists()
+    stack = list(reversed(child_lists.get("", ())))
     nodes = 0
-    # Pre-order, children in trie insertion order, so the decoder's
-    # attach order (and thus every dict iteration) matches the source.
-    stack = list(reversed(list(tree.root.children.values())))
     while stack:
-        node = stack.pop()
-        if len(node.char) != 1:
-            raise SynopsisFormatError(
-                f"cannot encode PST symbol {node.char!r} (need one character)"
-            )
-        out += _PST_NODE.pack(ord(node.char), len(node.children), node.count)
+        substring = stack.pop()
+        children = child_lists.get(substring, ())
+        out += _PST_NODE.pack(ord(substring[-1]), len(children), counts[substring])
         nodes += 1
-        stack.extend(reversed(list(node.children.values())))
-    out[head_at:head_at + _PST_HEAD.size] = _PST_HEAD.pack(
-        tree.max_depth, tree.string_count, nodes
-    )
+        stack.extend(reversed(children))
+    if nodes != len(counts):
+        raise SynopsisFormatError(
+            f"cannot encode PST: {len(counts) - nodes} substrings lack an "
+            "indexed parent"
+        )
     return offset
 
 
@@ -395,11 +395,11 @@ def _decode_pst_payload(section: _Section, at: int) -> StringSummary:
             f"corrupt PST header (max_depth={max_depth}, nodes={node_count})"
         )
     tree = PrunedSuffixTree(max_depth)
-    tree.root.count = string_count
+    tree.string_count = string_count
+    counts = tree.counts
     # Pre-order reconstruction: the stack tracks how many children each
     # open node still expects.
-    stack: List[Tuple[_Node, int]] = [(tree.root, node_count and 2**63)]
-    attached = 0
+    stack: List[Tuple[str, int]] = [("", node_count and 2**63)]
     for _ in range(node_count):
         codepoint, child_count, count = section.unpack(_PST_NODE, at)
         at += _PST_NODE.size
@@ -409,23 +409,21 @@ def _decode_pst_payload(section: _Section, at: int) -> StringSummary:
             raise SynopsisFormatError("PST payload has orphan trie nodes")
         parent, remaining = stack.pop()
         try:
-            char = chr(codepoint)
+            substring = parent + chr(codepoint)
         except (ValueError, OverflowError) as err:
             raise SynopsisFormatError(
                 f"corrupt PST symbol {codepoint}"
             ) from err
-        node = _Node(char, parent)
-        node.count = count
-        parent.children[char] = node
-        attached += 1
+        counts[substring] = count
         if remaining - 1 > 0:
             stack.append((parent, remaining - 1))
         if child_count:
-            stack.append((node, child_count))
+            stack.append((substring, child_count))
     for parent, remaining in stack:
-        if parent is not tree.root and remaining > 0:
+        if parent and remaining > 0:
             raise SynopsisFormatError("PST payload truncated mid-subtree")
-    tree._node_count = attached
+    if len(counts) != node_count:
+        raise SynopsisFormatError("PST payload repeats a trie node")
     return StringSummary(tree)
 
 

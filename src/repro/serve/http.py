@@ -26,8 +26,8 @@ another service) can talk to the daemon without a client library:
   tag echoed back; response ``{"estimate": <float>}``.  Requests flow
   through the plan coalescer, so concurrent identical plans cost one
   execution.  Two memos answer repeated requests: the request memo
-  maps coalescer-bound body bytes that parsed to ``(routing keys, plan
-  signature)``, skipping the JSON decode, the query parse and the
+  maps coalescer-bound body bytes that parsed to ``(user tag, scope,
+  plan signature)``, skipping the JSON decode, the query parse and the
   compile; the coalescer's estimate memo maps a plan signature to its
   estimate for the current synopsis version.  Document-routed and
   rollup requests use neither.
@@ -86,14 +86,15 @@ REQUEST_TIMEOUT_SECONDS = 10.0
 
 _MAX_HEADER_LINES = 100
 
-#: The ``/estimate`` body keys read once the query is parsed.
-_ROUTING_KEYS = ("doc", "scope", "user")
+#: The ``user`` tag of an ``/estimate`` body that has none.
+_NO_USER = object()
 
-#: A parsed ``/estimate`` body: its routing keys, its twig (``None`` on
-#: a request-memo hit) and its plan signature (``None`` when the body is
-#: routed past the coalescer).
+#: A parsed ``/estimate`` body: its ``user`` tag (``_NO_USER`` when
+#: absent), its ``doc`` and ``scope`` routing keys, its twig (``None``
+#: on a request-memo hit) and its plan signature (``None`` when the body
+#: is routed past the coalescer).
 _ParsedEstimate = Tuple[
-    Dict[str, Any], Optional[TwigQuery], Optional[PlanSignature]
+    Any, Any, Any, Optional[TwigQuery], Optional[PlanSignature]
 ]
 
 
@@ -218,9 +219,10 @@ class SynopsisServer:
         self._connections: Dict[asyncio.StreamWriter, _Connection] = {}
         self._sweeper: Optional["asyncio.Task[None]"] = None
         #: The request memo: coalescer-bound ``/estimate`` body bytes
-        #: that parsed, in insertion order, to their routing keys and
-        #: plan signature, and the total size of those bodies.
-        self._requests: Dict[bytes, Tuple[Dict[str, Any], PlanSignature]] = {}
+        #: that parsed, in insertion order, to their ``(user, scope,
+        #: plan signature)``, and the total size of those bodies.
+        #: Coalescer-bound bodies carry no ``doc``.
+        self._requests: Dict[bytes, Tuple[Any, Any, PlanSignature]] = {}
         self._request_bytes = 0
         self.request_memo_hits = 0
 
@@ -328,10 +330,11 @@ class SynopsisServer:
                 pass
 
     def _parse_estimate(self, body: bytes) -> _ParsedEstimate:
-        """An ``/estimate`` body's routing keys, twig and plan signature.
+        """An ``/estimate`` body's user tag, routing keys, twig and plan
+        signature.
 
         A body bound for the coalescer (no ``doc``, no rollup scope)
-        that parsed is remembered with its routing keys and signature
+        that parsed is remembered with its user tag, scope and signature
         only: a repeat skips the JSON decode, the query parse and the
         compile, and has no twig — the coalescer rebuilds one from the
         signature if its estimate memo misses.  Plans hold no synopsis
@@ -340,29 +343,28 @@ class SynopsisServer:
         remembered = self._requests.get(body)
         if remembered is not None:
             self.request_memo_hits += 1
-            return remembered[0], None, remembered[1]
+            user, scope, signature = remembered
+            return user, None, scope, None, signature
         payload = _parse_json_body(body)
         try:
             query = self.engine.parse_request_query(payload)
         except ValueError as err:
             self.engine.stats.errors += 1
             raise _HttpError(400, str(err))
-        routing = {key: payload[key] for key in _ROUTING_KEYS if key in payload}
-        coalesced = routing.get("doc") is None and routing.get("scope") in (
-            None,
-            "collection",
-        )
-        if not coalesced:
-            return routing, query, None
+        user = payload.get("user", _NO_USER)
+        doc_id = payload.get("doc")
+        scope = payload.get("scope")
+        if doc_id is not None or scope not in (None, "collection"):
+            return user, doc_id, scope, query, None
         signature = self.engine.plan_signature(query)
         if len(body) <= MEMO_MAX_BODY_BYTES:
-            self._requests[body] = (routing, signature)
+            self._requests[body] = (user, scope, signature)
             self._request_bytes += len(body)
             while self._request_bytes > MEMO_MAX_TOTAL_BYTES:
                 oldest = next(iter(self._requests))
                 del self._requests[oldest]
                 self._request_bytes -= len(oldest)
-        return routing, query, signature
+        return user, None, scope, query, signature
 
     def _stats(self) -> Dict[str, Any]:
         """The engine's ``/stats`` snapshot plus the request memo."""
@@ -376,7 +378,8 @@ class SynopsisServer:
 
     async def _estimate_routed(
         self,
-        routing: Dict[str, Any],
+        doc_id: Any,
+        scope: Any,
         query: Optional[TwigQuery],
         signature: Optional[PlanSignature],
     ) -> float:
@@ -388,8 +391,6 @@ class SynopsisServer:
         other engines answer 400 so the client learns the capability
         gap rather than silently getting a different quantity.
         """
-        doc_id = routing.get("doc")
-        scope = routing.get("scope")
         if scope not in (None, "collection", "rollup"):
             raise _HttpError(400, f"unknown scope {scope!r}")
         if doc_id is not None:
@@ -433,11 +434,11 @@ class SynopsisServer:
         if path == "/estimate":
             if method != "POST":
                 raise _HttpError(405, "use POST /estimate")
-            routing, query, signature = self._parse_estimate(body)
-            estimate = await self._estimate_routed(routing, query, signature)
+            user, doc_id, scope, query, signature = self._parse_estimate(body)
+            estimate = await self._estimate_routed(doc_id, scope, query, signature)
             response: Dict[str, Any] = {"estimate": estimate}
-            if "user" in routing:
-                response["user"] = routing["user"]
+            if user is not _NO_USER:
+                response["user"] = user
             return 200, response
         if path == "/batch":
             if method != "POST":

@@ -34,6 +34,25 @@ EXACT_ENTRY_BYTES = 8
 FIXED_BYTES = 8
 
 
+def check_encoding(
+    exact: Mapping[int, float], bitmap: RunLengthBitmap, bucket_member_count: int
+) -> None:
+    """Raise ``ValueError`` unless every exact term has its bitmap bit set
+    and the bucket covers exactly the remaining set bits."""
+    for term_id in exact:
+        if term_id not in bitmap:
+            raise ValueError(
+                "every exactly-indexed term must have its bitmap bit set"
+            )
+    if bucket_member_count < 0:
+        raise ValueError("bucket_member_count must be non-negative")
+    if bucket_member_count != len(bitmap) - len(exact):
+        raise ValueError(
+            "bucket_member_count must equal non-exact set bits "
+            f"({len(bitmap) - len(exact)}), got {bucket_member_count}"
+        )
+
+
 class EndBiasedTermHistogram:
     """A compressed term-vector centroid (see module docstring).
 
@@ -59,24 +78,36 @@ class EndBiasedTermHistogram:
         bucket_member_count: int,
         count: int,
     ) -> None:
-        for term_id in exact:
-            if term_id not in bitmap:
-                raise ValueError(
-                    "every exactly-indexed term must have its bitmap bit set"
-                )
-        if bucket_member_count < 0:
-            raise ValueError("bucket_member_count must be non-negative")
-        if bucket_member_count != len(bitmap) - len(exact):
-            raise ValueError(
-                "bucket_member_count must equal non-exact set bits "
-                f"({len(bitmap) - len(exact)}), got {bucket_member_count}"
-            )
+        check_encoding(exact, bitmap, bucket_member_count)
         self.vocabulary = vocabulary
         self.exact: Dict[int, float] = dict(exact)
         self.bitmap = bitmap
         self.bucket_average = bucket_average
         self.bucket_member_count = bucket_member_count
         self.count = count
+
+    @classmethod
+    def trusted(
+        cls,
+        vocabulary: Vocabulary,
+        exact: Dict[int, float],
+        bitmap: RunLengthBitmap,
+        bucket_average: float,
+        bucket_member_count: int,
+        count: int,
+    ) -> "EndBiasedTermHistogram":
+        """A histogram over ``exact`` as given: neither validated nor
+        copied.  For callers that keep the encoding invariants by
+        construction (the ``tv_cmprs`` kernel validates its source once
+        and only ever demotes exact terms into the bucket)."""
+        histogram = cls.__new__(cls)
+        histogram.vocabulary = vocabulary
+        histogram.exact = exact
+        histogram.bitmap = bitmap
+        histogram.bucket_average = bucket_average
+        histogram.bucket_member_count = bucket_member_count
+        histogram.count = count
+        return histogram
 
     # -- construction -------------------------------------------------------
 

@@ -7,8 +7,7 @@ counts, same float arithmetic — while replacing the scalar hot loops:
 
 * :mod:`repro.values.kernels.pst` — an incremental pruning-error
   priority queue for ``st_cmprs`` (lazy invalidation keyed on the one
-  suffix node each Markov estimate depends on) and single-pass
-  run-merge PST fusion;
+  suffix each Markov estimate depends on);
 * :mod:`repro.values.kernels.histogram` — heap-driven ``hist_cmprs``
   that replays the exact greedy merge sequence without rescanning all
   adjacent pairs per step;
@@ -23,11 +22,7 @@ from repro.values.kernels.histogram import (
     HistogramCompressionKernel,
     compress_histogram,
 )
-from repro.values.kernels.pst import (
-    PSTPruneKernel,
-    fuse_psts,
-    prune_leaves_reference,
-)
+from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
 
 
 def __getattr__(name):
@@ -48,7 +43,6 @@ __all__ = [
     "SummaryStepper",
     "compress_histogram",
     "fuse_ebth",
-    "fuse_psts",
     "make_stepper",
     "prune_leaves_reference",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.values.ebth import EndBiasedTermHistogram
+from repro.values.ebth import EndBiasedTermHistogram, check_encoding
 from repro.values.rle import RunLengthBitmap
 
 
@@ -95,11 +95,16 @@ class EBTHCompressionKernel:
     the source histogram.  The running bucket average is re-derived with
     the reference arithmetic (``average * members`` then re-divide), so
     chained snapshots are bit-identical to chained reference compresses.
+
+    The source's encoding (exact terms inside the bitmap, bucket count
+    consistent) is validated once, here; demotion preserves it, so
+    snapshots skip the constructor's per-term re-validation.
     """
 
     __slots__ = ("_source", "_order", "_position", "_exact", "_average", "_members")
 
     def __init__(self, ebth: EndBiasedTermHistogram) -> None:
+        check_encoding(ebth.exact, ebth.bitmap, ebth.bucket_member_count)
         self._source = ebth
         self._order: List[Tuple[int, float]] = sorted(
             ebth.exact.items(), key=lambda item: (item[1], item[0])
@@ -128,7 +133,7 @@ class EBTHCompressionKernel:
 
     def snapshot(self) -> EndBiasedTermHistogram:
         """The current state as an immutable histogram."""
-        return EndBiasedTermHistogram(
+        return EndBiasedTermHistogram.trusted(
             self._source.vocabulary,
             dict(self._exact),
             self._source.bitmap,

@@ -32,21 +32,16 @@ indexes).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.values.kernels.ebth import EBTHCompressionKernel
 from repro.values.kernels.histogram import HistogramCompressionKernel
-from repro.values.kernels.pst import (
-    PruneJournal,
-    PSTPruneKernel,
-    prune_leaves_reference,
-)
+from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
     TextSummary,
     ValueSummary,
-    _copy_pst,
 )
 
 
@@ -113,59 +108,73 @@ class KernelPSTStepper(SummaryStepper):
     ``bisect``-located), and each returned summary gets a snapshot of it
     for its atomic predicates, plus the substrings the advance pruned
     (``StringSummary.pruned``), so Δ re-scores only those.  The last
-    advance is journaled so that an unapplied candidate can be undone
-    with :meth:`rollback`.
+    advance's deletions are kept so that an unapplied candidate can be
+    undone with :meth:`rollback`.
     """
 
     family = "st_cmprs"
 
     def __init__(self, summary: StringSummary) -> None:
         super().__init__(summary)
-        self._working = _copy_pst(summary.pst)
+        self._working = summary.pst.copy()
+        #: The working trie's starting order.  Pruning only deletes
+        #: keys, so every later state is this dict filtered to the
+        #: surviving keys, which is what a rollback rebuilds.
+        self._initial = dict(self._working.counts)
         self._kernel: Optional[PSTPruneKernel] = PSTPruneKernel(self._working)
         self._ranked = sorted(
-            (-count, substring) for substring, count in self._working.substrings()
+            (-count, substring) for substring, count in self._initial.items()
         )
-        #: Undo log of the last advance, and the summary it continued from.
-        self._journal: Optional[PruneJournal] = None
+        #: ``(-count, substring)`` pruned by the last advance, in prune
+        #: order, and the summary it continued from.
+        self._removed: Optional[List[Tuple[int, str]]] = None
         self._previous: ValueSummary = summary
 
     def advance(self, amount: int) -> Optional[ValueSummary]:
         # Advancing accepts the previous step: it can no longer be undone.
-        self._journal = None
+        self._removed = None
         if self._kernel is None:
             self._kernel = PSTPruneKernel(self._working)
-        journal = PruneJournal()
-        if self._kernel.prune(amount, journal) == 0:
+        removed: List[Tuple[int, str]] = []
+        if self._kernel.prune(amount, removed) == 0:
             return None
         ranked = self._ranked
-        for key in journal.removed:
+        for key in removed:
             del ranked[bisect_left(ranked, key)]
-        self._journal = journal
+        self._removed = removed
         self._previous = self.expected
         compressed = StringSummary(
             self._working,
             list(ranked),
-            tuple(substring for _, substring in journal.removed),
+            tuple(substring for _, substring in removed),
         )
         self.expected = compressed
         return compressed
 
     def rollback(self) -> None:
-        """Undo the last advance: the working trie (dict order included),
-        the ranked list and ``expected`` return to their prior state.
+        """Undo the last advance: the working trie, the ranked list and
+        ``expected`` return to their prior state.
 
-        The prune queue has moved past the restored trie, so it is
-        reseeded on the next advance; the greedy prune sequence is a
-        fixed point of the trie, so the chain continues unchanged.
+        Re-inserting the pruned keys would append them after their
+        surviving siblings, so the trie is rebuilt from the starting
+        order instead, restoring every parent's child order.  The prune
+        queue has moved past the restored trie, so it is reseeded on
+        the next advance; the greedy prune sequence is a fixed point of
+        the trie, so the chain continues unchanged.
         """
-        journal = self._journal
-        if journal is None:
+        removed = self._removed
+        if removed is None:
             return
-        journal.undo(self._working)
-        for key in journal.removed:
+        alive = self._working.counts
+        restored = {substring for _, substring in removed}
+        self._working.counts = {
+            substring: count
+            for substring, count in self._initial.items()
+            if substring in alive or substring in restored
+        }
+        for key in removed:
             insort(self._ranked, key)
-        self._journal = None
+        self._removed = None
         self._kernel = None
         self.expected = self._previous
 
@@ -202,7 +211,7 @@ class ReferencePSTStepper(SummaryStepper):
 
     def advance(self, amount: int) -> Optional[ValueSummary]:
         current = self.expected
-        clone = _copy_pst(current.pst)
+        clone = current.pst.copy()
         if prune_leaves_reference(clone, amount) == 0:
             return None
         compressed = StringSummary(clone)

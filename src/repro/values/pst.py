@@ -20,6 +20,15 @@ queries on absent symbols estimate to exactly zero), and compression
 (``st_cmprs``) prunes leaves in increasing order of *pruning error* — the
 difference between a leaf's exact count and the Markovian estimate the
 remaining tree would produce for it.
+
+The trie is stored flat, as one insertion-ordered ``substring → count``
+dict with no node objects.  A trie is prefix-closed, so the parent of
+node ``s`` is ``s[:-1]`` (the root, ``""``, carries ``string_count``)
+and its children are the indexed substrings one symbol longer.
+Restricted to the children of one parent, dict order is the order the
+children were first inserted — the trie's child order, which the
+encoders emit (:meth:`PrunedSuffixTree.child_lists`).  A dict holding
+only ``str`` and ``int`` is never tracked by the garbage collector.
 """
 
 from __future__ import annotations
@@ -31,29 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 NODE_BYTES = 9
 
 
-class _Node:
-    """One trie node.  ``count`` is the substring's document frequency."""
-
-    __slots__ = ("char", "parent", "children", "count", "stamp")
-
-    def __init__(self, char: str, parent: Optional["_Node"]) -> None:
-        self.char = char
-        self.parent = parent
-        self.children: Dict[str, _Node] = {}
-        self.count = 0
-        # Deduplication stamp: id of the last string that touched this
-        # node, so each string increments each substring's count once.
-        self.stamp = -1
-
-    def substring(self) -> str:
-        chars = []
-        node = self
-        while node.parent is not None:
-            chars.append(node.char)
-            node = node.parent
-        return "".join(reversed(chars))
-
-
 class PrunedSuffixTree:
     """A pruned suffix tree over a collection of strings."""
 
@@ -61,8 +47,11 @@ class PrunedSuffixTree:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
-        self.root = _Node("", None)
-        self._node_count = 0  # excludes the root
+        #: Indexed substring -> document frequency (prefix-closed; see
+        #: the module docstring for the order invariant).
+        self.counts: Dict[str, int] = {}
+        #: Number of strings summarized (the root count).
+        self.string_count = 0
 
     # -- construction -----------------------------------------------------
 
@@ -84,49 +73,59 @@ class PrunedSuffixTree:
 
     def insert_string(self, string: str) -> None:
         """Index one string: each of its distinct substrings (length ≤
-        ``max_depth``) gets its document frequency incremented once."""
-        stamp = self.root.stamp + 1
-        self.root.stamp = stamp
-        self.root.count += 1
-        for start in range(len(string)):
-            node = self.root
-            for offset in range(start, min(start + self.max_depth, len(string))):
-                char = string[offset]
-                child = node.children.get(char)
-                if child is None:
-                    child = _Node(char, node)
-                    node.children[char] = child
-                    self._node_count += 1
-                if child.stamp != stamp:
-                    child.stamp = stamp
-                    child.count += 1
-                node = child
+        ``max_depth``) gets its document frequency incremented once.
+
+        Substrings are enumerated in trie-walk order (every start, each
+        extended one symbol at a time), so new keys enter the dict in
+        the order a trie would create their nodes.
+        """
+        self.string_count += 1
+        depth = self.max_depth
+        length = len(string)
+        counts = self.counts
+        get = counts.get
+        for substring in dict.fromkeys(
+            [
+                string[start:stop]
+                for start in range(length)
+                for stop in range(start + 1, min(start + depth, length) + 1)
+            ]
+        ):
+            counts[substring] = get(substring, 0) + 1
+
+    def copy(self) -> "PrunedSuffixTree":
+        """An independent copy (same substrings, counts and order)."""
+        clone = PrunedSuffixTree(self.max_depth)
+        clone.counts = dict(self.counts)
+        clone.string_count = self.string_count
+        return clone
 
     # -- lookups ------------------------------------------------------------
 
     @property
-    def string_count(self) -> int:
-        """Number of strings summarized (the root count)."""
-        return self.root.count
-
-    @property
     def node_count(self) -> int:
         """Number of substring nodes (root excluded)."""
-        return self._node_count
+        return len(self.counts)
 
     def lookup(self, substring: str) -> Optional[int]:
         """The stored count of ``substring``, or ``None`` if not indexed."""
-        node = self._lookup_node(substring)
-        return None if node is None else node.count
+        if not substring:
+            return self.string_count
+        return self.counts.get(substring)
 
-    def _lookup_node(self, substring: str) -> Optional[_Node]:
-        """The trie node indexing ``substring``, or ``None``."""
-        node = self.root
-        for char in substring:
-            node = node.children.get(char)
-            if node is None:
-                return None
-        return node
+    def child_lists(self) -> Dict[str, List[str]]:
+        """Every internal node's children (``""`` is the root), each list
+        in trie child order: one pass over the dict, grouping keys under
+        their parents."""
+        children: Dict[str, List[str]] = {}
+        for substring in self.counts:
+            parent = substring[:-1]
+            siblings = children.get(parent)
+            if siblings is None:
+                children[parent] = [substring]
+            else:
+                siblings.append(substring)
+        return children
 
     # -- estimation -----------------------------------------------------------
 
@@ -140,44 +139,46 @@ class PrunedSuffixTree:
         Each continuation at ``position`` takes the smallest overlap
         start whose longest indexed match reaches past ``position``.  A
         start that fails (or succeeds) at one position fails at every
-        later one, so the scan over starts only moves forward and each
-        start is walked once; the walk itself records the conditioning
-        count (the node it stands on when it crosses ``position`` — the
-        root, counting every string, for an empty overlap) and ends on
-        the joint count.  The greedy oracle that re-walks and re-looks-up
-        each piece is :func:`repro.check.oracles.greedy_estimate_count`.
+        later one, so the scan over starts only moves forward.  The dict
+        is prefix-closed, so a start reaches past ``position`` exactly
+        when ``query[start:position + 1]`` is indexed; from there the
+        match grows one symbol per probe until the next one misses or
+        ``max_depth`` is reached.  The greedy oracle that re-derives and
+        re-looks-up each piece is
+        :func:`repro.check.oracles.greedy_estimate_count`.
         """
-        total = self.root.count
+        total = self.string_count
         if total == 0:
             return 0.0
         if not query:
             return float(total)
-        root = self.root
+        counts = self.counts
+        depth = self.max_depth
         end = len(query)
         probability = 1.0
         position = 0
         start = 0
         while position < end:
-            first = max(start, position - self.max_depth + 1)
+            first = max(start, position - depth + 1)
             for start in range(first, position + 1):
-                node = root
-                conditioning = 0
-                reached = start
-                for offset in range(start, end):
-                    child = node.children.get(query[offset])
-                    if child is None:
+                reached = position + 1
+                joint = counts.get(query[start:reached])
+                if joint is None:
+                    continue
+                limit = min(start + depth, end)
+                while reached < limit:
+                    longer = counts.get(query[start : reached + 1])
+                    if longer is None:
                         break
-                    if offset == position:
-                        conditioning = node.count
-                    node = child
-                    reached = offset + 1
-                if reached > position:
-                    break
+                    joint = longer
+                    reached += 1
+                break
             else:
                 return 0.0  # query[position] is an absent symbol
+            conditioning = counts[query[start:position]] if start < position else total
             if not conditioning:
                 return 0.0
-            probability *= node.count / conditioning
+            probability *= joint / conditioning
             position = reached
             start += 1
         return probability * total
@@ -194,82 +195,73 @@ class PrunedSuffixTree:
 
         For an indexed query the chaining stops after its first piece, so
         ``estimate_count`` returns ``(count / N) * N``; this is the same
-        float expression, clamped the same way, without the trie walk.
+        float expression, clamped the same way, without the lookups.
         """
-        total = self.root.count
+        total = self.string_count
         if total == 0:
             return 0.0
         return min(1.0, max(0.0, ((count / total) * total) / total))
 
     # -- pruning (st_cmprs) ------------------------------------------------------
 
-    def _markov_estimate_without(self, node: _Node) -> float:
-        """The count the tree would estimate for ``node``'s substring if
-        the node were pruned: the first-order Markov combination of its
-        parent and its longest proper suffix still in the tree."""
-        return self._markov_estimate_details(node)[0]
+    def pruning_error(self, substring: str) -> float:
+        """|exact count − post-prune Markov estimate| for a leaf."""
+        return self.pruning_error_details(substring)[0]
 
-    def _markov_estimate_details(
-        self, node: _Node, substring: Optional[str] = None
-    ) -> Tuple[float, Optional[_Node]]:
-        """The post-prune Markov estimate and its structural dependency.
+    def pruning_error_details(self, substring: str) -> Tuple[float, Optional[str]]:
+        """``pruning_error`` plus the suffix the estimate depends on.
 
-        Returns ``(estimate, suffix_node)`` where ``suffix_node`` is the
-        conditioning-suffix node the estimate used, or ``None`` for the
-        symbol-frequency fallback.  During pruning only node *existence*
-        changes (counts are never touched and the depth-1 symbol layer
-        survives), so the estimate can only change when that one suffix
-        node is deleted — the fact the incremental ``st_cmprs`` kernel
-        keys its lazy invalidation on.
+        The post-prune estimate is the first-order Markov combination of
+        the leaf's parent and its longest proper suffix still indexed
+        (excluding the leaf itself, which is about to go away).  Returns
+        ``(error, suffix)`` where ``suffix`` is the conditioning suffix
+        the estimate used, or ``None`` for the symbol-frequency fallback.
+        During pruning only key *existence* changes (counts are never
+        touched and the depth-1 symbol layer survives), so the estimate
+        can only change when that one suffix is deleted — the fact the
+        incremental ``st_cmprs`` kernel keys its lazy invalidation on.
         """
-        if substring is None:
-            substring = node.substring()
-        parent_count = node.parent.count if node.parent is not None else self.string_count
-        # Longest proper suffix of the substring that is still indexed
-        # (excluding the node itself, which is about to go away).
+        counts = self.counts
+        total = self.string_count
+        count = counts[substring]
+        parent_count = counts[substring[:-1]] if len(substring) > 1 else total
         for start in range(1, len(substring)):
-            suffix_node = self._lookup_node(substring[start:])
-            if suffix_node is None:
+            suffix = substring[start:]
+            suffix_count = counts.get(suffix)
+            if suffix_count is None:
                 continue
-            # The conditioning context ``substring[start:-1]`` is the
-            # suffix node's trie parent (the root, whose count is the
-            # string count, for a one-symbol suffix).
-            conditioning = suffix_node.parent.count
+            # The conditioning context is the suffix's trie parent (the
+            # root, counting every string, for a one-symbol suffix).
+            conditioning = counts[suffix[:-1]] if len(suffix) > 1 else total
             if conditioning:
-                return parent_count * (suffix_node.count / conditioning), suffix_node
+                estimate = parent_count * (suffix_count / conditioning)
+                return abs(count - estimate), suffix
         # No usable suffix: fall back to the parent's count scaled by the
         # unconditional frequency of the final symbol.
-        last_char = self.root.children.get(substring[-1])
-        if last_char is None or self.string_count == 0:
-            return 0.0, None
-        return parent_count * (last_char.count / self.string_count), None
+        symbol_count = counts.get(substring[-1])
+        if symbol_count is None or total == 0:
+            return abs(count - 0.0), None
+        return abs(count - parent_count * (symbol_count / total)), None
 
-    def pruning_error(self, node: _Node) -> float:
-        """|exact count − post-prune Markov estimate| for a leaf node."""
-        return abs(node.count - self._markov_estimate_without(node))
-
-    def pruning_error_details(
-        self, node: _Node, substring: Optional[str] = None
-    ) -> Tuple[float, Optional[_Node]]:
-        """``pruning_error`` plus the suffix node the estimate depends on."""
-        estimate, used = self._markov_estimate_details(node, substring)
-        return abs(node.count - estimate), used
-
-    def _iter_nodes(self) -> Iterator[_Node]:
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
-    def _prunable_leaves(self) -> List[_Node]:
+    def _prunable_leaves(self) -> List[str]:
         """Current leaves that may be removed: depth ≥ 2 (each observed
-        symbol keeps its depth-1 node, per the paper's modification)."""
-        return [
-            node
-            for node in self._iter_nodes()
-            if not node.children and node.parent is not self.root
-        ]
+        symbol keeps its depth-1 node, per the paper's modification).
+
+        Listed in the order of a stack walk that pushes each node's
+        children in trie order (right-to-left pre-order), the order the
+        count-only ablation pruner breaks its ties in.
+        """
+        children = self.child_lists()
+        leaves: List[str] = []
+        stack = list(children.get("", ()))
+        while stack:
+            substring = stack.pop()
+            below = children.get(substring)
+            if below:
+                stack.extend(below)
+            elif len(substring) > 1:
+                leaves.append(substring)
+        return leaves
 
     def prune_leaves(self, count: int) -> int:
         """``st_cmprs``: prune up to ``count`` leaves in increasing
@@ -294,54 +286,32 @@ class PrunedSuffixTree:
 
     @property
     def can_prune(self) -> bool:
-        # A leaf at depth >= 2 exists exactly when some depth-1 node has
-        # children (follow any child chain down to a leaf).
-        return any(child.children for child in self.root.children.values())
+        # A leaf at depth >= 2 exists exactly when some depth-2 key does.
+        return any(len(substring) > 1 for substring in self.counts)
 
     # -- fusion ---------------------------------------------------------------
 
     def fuse(self, other: "PrunedSuffixTree") -> "PrunedSuffixTree":
-        """Combine two PSTs: union of substrings with summed counts."""
+        """Combine two PSTs: union of substrings with summed counts.
+
+        The left side's keys keep their order and the right-only keys
+        follow in the right side's order, so every node lists the left
+        side's children first, then the right-only ones.
+        """
         result = PrunedSuffixTree(max(self.max_depth, other.max_depth))
-        result.root.count = self.root.count + other.root.count
-        for source in (self, other):
-            stack: List[Tuple[_Node, _Node]] = []
-            for char, child in source.root.children.items():
-                target = result.root.children.get(char)
-                if target is None:
-                    target = _Node(char, result.root)
-                    result.root.children[char] = target
-                    result._node_count += 1
-                stack.append((child, target))
-            while stack:
-                src, dst = stack.pop()
-                dst.count += src.count
-                for char, child in src.children.items():
-                    target = dst.children.get(char)
-                    if target is None:
-                        target = _Node(char, dst)
-                        dst.children[char] = target
-                        result._node_count += 1
-                    stack.append((child, target))
+        counts = dict(self.counts)
+        get = counts.get
+        for substring, count in other.counts.items():
+            counts[substring] = get(substring, 0) + count
+        result.counts = counts
+        result.string_count = self.string_count + other.string_count
         return result
 
     # -- enumeration and accounting ---------------------------------------------
 
     def substrings(self) -> Iterator[Tuple[str, int]]:
-        """All indexed substrings with their counts (arbitrary order).
-
-        The DFS carries the path prefix, so enumeration costs one string
-        concatenation per node instead of a root walk per node.
-        """
-        stack: List[Tuple[_Node, str]] = [
-            (child, char) for char, child in self.root.children.items()
-        ]
-        while stack:
-            node, substring = stack.pop()
-            yield substring, node.count
-            stack.extend(
-                (child, substring + char) for char, child in node.children.items()
-            )
+        """All indexed substrings with their counts (dict order)."""
+        return iter(self.counts.items())
 
     def top_substrings(self, limit: int) -> List[Tuple[str, int]]:
         """The ``limit`` highest-count substrings (deterministic order).
@@ -351,16 +321,16 @@ class PrunedSuffixTree:
         preserved exactly.
         """
         return heapq.nsmallest(
-            limit, self.substrings(), key=lambda item: (-item[1], item[0])
+            limit, self.counts.items(), key=lambda item: (-item[1], item[0])
         )
 
     def check_monotonicity(self) -> bool:
         """Verify the PST invariant count(child) <= count(parent)."""
-        for node in self._iter_nodes():
-            parent_count = (
-                node.parent.count if node.parent is not self.root else self.root.count
-            )
-            if node.count > parent_count:
+        counts = self.counts
+        total = self.string_count
+        for substring, count in counts.items():
+            parent_count = counts.get(substring[:-1]) if len(substring) > 1 else total
+            if parent_count is not None and count > parent_count:
                 return False
         return True
 
@@ -369,57 +339,52 @@ class PrunedSuffixTree:
 
         The machine-checkable form of the paper's PST constraints:
 
+        * *prefix closure*: every indexed substring's parent ``s[:-1]``
+          is indexed too (a flat trie with no orphan nodes);
         * the *pruning monotonicity constraint*: a string containing
           ``sc`` necessarily contains ``s``, so every node's document
           frequency is bounded by its parent's (and by the string count
           at depth 1);
         * counts are positive (a zero-count node should have been pruned,
           and fusion/pruning never create one);
-        * no path exceeds ``max_depth``;
-        * the cached ``_node_count`` matches the actual trie size.
+        * no substring is longer than ``max_depth``.
         """
         issues: List[str] = []
-        actual_nodes = 0
-        stack: List[Tuple[_Node, str, int]] = [
-            (child, char, 1) for char, child in self.root.children.items()
-        ]
-        while stack:
-            node, substring, depth = stack.pop()
-            actual_nodes += 1
-            parent_count = (
-                node.parent.count if node.parent is not self.root else self.root.count
-            )
-            if node.count > parent_count:
+        counts = self.counts
+        total = self.string_count
+        for substring, count in counts.items():
+            if len(substring) > 1:
+                parent_count = counts.get(substring[:-1])
+                if parent_count is None:
+                    issues.append(
+                        f"substring {substring!r} has no indexed parent "
+                        f"{substring[:-1]!r} (prefix closure)"
+                    )
+            else:
+                parent_count = total
+            if parent_count is not None and count > parent_count:
                 issues.append(
-                    f"substring {substring!r} count {node.count} exceeds its "
+                    f"substring {substring!r} count {count} exceeds its "
                     f"parent's count {parent_count} (monotonicity)"
                 )
-            if node.count <= 0:
+            if count <= 0:
                 issues.append(
-                    f"substring {substring!r} has non-positive count {node.count}"
+                    f"substring {substring!r} has non-positive count {count}"
                 )
-            if depth > self.max_depth:
+            if len(substring) > self.max_depth:
                 issues.append(
                     f"substring {substring!r} exceeds max_depth {self.max_depth}"
                 )
-            stack.extend(
-                (child, substring + char, depth + 1)
-                for char, child in node.children.items()
-            )
-        if actual_nodes != self._node_count:
-            issues.append(
-                f"cached node count {self._node_count} != {actual_nodes} trie nodes"
-            )
-        if self.root.count < 0:
-            issues.append(f"string count {self.root.count} is negative")
+        if total < 0:
+            issues.append(f"string count {total} is negative")
         return issues
 
     def size_bytes(self) -> int:
         """Storage footprint: 9 bytes per trie node."""
-        return NODE_BYTES * self._node_count
+        return NODE_BYTES * len(self.counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PrunedSuffixTree(strings={self.string_count}, "
-            f"nodes={self._node_count}, max_depth={self.max_depth})"
+            f"nodes={self.node_count}, max_depth={self.max_depth})"
         )

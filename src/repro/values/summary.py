@@ -35,8 +35,7 @@ from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram
 from repro.values.kernels.ebth import fuse_ebth
 from repro.values.kernels.histogram import compress_histogram
-from repro.values.kernels.pst import fuse_psts
-from repro.values.pst import PrunedSuffixTree, _Node
+from repro.values.pst import PrunedSuffixTree
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.values.wavelet import HaarWavelet
 from repro.xmltree.types import ValueType
@@ -308,24 +307,6 @@ class WaveletSummary(ValueSummary):
         return f"WaveletSummary({self.wavelet!r})"
 
 
-def _copy_pst(tree: PrunedSuffixTree) -> PrunedSuffixTree:
-    """Structural deep copy of a PST (iterative, avoids recursion limits)."""
-    clone = PrunedSuffixTree(tree.max_depth)
-    clone.root.count = tree.root.count
-    stack = [(tree.root, clone.root)]
-    nodes = 0
-    while stack:
-        source, target = stack.pop()
-        for char, child in source.children.items():
-            copied = _Node(char, target)
-            copied.count = child.count
-            target.children[char] = copied
-            nodes += 1
-            stack.append((child, copied))
-    clone._node_count = nodes
-    return clone
-
-
 class StringSummary(ValueSummary):
     """STRING summary: a pruned suffix tree."""
 
@@ -399,7 +380,7 @@ class StringSummary(ValueSummary):
                 tail = limit // 2
                 ranked = ranked[: limit - tail] + ranked[len(ranked) - tail :]
             return [(substring, -negative) for negative, substring in ranked]
-        items = list(self.pst.substrings())
+        items = self.pst.counts.items()
         key = lambda item: (-item[1], item[0])  # noqa: E731
         if len(items) <= limit:
             return sorted(items, key=key)
@@ -410,7 +391,7 @@ class StringSummary(ValueSummary):
     def fuse(self, other: "ValueSummary") -> "StringSummary":
         if not isinstance(other, StringSummary):
             raise TypeError("can only fuse STRING with STRING")
-        return StringSummary(fuse_psts(self.pst, other.pst))
+        return StringSummary(self.pst.fuse(other.pst))
 
     @property
     def can_compress(self) -> bool:
@@ -419,7 +400,7 @@ class StringSummary(ValueSummary):
     def compress(self, amount: int = 1) -> Optional["StringSummary"]:
         if not self.can_compress:
             return None
-        clone = _copy_pst(self.pst)
+        clone = self.pst.copy()
         pruned = clone.prune_leaves(amount)
         if pruned == 0:
             return None
@@ -440,26 +421,26 @@ class StringSummary(ValueSummary):
         summarized distribution (it is *not* guaranteed to be one of the
         original strings).
         """
-        chars: List[str] = []
-        node = self.pst.root
-        while len(chars) < max_length:
-            children = node.children
+        counts = self.pst.counts
+        child_lists = self.pst.child_lists()
+        node = ""  # the root
+        while len(node) < max_length:
+            children = child_lists.get(node)
             if not children:
                 break
-            total = sum(child.count for child in children.values())
+            total = sum(counts[child] for child in children)
             # Allow termination proportional to the count drop-off.
-            stop_weight = max(0.0, node.count - total) if node is not self.pst.root else 0.0
+            stop_weight = max(0.0, counts[node] - total) if node else 0.0
             pick = rng.uniform(0.0, total + stop_weight)
             if pick > total:
                 break
             acc = 0.0
-            for char, child in children.items():
-                acc += child.count
+            for child in children:
+                acc += counts[child]
                 if acc >= pick:
-                    chars.append(char)
                     node = child
                     break
-        return "".join(chars)
+        return node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StringSummary({self.pst!r})"

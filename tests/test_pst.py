@@ -1,10 +1,26 @@
 """Unit and property tests for pruned suffix trees."""
 
+import gc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check.oracles import greedy_estimate_count
-from repro.values import PrunedSuffixTree
+from repro.core import build_xcluster
+from repro.core.serialization import synopsis_from_dict, synopsis_to_dict
+from repro.core.snapshot import (
+    _PST_HEAD,
+    _PST_NODE,
+    SynopsisFormatError,
+    _decode_pst_payload,
+    _encode_pst,
+    _Section,
+    snapshot_to_bytes,
+    synopsis_from_snapshot,
+)
+from repro.values import PrunedSuffixTree, StringSummary
+from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
 
 
 def small_tree() -> PrunedSuffixTree:
@@ -234,3 +250,144 @@ def test_fusion_counts_are_sums(left_strings, right_strings):
     for probe in probes:
         expected = (left.lookup(probe) or 0) + (right.lookup(probe) or 0)
         assert fused.lookup(probe) == expected
+
+
+# -- the flat layout -------------------------------------------------------------
+
+
+def brute_force_counts(strings, max_depth):
+    """Document frequency of every substring up to ``max_depth``."""
+    counts = Counter()
+    for string in strings:
+        counts.update(
+            {
+                string[start:stop]
+                for start in range(len(string))
+                for stop in range(start + 1, min(start + max_depth, len(string)) + 1)
+            }
+        )
+    return counts
+
+
+@given(string_lists(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_counts_are_brute_force_document_frequencies(strings, max_depth):
+    tree = PrunedSuffixTree.from_strings(strings, max_depth=max_depth)
+    assert tree.counts == brute_force_counts(strings, max_depth)
+    assert tree.string_count == len(strings)
+    assert tree.invariant_issues() == []
+
+
+@given(
+    string_lists(),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.text(alphabet="abcdx ", max_size=12), max_size=15),
+)
+@settings(max_examples=60, deadline=None)
+def test_estimate_count_equals_greedy_oracle(strings, max_depth, prune, queries):
+    tree = PrunedSuffixTree.from_strings(strings, max_depth=max_depth)
+    tree.prune_leaves(prune)
+    for query in queries:
+        assert tree.estimate_count(query) == greedy_estimate_count(tree, query)
+
+
+@given(string_lists(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_kernel_prunes_the_reference_sequence(strings, max_depth):
+    kernel_tree = PrunedSuffixTree.from_strings(strings, max_depth=max_depth)
+    reference_tree = kernel_tree.copy()
+    removed = []
+    PSTPruneKernel(kernel_tree).prune(10_000, removed)
+    sequence = []
+    while True:
+        before = set(reference_tree.counts)
+        if prune_leaves_reference(reference_tree, 1) == 0:
+            break
+        (gone,) = before - set(reference_tree.counts)
+        sequence.append(gone)
+    assert [substring for _, substring in removed] == sequence
+    assert kernel_tree.counts == reference_tree.counts
+
+
+class TestFlatInvariants:
+    def tree(self):
+        return PrunedSuffixTree.from_strings(["abc", "abd", "bc"], max_depth=3)
+
+    def test_healthy(self):
+        assert self.tree().invariant_issues() == []
+
+    def test_monotonicity(self):
+        tree = self.tree()
+        tree.counts["ab"] = tree.counts["a"] + 1
+        assert any("monotonicity" in issue for issue in tree.invariant_issues())
+        assert not tree.check_monotonicity()
+
+    def test_non_positive_count(self):
+        tree = self.tree()
+        tree.counts["abd"] = 0
+        assert any("non-positive" in issue for issue in tree.invariant_issues())
+
+    def test_over_depth_key(self):
+        tree = self.tree()
+        tree.counts["abcd"] = 1
+        assert any("max_depth" in issue for issue in tree.invariant_issues())
+
+    def test_prefix_closure(self):
+        tree = self.tree()
+        tree.counts["zq"] = 1
+        assert any("prefix closure" in issue for issue in tree.invariant_issues())
+
+
+def test_built_synopsis_string_counts_are_untracked(xmark_small):
+    synopsis = build_xcluster(
+        xmark_small.tree,
+        structural_budget=1024,
+        value_budget=4096,
+        value_paths=xmark_small.value_paths,
+    )
+    restored = synopsis_from_snapshot(snapshot_to_bytes(synopsis), lazy=False)
+    checked = 0
+    for built in (synopsis, restored, synopsis_from_dict(synopsis_to_dict(synopsis))):
+        for node in built.valued_nodes():
+            if isinstance(node.vsumm, StringSummary):
+                assert not gc.is_tracked(node.vsumm.pst.counts)
+                checked += 1
+    assert checked
+
+
+class TestSnapshotDecoding:
+    @staticmethod
+    def decode(nodes, node_count=None):
+        payload = bytearray(
+            _PST_HEAD.pack(3, 2, len(nodes) if node_count is None else node_count)
+        )
+        for codepoint, children, count in nodes:
+            payload += _PST_NODE.pack(codepoint, children, count)
+        return _decode_pst_payload(_Section(bytes(payload), 0, len(payload)), 0)
+
+    def test_well_formed(self):
+        summary = self.decode([(ord("a"), 1, 2), (ord("b"), 0, 1), (ord("b"), 0, 1)])
+        assert summary.pst.counts == {"a": 2, "ab": 1, "b": 1}
+
+    def test_truncated_subtree_rejected(self):
+        with pytest.raises(SynopsisFormatError, match="truncated"):
+            self.decode([(ord("a"), 2, 2), (ord("b"), 0, 1)])
+
+    def test_bad_symbol_rejected(self):
+        with pytest.raises(SynopsisFormatError, match="symbol"):
+            self.decode([(0x110000, 0, 1)])
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(SynopsisFormatError, match="repeats"):
+            self.decode([(ord("a"), 0, 1), (ord("a"), 0, 1)])
+
+    def test_missing_nodes_rejected(self):
+        with pytest.raises(SynopsisFormatError):
+            self.decode([(ord("a"), 0, 1)], node_count=2)
+
+    def test_orphan_substring_cannot_be_encoded(self):
+        tree = PrunedSuffixTree.from_strings(["ab"], max_depth=2)
+        tree.counts["zq"] = 1
+        with pytest.raises(SynopsisFormatError, match="indexed parent"):
+            _encode_pst(StringSummary(tree), bytearray())

@@ -28,19 +28,10 @@ from repro.values.kernels.histogram import (
     HistogramCompressionKernel,
     compress_histogram,
 )
-from repro.values.kernels.pst import (
-    PSTPruneKernel,
-    fuse_psts,
-    prune_leaves_reference,
-)
+from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
 from repro.values.kernels.queue import make_stepper
 from repro.values.pst import PrunedSuffixTree
-from repro.values.summary import (
-    HistogramSummary,
-    StringSummary,
-    TextSummary,
-    _copy_pst,
-)
+from repro.values.summary import HistogramSummary, StringSummary, TextSummary
 from repro.values.termvector import TermCentroid, Vocabulary
 
 
@@ -88,18 +79,17 @@ def random_ebth_pairs(draw):
 
 
 def ordered_substrings(tree):
-    """Substrings in child-insertion DFS order (pins fusion ordering)."""
+    """Substrings in pre-order, each parent's children in dict order
+    (pins the per-parent child order the encoders emit)."""
     out = []
-    stack = [
-        (child, char) for char, child in reversed(list(tree.root.children.items()))
-    ]
-    while stack:
-        node, substring = stack.pop()
-        out.append((substring, node.count))
-        stack.extend(
-            (child, substring + char)
-            for char, child in reversed(list(node.children.items()))
-        )
+
+    def visit(prefix):
+        for substring, count in tree.counts.items():
+            if len(substring) == len(prefix) + 1 and substring.startswith(prefix):
+                out.append((substring, count))
+                visit(substring)
+
+    visit("")
     return out
 
 
@@ -149,8 +139,8 @@ class TestPSTPruning:
     @given(random_psts(), st.integers(min_value=1, max_value=30))
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_reference(self, tree, count):
-        kernel_tree = _copy_pst(tree)
-        oracle_tree = _copy_pst(tree)
+        kernel_tree = tree.copy()
+        oracle_tree = tree.copy()
         pruned_kernel = PSTPruneKernel(kernel_tree).prune(count)
         pruned_oracle = prune_leaves_reference(oracle_tree, count)
         assert pruned_kernel == pruned_oracle
@@ -162,32 +152,59 @@ class TestPSTPruning:
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=40, deadline=None)
     def test_chained_prunes_are_a_fixed_point(self, tree, first, second):
-        chained = _copy_pst(tree)
+        chained = tree.copy()
         kernel = PSTPruneKernel(chained)
         total = kernel.prune(first) + kernel.prune(second)
-        bulk = _copy_pst(tree)
+        bulk = tree.copy()
         assert prune_leaves_reference(bulk, first + second) == total
         assert sorted(chained.substrings()) == sorted(bulk.substrings())
+
+
+def trie_fusion_order(left, right):
+    """Pre-order of the trie fusion: summed counts, each node's left
+    children first (in left order), then its right-only children."""
+    out = []
+
+    def children(tree, prefix):
+        return [
+            substring
+            for substring in tree.counts
+            if len(substring) == len(prefix) + 1 and substring.startswith(prefix)
+        ]
+
+    def visit(prefix):
+        left_children = children(left, prefix)
+        right_only = [
+            substring
+            for substring in children(right, prefix)
+            if substring not in left.counts
+        ]
+        for substring in left_children + right_only:
+            count = left.counts.get(substring, 0) + right.counts.get(substring, 0)
+            out.append((substring, count))
+            visit(substring)
+
+    visit("")
+    return out
 
 
 class TestPSTFusion:
     @given(random_psts(), random_psts())
     @settings(max_examples=50, deadline=None)
     def test_fusion_matches_reference_including_order(self, left, right):
-        reference = left.fuse(right)
-        kernel = fuse_psts(left, right)
-        assert ordered_substrings(kernel) == ordered_substrings(reference)
-        assert kernel.node_count == reference.node_count
-        assert kernel.root.count == reference.root.count
-        assert kernel.max_depth == reference.max_depth
-        assert kernel.check_monotonicity()
+        fused = left.fuse(right)
+        assert ordered_substrings(fused) == trie_fusion_order(left, right)
+        assert fused.node_count == len(set(left.counts) | set(right.counts))
+        assert fused.string_count == left.string_count + right.string_count
+        assert fused.max_depth == max(left.max_depth, right.max_depth)
+        assert fused.invariant_issues() == []
 
     @given(random_psts())
     @settings(max_examples=20, deadline=None)
     def test_fusion_with_empty(self, tree):
         empty = PrunedSuffixTree(tree.max_depth)
-        fused = fuse_psts(tree, empty)
-        assert ordered_substrings(fused) == ordered_substrings(tree.fuse(empty))
+        assert ordered_substrings(tree.fuse(empty)) == ordered_substrings(tree)
+        assert ordered_substrings(empty.fuse(tree)) == ordered_substrings(tree)
 
 
 # -- hist_cmprs ----------------------------------------------------------------
@@ -262,6 +279,18 @@ class TestEBTHKernel:
         assert snapshot.exact == reference.exact
         assert snapshot.bucket_average == reference.bucket_average
         assert snapshot.bucket_member_count == reference.bucket_member_count
+
+
+    def test_kernel_validates_its_source_once(self):
+        vocabulary = Vocabulary()
+        ebth = EndBiasedTermHistogram.from_centroid(
+            TermCentroid.from_term_sets([frozenset({"a", "b"}), frozenset({"a"})]),
+            vocabulary,
+        )
+        ebth.exact[vocabulary.intern("zzz")] = 0.5  # no bitmap bit
+        assert any("no bitmap bit" in issue for issue in ebth.invariant_issues())
+        with pytest.raises(ValueError):
+            EBTHCompressionKernel(ebth)
 
 
 # -- steppers ------------------------------------------------------------------
@@ -367,7 +396,7 @@ class TestSteppers:
             assert stepper._ranked == fresh
             for limit in (1, 5, 32, 10_000):
                 assert advanced.atomic_predicates(limit) == StringSummary(
-                    _copy_pst(advanced.pst)
+                    advanced.pst.copy()
                 ).atomic_predicates(limit)
 
 
