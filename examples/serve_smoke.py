@@ -4,8 +4,10 @@ This is both the serving quickstart and the CI smoke driver: it builds
 a synopsis, saves it as a binary snapshot, launches ``python -m repro
 serve`` as a child process, drives it with a mixed XPath/JSON-AST
 workload over plain HTTP (stdlib ``urllib``, no client library), checks
-every estimate bit-for-bit against an in-process estimator, scrapes
-``/stats``, and shuts the daemon down cleanly.
+every estimate bit-for-bit against an in-process estimator, sends two
+pipelined ``/estimate`` requests in one write on a raw keep-alive
+socket and checks both answers arrive in order, scrapes ``/stats``, and
+shuts the daemon down cleanly.
 
 Run with::
 
@@ -17,6 +19,7 @@ and exited cleanly on ``POST /shutdown``.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -39,6 +42,33 @@ def _post(url, payload):
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def _pipelined_estimates(base_url, queries):
+    """Estimates for ``queries``, all sent in one write on one raw
+    keep-alive socket, read back in arrival order."""
+    host, port = base_url.split("//", 1)[1].rsplit(":", 1)
+    requests = b""
+    for query in queries:
+        body = json.dumps({"query": query.to_xpath()}).encode("utf-8")
+        requests += (
+            f"POST /estimate HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(requests)
+        reader = sock.makefile("rb")
+        estimates = []
+        for _ in queries:
+            status = int(reader.readline().split()[1])
+            length = 0
+            for line in iter(reader.readline, b"\r\n"):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            body = json.loads(reader.read(length))
+            estimates.append(body["estimate"] if status == 200 else body)
+        return estimates
 
 
 def main() -> int:
@@ -81,6 +111,18 @@ def main() -> int:
                 return 1
 
             drift = 0
+            # Two pipelined requests in one write: the daemon must answer
+            # both, in order, while the first (a fresh plan) waits on the
+            # coalescer.
+            pair = [queries[0], queries[1]]
+            pipelined = _pipelined_estimates(base_url, pair)
+            expected_pair = [estimator.estimate(query) for query in pair]
+            if pipelined != expected_pair:
+                drift += 1
+                print(f"DRIFT: pipelined {pipelined!r}, expected {expected_pair!r}")
+            else:
+                print(f"pipelined pair answered in order: {pipelined!r}")
+
             for index, query in enumerate(queries):
                 # Alternate the two wire formats.
                 if index % 2:

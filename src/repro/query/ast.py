@@ -23,6 +23,10 @@ from repro.query.predicates import Predicate, TruePredicate
 #: The wildcard name test, matching any element label.
 WILDCARD = "*"
 
+#: The deepest query variable either wire format accepts, counting the
+#: root as depth 0 (both parsers reject deeper twigs before recursing).
+MAX_TWIG_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class AxisStep:

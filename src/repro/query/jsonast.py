@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
+from repro.query.ast import MAX_TWIG_DEPTH, AxisStep, EdgePath, QueryNode, TwigQuery
 from repro.query.predicates import (
     AtLeastKPredicate,
     KeywordPredicate,
@@ -134,8 +134,8 @@ def _node_to_dict(node: QueryNode, is_root: bool) -> Dict[str, Any]:
 def _node_from_dict(data: Any, is_root: bool, depth: int = 0) -> QueryNode:
     if not isinstance(data, dict):
         raise QueryFormatError(f"query node must be an object, got {type(data).__name__}")
-    if depth > 64:
-        raise QueryFormatError("twig AST nested deeper than 64 levels")
+    if depth > MAX_TWIG_DEPTH:
+        raise QueryFormatError(f"twig AST nested deeper than {MAX_TWIG_DEPTH} levels")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise QueryFormatError("query node needs a non-empty string name")

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery, WILDCARD
+from repro.query.ast import (
+    MAX_TWIG_DEPTH, WILDCARD, AxisStep, EdgePath, QueryNode, TwigQuery
+)
 from repro.query.predicates import (
     AtLeastKPredicate,
     KeywordPredicate,
@@ -241,15 +243,27 @@ class _TwigParser:
         twig = TwigQuery()
         scanner = self.scanner
         scanner.skip_spaces()
-        leaf = self._parse_path(twig.root, require_leading_axis=True)
+        self._parse_path(twig.root, 0, require_leading_axis=True)
         scanner.skip_spaces()
         if not scanner.eof():
             raise XPathSyntaxError("trailing characters after query", scanner.pos)
-        del leaf  # the main path's leaf needs no further handling
         return twig
 
-    def _parse_path(self, parent: QueryNode, require_leading_axis: bool) -> QueryNode:
-        """Parse ``(sep nametest branch*)+`` under ``parent``; return the leaf."""
+    def _child(self, parent: QueryNode, depth: int, step: AxisStep) -> QueryNode:
+        """A new variable under ``parent``, which sits at ``depth``."""
+        if depth >= MAX_TWIG_DEPTH:
+            raise XPathSyntaxError(
+                f"twig nested deeper than {MAX_TWIG_DEPTH} levels", self.scanner.pos
+            )
+        node = QueryNode(self._next_name(), EdgePath((step,)))
+        parent.add_child(node)
+        return node
+
+    def _parse_path(
+        self, parent: QueryNode, depth: int, require_leading_axis: bool
+    ) -> QueryNode:
+        """Parse ``(sep nametest branch*)+`` under ``parent``, which sits
+        at ``depth``; return the leaf."""
         scanner = self.scanner
         current = parent
         first = True
@@ -260,16 +274,14 @@ class _TwigParser:
                     raise XPathSyntaxError("a path must start with '/' or '//'", scanner.pos)
                 return current
             label = scanner.read_name()
-            step = AxisStep(axis, label)
-            node = QueryNode(self._next_name(), EdgePath((step,)))
-            current.add_child(node)
-            current = node
+            current = self._child(current, depth, AxisStep(axis, label))
+            depth += 1
             first = False
             while scanner.startswith("["):
-                self._parse_branch(current)
+                self._parse_branch(current, depth)
 
-    def _parse_branch(self, owner: QueryNode) -> None:
-        """Parse ``[ relpath? valuetest? ]`` attached to ``owner``."""
+    def _parse_branch(self, owner: QueryNode, depth: int) -> None:
+        """Parse ``[ relpath? valuetest? ]`` attached to ``owner`` (at ``depth``)."""
         scanner = self.scanner
         scanner.expect("[")
         scanner.skip_spaces()
@@ -279,16 +291,13 @@ class _TwigParser:
         if scanner.take("."):
             # "." means the current node; ".//x" or "./x" descends from it.
             if scanner.peek() == "/":
-                target = self._parse_path(owner, require_leading_axis=True)
+                target = self._parse_path(owner, depth, require_leading_axis=True)
                 had_path = True
         elif scanner.peek() not in ("]",) and not _at_value_test(scanner):
             # Bare relative path like "year > 2000": implicit child axis.
             label = scanner.read_name()
-            node = QueryNode(
-                self._next_name(), EdgePath((AxisStep("child", label),))
-            )
-            owner.add_child(node)
-            target = self._parse_path(node, require_leading_axis=False)
+            node = self._child(owner, depth, AxisStep("child", label))
+            target = self._parse_path(node, depth + 1, require_leading_axis=False)
             had_path = True
 
         predicate = _parse_value_test(scanner)

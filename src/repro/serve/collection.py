@@ -28,7 +28,7 @@ per-shard budgets) nested under ``"collection"`` in ``/stats``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.collection.store import CollectionStore
 from repro.core.estimation.plan import PlanSignature, compile_query
@@ -67,9 +67,11 @@ class CollectionServeEngine:
             self, window_seconds=window_seconds, max_batch=max_batch
         )
 
-    # The request-body grammar is identical to single-synopsis serving
-    # (and the method reads no engine state), so share the one parser.
+    # The request-body grammar and the coalesced request path are those
+    # of single-synopsis serving (and read only ``coalescer`` and
+    # ``stats``), so share them.
     parse_request_query = ServeEngine.parse_request_query
+    estimate = ServeEngine.estimate
 
     def apply_updates(self, ops: List[Any]) -> List[Dict[str, Any]]:
         """Reject updates: collection stores are served read-only."""
@@ -85,19 +87,6 @@ class CollectionServeEngine:
     def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
         """Collection-wide exact sums for one coalesced batch."""
         return [self.store.estimate_collection(query) for query in queries]
-
-    async def estimate(
-        self, query: Optional[TwigQuery], signature: Optional[PlanSignature] = None
-    ) -> float:
-        """One collection-wide request through the coalescer."""
-        started = perf_counter()
-        try:
-            value = await self.coalescer.submit(query, signature)
-        except Exception:
-            self.stats.errors += 1
-            raise
-        self.stats.observe_latency(perf_counter() - started)
-        return value
 
     async def estimate_doc(self, doc_id: str, query: TwigQuery) -> float:
         """One document-routed request (raises ``KeyError`` if unknown)."""

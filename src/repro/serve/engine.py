@@ -364,6 +364,14 @@ class PlanCoalescer:
             self._memo_version = version
         return self._memo
 
+    def remembered(self, signature: PlanSignature) -> Optional[float]:
+        """The estimate memo's float for ``signature`` at the current
+        synopsis version, counted as a hit; None on a miss."""
+        estimate = self._current_memo().get(signature)
+        if estimate is not None:
+            self.memo_hits += 1
+        return estimate
+
     async def submit(
         self, query: Optional[TwigQuery], signature: Optional[PlanSignature] = None
     ) -> float:
@@ -382,9 +390,8 @@ class PlanCoalescer:
         if signature is None:
             signature = compile_query(query).signature
         else:
-            estimate = self._current_memo().get(signature)
+            estimate = self.remembered(signature)
             if estimate is not None:
-                self.memo_hits += 1
                 return estimate
             if query is None:
                 query = twig_of(signature)

@@ -31,8 +31,9 @@ another service) can talk to the daemon without a client library:
   compile; the coalescer's estimate memo maps a plan signature to its
   estimate for the current synopsis version.  Document-routed and
   rollup requests use neither.
-* ``POST /batch`` — body ``{"queries": [<request body>, ...]}``;
-  response ``{"estimates": [...]}``.  Large batches shard over the
+* ``POST /batch`` — body ``{"queries": [<request body>, ...]}``, at
+  most :data:`MAX_BATCH_QUERIES` of them (413 otherwise); response
+  ``{"estimates": [...]}``.  Large batches shard over the
   copy-on-write worker pool.
 * ``POST /update`` — body ``{"updates": [<update dict>, ...]}``
   (:func:`repro.update.ops.update_from_dict`); response
@@ -45,13 +46,22 @@ another service) can talk to the daemon without a client library:
 * ``POST /shutdown`` — graceful stop (used by tests and the CI smoke
   job; a production deployment would firewall it).
 
-Malformed queries map to 400 with a JSON error body; unknown routes to
-404; a ``Transfer-Encoding`` request to 501 (bodies are framed by
-``Content-Length`` only), after which the connection closes.  The
-server never lets a request exception kill the connection loop.  One
-sweeper task per server closes keep-alive connections idle for
-:data:`IDLE_TIMEOUT_SECONDS` and connections whose started request is
-still incomplete after :data:`REQUEST_TIMEOUT_SECONDS`.
+Malformed queries and JSON bodies (nested too deeply, too) map to 400
+with a JSON error body; unknown routes to 404.  A framing error gets one
+response and the connection closes: a head over :data:`MAX_HEAD_BYTES`,
+too many header lines or a non-digit ``Content-Length`` (400), a body
+over :data:`MAX_BODY_BYTES` (413), ``Transfer-Encoding`` (501).
+
+Each connection is an :class:`asyncio.Protocol` that parses requests off
+its own receive buffer and answers them inside ``data_received``.  Only
+an ``/estimate`` that must wait (a coalescer-bound one that misses the
+estimate memo, or a document-routed or rollup one) becomes a future
+whose callback writes the response; reading pauses until then, and
+while the transport is over its write high-water mark, so responses
+keep request order and a client that never reads cannot make the server
+buffer without bound.  One sweeper task per server closes keep-alive
+connections idle for :data:`IDLE_TIMEOUT_SECONDS` and connections whose
+started request is still incomplete after :data:`REQUEST_TIMEOUT_SECONDS`.
 """
 
 from __future__ import annotations
@@ -59,8 +69,9 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-from time import monotonic
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from time import monotonic, perf_counter
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core.estimation.plan import PlanSignature
 from repro.query.ast import TwigQuery
@@ -69,6 +80,12 @@ from repro.update.ops import UpdateFormatError, update_from_dict
 
 #: Request bodies above this size are rejected (a twig AST is tiny).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Request heads (request line and header lines) above this size are rejected.
+MAX_HEAD_BYTES = 64 * 1024
+
+#: ``/batch`` bodies listing more queries than this are rejected.
+MAX_BATCH_QUERIES = 1024
 
 #: ``/estimate`` bodies above this size are never kept in the request memo.
 MEMO_MAX_BODY_BYTES = 4 * 1024
@@ -116,63 +133,44 @@ _STATUS_TEXT = {
 }
 
 
-def _response_bytes(
-    status: int, body: Dict[str, Any], keep_alive: bool
-) -> bytes:
-    payload = json.dumps(body).encode("utf-8")
+def _response_bytes(status: int, body: Any, keep_alive: bool) -> bytes:
+    """A response around ``body``: a dict, or its JSON already encoded."""
+    if body.__class__ is not bytes:
+        body = json.dumps(body).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
+        f"Content-Length: {len(body)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
     ).encode("ascii")
-    return head + payload
+    return head + body
 
 
-class _Connection:
-    """One open connection: its handler task and its current deadline."""
-
-    __slots__ = ("task", "deadline")
-
-    def __init__(self, task: "asyncio.Task[None]") -> None:
-        self.task = task
-        self.deadline = math.inf
+#: A parsed request head: method, path, keep-alive flag, body length.
+_Head = Tuple[str, str, bool, int]
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, connection: _Connection
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """One request as (method, path, headers, body); None at EOF.
+def _parse_head(head: bytes, heads: Dict[bytes, _Head]) -> _Head:
+    """A request head's method, path, keep-alive flag and body length.
 
-    Sets ``connection.deadline``: the idle limit until the request's
-    first byte arrives, then the request limit until its body is read.
+    ``heads`` remembers parsed heads of up to 1 KiB, which clients
+    repeat; it is emptied when full.
     """
-    connection.deadline = monotonic() + IDLE_TIMEOUT_SECONDS
+    parsed = heads.get(head)
+    if parsed is not None:
+        return parsed
     try:
-        first = await reader.read(1)
-        if not first:
-            return None
-        connection.deadline = monotonic() + REQUEST_TIMEOUT_SECONDS
-        request_line = first + await reader.readline()
-    except (ConnectionResetError, asyncio.IncompleteReadError):
-        return None
-    try:
-        method, target, _version = request_line.decode("ascii").split(None, 2)
+        request_line, *fields = head.decode("ascii").rstrip().split("\n")
+        method, target, _version = request_line.split(None, 2)
     except (UnicodeDecodeError, ValueError):
-        raise _HttpError(400, "malformed request line")
-    headers: Dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES):
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        try:
-            name, _, value = line.decode("ascii").partition(":")
-        except UnicodeDecodeError:
-            raise _HttpError(400, "malformed header")
-        headers[name.strip().lower()] = value.strip()
-    else:
+        raise _HttpError(400, "malformed request head")
+    if len(fields) >= _MAX_HEADER_LINES:
         raise _HttpError(400, "too many headers")
+    headers: Dict[str, str] = {}
+    for field in fields:
+        name, _, value = field.partition(":")
+        headers[name.strip().lower()] = value.strip()
     if "transfer-encoding" in headers:
         raise _HttpError(
             501, "transfer-encoding is not supported; send Content-Length"
@@ -183,14 +181,38 @@ async def _read_request(
     length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
-    body = b""
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            return None
-    connection.deadline = math.inf
-    return method, target.split("?", 1)[0], headers, body
+    keep_alive = headers.get("connection", "").lower() != "close"
+    parsed = method, target.split("?", 1)[0], keep_alive, length
+    if len(head) <= 1024:
+        if len(heads) >= 1024:
+            heads.clear()
+        heads[head] = parsed
+    return parsed
+
+
+def _next_request(
+    buffer: bytearray, start: int, heads: Dict[bytes, _Head]
+) -> Optional[Tuple[str, str, bool, bytes, int]]:
+    """The request at ``buffer[start]`` as method, path, keep-alive flag,
+    body and the offset past it; None while incomplete.  Lines end in
+    ``\\r\\n`` or ``\\n``; framing errors raise :class:`_HttpError`."""
+    limit = start + MAX_HEAD_BYTES
+    end = buffer.find(b"\n\r\n", start, limit)
+    bare = buffer.find(b"\n\n", start, limit if end < 0 else end + 1)
+    if bare >= 0:
+        end = bare + 2
+    elif end >= 0:
+        end += 3
+    elif len(buffer) - start > MAX_HEAD_BYTES:
+        raise _HttpError(400, f"request head over {MAX_HEAD_BYTES} bytes")
+    else:
+        return None
+    head = bytes(buffer[start:end])
+    method, path, keep_alive, length = _parse_head(head, heads)
+    if len(buffer) < end + length:
+        return None
+    body = bytes(buffer[end : end + length])
+    return method, path, keep_alive, body, end + length
 
 
 def _parse_json_body(body: bytes) -> Any:
@@ -198,8 +220,116 @@ def _parse_json_body(body: bytes) -> Any:
         raise _HttpError(400, "empty request body")
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise _HttpError(400, f"bad JSON body: {err}")
+
+
+class _HttpProtocol(asyncio.Protocol):
+    """One connection, served off its own receive buffer.  ``deadline``,
+    which the sweeper checks, is the idle limit while the buffer is empty
+    and the request limit from the first byte of an unanswered request."""
+
+    def __init__(self, server: "SynopsisServer") -> None:
+        self._server = server
+        self.transport: Any = None
+        self._buffer = bytearray()
+        self._waiting: Optional[asyncio.Future] = None  # a suspended estimate
+        self._paused = False  # the transport is over its write high-water mark
+        self._closing = False
+        self.deadline = math.inf
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self._server._connections.add(self)
+        self.deadline = monotonic() + IDLE_TIMEOUT_SECONDS
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closing = True
+        self._server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        fresh = not self._buffer
+        self._buffer += data
+        self._serve(fresh)
+
+    def eof_received(self) -> bool:
+        # True keeps the transport open for a pending response.
+        self.close()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._resume()
+
+    def close(self) -> None:
+        """Close the connection once any pending response is written."""
+        self._closing = True
+        if not self._waiting:
+            self.transport.close()
+
+    def _resume(self) -> None:
+        if not (self._waiting or self._paused or self._closing):
+            self.transport.resume_reading()
+            self._serve(True)
+
+    def _serve(self, fresh: bool) -> None:
+        """Answer the buffered requests in order until one suspends."""
+        buffer = self._buffer
+        start = 0
+        try:
+            while start < len(buffer) and not (
+                self._waiting or self._paused or self._closing
+            ):
+                request = _next_request(buffer, start, self._server._heads)
+                if request is None:
+                    break
+                method, path, keep_alive, body, start = request
+                self._answer(keep_alive, self._server._dispatch, method, path, body)
+        except _HttpError as err:
+            self.transport.write(
+                _response_bytes(err.status, {"error": err.message}, False)
+            )
+            self.close()
+        if start:
+            del buffer[:start]
+        if not buffer:
+            self.deadline = monotonic() + IDLE_TIMEOUT_SECONDS
+        elif start or fresh:
+            self.deadline = monotonic() + REQUEST_TIMEOUT_SECONDS
+
+    def _answer(self, keep_alive: bool, handler: Any, *args: Any) -> None:
+        """Write ``handler(*args)``'s response, or answer when the future
+        it returns (a suspended estimate) is done."""
+        try:
+            response = handler(*args)
+            if response.__class__ is not tuple:
+                self._waiting = response
+                self.transport.pause_reading()
+                response.add_done_callback(partial(self._answered, keep_alive))
+                return
+            data = _response_bytes(*response, keep_alive)
+        except _HttpError as err:
+            data = _response_bytes(err.status, {"error": err.message}, keep_alive)
+        except Exception as err:  # pragma: no cover - last resort
+            self._server.engine.stats.errors += 1
+            data = _response_bytes(500, {"error": str(err)}, keep_alive)
+        self.transport.write(data)
+        if not keep_alive:
+            self.close()
+
+    def _answered(self, keep_alive: bool, future: "asyncio.Future[Any]") -> None:
+        self._waiting = None
+        self._answer(keep_alive, future.result)
+        if self._closing:
+            self.transport.close()
+        else:
+            self._resume()
 
 
 class SynopsisServer:
@@ -216,7 +346,8 @@ class SynopsisServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-        self._connections: Dict[asyncio.StreamWriter, _Connection] = {}
+        self._connections: Set[_HttpProtocol] = set()
+        self._heads: Dict[bytes, _Head] = {}
         self._sweeper: Optional["asyncio.Task[None]"] = None
         #: The request memo: coalescer-bound ``/estimate`` body bytes
         #: that parsed, in insertion order, to their ``(user, scope,
@@ -228,23 +359,22 @@ class SynopsisServer:
 
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpProtocol(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._sweeper = asyncio.ensure_future(self._sweep())
 
     async def _sweep(self) -> None:
-        """Cancel every connection past its deadline, a few times per limit."""
+        """Drop every connection past its deadline, a few times per limit."""
         while True:
             await asyncio.sleep(
                 min(IDLE_TIMEOUT_SECONDS, REQUEST_TIMEOUT_SECONDS) / 4
             )
             now = monotonic()
-            for connection in list(self._connections.values()):
+            for connection in list(self._connections):
                 if connection.deadline < now:
-                    connection.deadline = math.inf
-                    connection.task.cancel()
+                    connection.transport.abort()
 
     async def serve_until_shutdown(self) -> None:
         """Run until ``/shutdown`` (or :meth:`shutdown`) is called."""
@@ -268,14 +398,11 @@ class SynopsisServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Nudge idle keep-alive connections to EOF and let their handler
-        # tasks finish, so loop teardown never cancels them mid-write.
-        for writer in list(self._connections):
-            writer.close()
-        tasks = [connection.task for connection in self._connections.values()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._connections.clear()
+        # Each connection closes once its pending response is written.
+        connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+        await asyncio.gather(*(connection.closed for connection in connections))
 
     async def __aenter__(self) -> "SynopsisServer":
         await self.start()
@@ -286,48 +413,6 @@ class SynopsisServer:
         await self._close()
 
     # -- request handling --------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(asyncio.current_task())
-        self._connections[writer] = connection
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader, connection)
-                except _HttpError as err:
-                    writer.write(
-                        _response_bytes(
-                            err.status, {"error": err.message}, keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                try:
-                    status, response = await self._dispatch(method, path, body)
-                except _HttpError as err:
-                    status, response = err.status, {"error": err.message}
-                except Exception as err:  # pragma: no cover - last resort
-                    self.engine.stats.errors += 1
-                    status, response = 500, {"error": str(err)}
-                writer.write(_response_bytes(status, response, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     def _parse_estimate(self, body: bytes) -> _ParsedEstimate:
         """An ``/estimate`` body's user tag, routing keys, twig and plan
@@ -376,14 +461,31 @@ class SynopsisServer:
         }
         return snapshot
 
+    def _estimate(self, body: bytes) -> Any:
+        """An ``/estimate`` response now if the estimate memo holds its
+        signature (latency recorded as ``engine.estimate`` would), else a
+        task answering it."""
+        user, doc_id, scope, query, signature = self._parse_estimate(body)
+        if signature is not None:
+            started = perf_counter()
+            estimate = self.engine.coalescer.remembered(signature)
+            if estimate is not None:
+                self.engine.stats.observe_latency(perf_counter() - started)
+                return 200, _estimate_body(estimate, user)
+        return asyncio.ensure_future(
+            self._estimate_routed(user, doc_id, scope, query, signature)
+        )
+
     async def _estimate_routed(
         self,
+        user: Any,
         doc_id: Any,
         scope: Any,
         query: Optional[TwigQuery],
         signature: Optional[PlanSignature],
-    ) -> float:
-        """Route one ``/estimate`` body: by document id, rollup, or whole.
+    ) -> Tuple[int, Any]:
+        """Answer one ``/estimate`` body routed by document id, rollup, or
+        whole.
 
         ``{"doc": <id>}`` asks for the document's own synopsis and
         ``{"scope": "rollup"}`` for the merged rollup — both only exist
@@ -405,10 +507,10 @@ class SynopsisServer:
                     "daemon with `repro serve --collection`",
                 )
             try:
-                return await estimate_doc(doc_id, query)
+                estimate = await estimate_doc(doc_id, query)
             except KeyError as err:
                 raise _HttpError(404, str(err.args[0]) if err.args else str(err))
-        if scope == "rollup":
+        elif scope == "rollup":
             estimate_rollup = getattr(self.engine, "estimate_rollup", None)
             if estimate_rollup is None:
                 self.engine.stats.errors += 1
@@ -417,12 +519,17 @@ class SynopsisServer:
                     "this engine has no rollup; start the daemon with "
                     "`repro serve --collection`",
                 )
-            return await estimate_rollup(query)
-        return await self.engine.estimate(query, signature)
+            estimate = await estimate_rollup(query)
+        else:
+            estimate = await self.engine.estimate(query, signature)
+        return 200, _estimate_body(estimate, user)
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _dispatch(self, method: str, path: str, body: bytes) -> Any:
+        """One request's ``(status, body)``, or a future of it."""
+        if path == "/estimate":
+            if method != "POST":
+                raise _HttpError(405, "use POST /estimate")
+            return self._estimate(body)
         if path == "/healthz":
             if method != "GET":
                 raise _HttpError(405, "use GET /healthz")
@@ -431,15 +538,6 @@ class SynopsisServer:
             if method != "GET":
                 raise _HttpError(405, "use GET /stats")
             return 200, self._stats()
-        if path == "/estimate":
-            if method != "POST":
-                raise _HttpError(405, "use POST /estimate")
-            user, doc_id, scope, query, signature = self._parse_estimate(body)
-            estimate = await self._estimate_routed(doc_id, scope, query, signature)
-            response: Dict[str, Any] = {"estimate": estimate}
-            if user is not _NO_USER:
-                response["user"] = user
-            return 200, response
         if path == "/batch":
             if method != "POST":
                 raise _HttpError(405, "use POST /batch")
@@ -448,6 +546,8 @@ class SynopsisServer:
                 payload.get("queries"), list
             ):
                 raise _HttpError(400, "body must be {'queries': [...]}")
+            if len(payload["queries"]) > MAX_BATCH_QUERIES:
+                raise _HttpError(413, f"over {MAX_BATCH_QUERIES} queries")
             queries = []
             for item in payload["queries"]:
                 try:
@@ -490,6 +590,16 @@ class SynopsisServer:
             self.shutdown()
             return 200, {"status": "shutting down"}
         raise _HttpError(404, f"no route {path}")
+
+
+def _estimate_body(estimate: float, user: Any) -> Any:
+    """An ``/estimate`` response body; JSON bytes in the common case."""
+    if user is _NO_USER and estimate.__class__ is float and math.isfinite(estimate):
+        return b'{"estimate": %r}' % estimate
+    response: Dict[str, Any] = {"estimate": estimate}
+    if user is not _NO_USER:
+        response["user"] = user
+    return response
 
 
 async def _run_server_async(

@@ -595,3 +595,205 @@ class TestMemoAcrossUpdates:
         # Each version answered its repeats from the memos.
         assert stats["memo"]["estimates"]["hits"] > 0
         assert stats["memo"]["requests"]["hits"] > 0
+
+
+def _raw_request(method, path, body=b"", close=False):
+    """One HTTP/1.1 request's bytes around a raw body."""
+    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return head.encode("ascii") + b"\r\n" + body
+
+
+def _responses(received):
+    """``(status, decoded body)`` per response in a raw byte stream."""
+    import json
+    import re
+
+    out = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        out.append((int(head.split()[1]), json.loads(rest[:length])))
+        received = rest[length:]
+    return out
+
+
+def _estimate_request(text, close=False):
+    import json
+
+    body = json.dumps({"query": text}).encode()
+    return _raw_request("POST", "/estimate", body, close)
+
+
+class TestProtocolFraming:
+    """Framing on the protocol front end: pipelining, half-close,
+    backpressure and oversized heads."""
+
+    def test_pipelined_requests_are_answered_in_order(self, synopsis):
+        estimator = CompiledEstimator(synopsis)
+        # The first estimate misses both memos and waits for the
+        # coalescer; the requests behind it must not overtake it.
+        received = _run_raw(
+            synopsis,
+            _estimate_request(PROBES[1])
+            + _raw_request("GET", "/healthz")
+            + _estimate_request(PROBES[4])
+            + _estimate_request(PROBES[1], close=True),
+        )
+        assert _responses(received) == [
+            (200, {"estimate": estimator.estimate(parse_twig(PROBES[1]))}),
+            (200, {"status": "ok"}),
+            (200, {"estimate": estimator.estimate(parse_twig(PROBES[4]))}),
+            (200, {"estimate": estimator.estimate(parse_twig(PROBES[1]))}),
+        ]
+
+    def test_two_requests_in_one_write_get_two_responses(self, synopsis):
+        received = _run_raw(
+            synopsis,
+            _raw_request("GET", "/healthz")
+            + _raw_request("GET", "/nope", close=True),
+        )
+        assert [status for status, _ in _responses(received)] == [200, 404]
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            _raw_request("GET", "/healthz"),
+            _estimate_request(PROBES[2]),  # suspends on the coalescer
+        ],
+    )
+    def test_half_closed_client_still_gets_its_response(
+        self, synopsis, request_bytes
+    ):
+        async def main():
+            async with SynopsisServer(ServeEngine(synopsis)) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                try:
+                    writer.write(request_bytes)
+                    writer.write_eof()
+                    return await asyncio.wait_for(reader.read(), timeout=5.0)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+        (status, body), = _responses(asyncio.run(main()))
+        assert status == 200
+        assert body == {"status": "ok"} or "estimate" in body
+
+    def test_client_that_never_reads_pauses_reading(self, synopsis):
+        import socket
+
+        count = 400
+        # /stats answers are about 1 KB; each request carries 4 KB of
+        # padding, so the client sends far more than the server answers.
+        request = (
+            b"GET /stats HTTP/1.1\r\nX-Pad: " + b"p" * 4096 + b"\r\n\r\n"
+        )
+
+        async def main():
+            async with SynopsisServer(ServeEngine(synopsis)) as server:
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, (server.host, server.port)
+                )
+                reader, writer = await asyncio.open_connection(sock=sock)
+                try:
+                    while not server._connections:
+                        await asyncio.sleep(0)
+                    (connection,) = server._connections
+                    transport = connection.transport
+                    # Small kernel buffers on both ends, so the server's
+                    # own write buffer is what fills up.
+                    transport.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                    )
+                    writer.write(request * count)
+                    for _ in range(500):
+                        await asyncio.sleep(0.01)
+                        if not transport.is_reading():
+                            break
+                    await asyncio.sleep(0.2)
+                    paused = not transport.is_reading()
+                    buffered = transport.get_write_buffer_size()
+                    high = transport.get_write_buffer_limits()[1]
+                    unread = len(connection._buffer)
+                    # Once the client reads, every request is answered.
+                    received = b""
+                    while received.count(b"HTTP/1.1 200 ") < count:
+                        chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
+                        assert chunk
+                        received += chunk
+                    return paused, buffered, high, unread, received
+                finally:
+                    writer.transport.abort()
+
+        paused, buffered, high, unread, received = asyncio.run(main())
+        assert paused
+        assert buffered <= high + 2048
+        assert unread < len(request) * count // 2
+        assert received.count(b"HTTP/1.1 ") == count
+
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_header_line_over_64_kib_gets_one_400(self, synopsis, terminated):
+        line = b"X-Pad: " + b"a" * (64 * 1024)
+        received = _run_raw(
+            synopsis,
+            b"GET /healthz HTTP/1.1\r\n" + line
+            + (b"\r\n\r\n" if terminated else b""),
+        )
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in received
+
+
+class TestBoundedInputs:
+    @pytest.mark.parametrize("path", ["/estimate", "/batch", "/update"])
+    def test_deeply_nested_json_is_400(self, synopsis, path):
+        for body in (
+            b"[" * 5000 + b"]" * 5000,
+            b'{"queries": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        ):
+            (status, response), = _responses(
+                _run_raw(synopsis, _raw_request("POST", path, body, close=True))
+            )
+            assert status == 400
+            assert response["error"].startswith("bad JSON body")
+
+    def test_deeply_nested_xpath_is_400(self, synopsis):
+        (status, response), = _responses(
+            _run_raw(
+                synopsis,
+                _estimate_request(
+                    "//a" + "[./b" * 500 + "]" * 500, close=True
+                ),
+            )
+        )
+        assert status == 400
+        assert "deeper than" in response["error"]
+
+    def test_batch_over_the_cap_is_413_before_parsing(self, synopsis):
+        from repro.serve.http import MAX_BATCH_QUERIES
+
+        async def scenario(server, client):
+            over = await client.request(
+                "POST",
+                "/batch",
+                {"queries": [{"query": "///[[["}] * (MAX_BATCH_QUERIES + 1)},
+            )
+            at_cap = await client.request(
+                "POST",
+                "/batch",
+                {"queries": [{"query": PROBES[0]}] * MAX_BATCH_QUERIES},
+            )
+            return over, at_cap, await client.stats()
+
+        over, at_cap, stats = TestMemos()._serve(ServeEngine(synopsis), scenario)
+        assert over[0] == 413
+        assert stats["errors"] == 0  # no query of the refused batch was parsed
+        assert at_cap[0] == 200
+        assert len(at_cap[1]["estimates"]) == MAX_BATCH_QUERIES

@@ -165,3 +165,37 @@ class TestEdgePathParser:
             parse_edge_path("a/b")
         with pytest.raises(XPathSyntaxError):
             parse_edge_path("./")
+
+
+class TestNestingBound:
+    """XPath and the JSON AST accept exactly the same twig depths."""
+
+    def test_branch_bomb_is_a_syntax_error(self):
+        with pytest.raises(XPathSyntaxError, match="deeper than"):
+            parse_twig("//a" + "[./b" * 500 + "]" * 500)
+
+    def test_bound_matches_the_json_ast(self):
+        from repro.query.ast import MAX_TWIG_DEPTH
+        from repro.query.jsonast import (
+            QueryFormatError,
+            twig_from_dict,
+            twig_to_dict,
+        )
+
+        deepest = parse_twig("//a" * MAX_TWIG_DEPTH)
+        restored = twig_from_dict(twig_to_dict(deepest))
+        assert restored.to_xpath() == deepest.to_xpath()
+        branched = "//a" + "[./b" * (MAX_TWIG_DEPTH - 1) + "]" * (MAX_TWIG_DEPTH - 1)
+        assert twig_from_dict(twig_to_dict(parse_twig(branched)))
+        with pytest.raises(XPathSyntaxError):
+            parse_twig("//a" * (MAX_TWIG_DEPTH + 1))
+        with pytest.raises(XPathSyntaxError):
+            parse_twig("//a" + "[./b" * MAX_TWIG_DEPTH + "]" * MAX_TWIG_DEPTH)
+        too_deep = twig_to_dict(deepest)
+        too_deep["children"] = [
+            {"name": "top", "edge": [["child", "r"]], "children": [
+                dict(too_deep["children"][0])
+            ]}
+        ]
+        with pytest.raises(QueryFormatError):
+            twig_from_dict(too_deep)
