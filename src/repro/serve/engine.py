@@ -393,8 +393,15 @@ class PlanCoalescer:
             estimate = self.remembered(signature)
             if estimate is not None:
                 return estimate
-            if query is None:
-                query = twig_of(signature)
+        return await self.enqueue(query, signature)
+
+    def enqueue(
+        self, query: Optional[TwigQuery], signature: PlanSignature
+    ) -> "asyncio.Future[float]":
+        """A future of the estimate of ``signature``'s plan (``query``,
+        or a twig rebuilt from the signature), reading no memo."""
+        if query is None:
+            query = twig_of(signature)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[float]" = loop.create_future()
         pending = self._pending.get(signature)
@@ -408,7 +415,7 @@ class PlanCoalescer:
             self.flush()
         elif self._flush_handle is None:
             self._flush_handle = loop.call_later(self._window, self.flush)
-        return await future
+        return future
 
     def flush(self) -> None:
         """Dispatch everything pending as one ``estimate_many`` batch."""

@@ -224,6 +224,17 @@ def _parse_json_body(body: bytes) -> Any:
         raise _HttpError(400, f"bad JSON body: {err}")
 
 
+class _Pending:
+    """A suspended ``/estimate``: its future, and ``answer(future)``, the
+    ``(status, body)`` to write once the future is done."""
+
+    __slots__ = ("future", "answer")
+
+    def __init__(self, future: "asyncio.Future[Any]", answer: Any) -> None:
+        self.future = future
+        self.answer = answer
+
+
 class _HttpProtocol(asyncio.Protocol):
     """One connection, served off its own receive buffer.  ``deadline``,
     which the sweeper checks, is the idle limit while the buffer is empty
@@ -304,14 +315,16 @@ class _HttpProtocol(asyncio.Protocol):
             self.deadline = monotonic() + REQUEST_TIMEOUT_SECONDS
 
     def _answer(self, keep_alive: bool, handler: Any, *args: Any) -> None:
-        """Write ``handler(*args)``'s response, or answer when the future
-        it returns (a suspended estimate) is done."""
+        """Write ``handler(*args)``'s response, or answer a suspended
+        estimate it returns once its future is done."""
         try:
             response = handler(*args)
-            if response.__class__ is not tuple:
-                self._waiting = response
+            if response.__class__ is _Pending:
+                self._waiting = response.future
                 self.transport.pause_reading()
-                response.add_done_callback(partial(self._answered, keep_alive))
+                response.future.add_done_callback(
+                    partial(self._answered, keep_alive, response.answer)
+                )
                 return
             data = _response_bytes(*response, keep_alive)
         except _HttpError as err:
@@ -323,9 +336,9 @@ class _HttpProtocol(asyncio.Protocol):
         if not keep_alive:
             self.close()
 
-    def _answered(self, keep_alive: bool, future: "asyncio.Future[Any]") -> None:
+    def _answered(self, keep_alive: bool, answer: Any, future: Any) -> None:
         self._waiting = None
-        self._answer(keep_alive, future.result)
+        self._answer(keep_alive, answer, future)
         if self._closing:
             self.transport.close()
         else:
@@ -463,29 +476,37 @@ class SynopsisServer:
 
     def _estimate(self, body: bytes) -> Any:
         """An ``/estimate`` response now if the estimate memo holds its
-        signature (latency recorded as ``engine.estimate`` would), else a
-        task answering it."""
+        signature, else a :class:`_Pending` one: a coalescer future, or
+        a task for a document-routed or rollup body."""
         user, doc_id, scope, query, signature = self._parse_estimate(body)
-        if signature is not None:
-            started = perf_counter()
-            estimate = self.engine.coalescer.remembered(signature)
-            if estimate is not None:
-                self.engine.stats.observe_latency(perf_counter() - started)
-                return 200, _estimate_body(estimate, user)
-        return asyncio.ensure_future(
-            self._estimate_routed(user, doc_id, scope, query, signature)
-        )
+        if signature is None:
+            task = asyncio.ensure_future(self._estimate_routed(doc_id, scope, query))
+            return _Pending(task, partial(self._estimated, user, None))
+        coalescer = self.engine.coalescer
+        started = perf_counter()
+        estimate = coalescer.remembered(signature)
+        if estimate is None:
+            future = coalescer.enqueue(query, signature)
+            return _Pending(future, partial(self._estimated, user, started))
+        self.engine.stats.observe_latency(perf_counter() - started)
+        return 200, _estimate_body(estimate, user)
+
+    def _estimated(
+        self, user: Any, started: Optional[float], future: "asyncio.Future[float]"
+    ) -> Tuple[int, Any]:
+        """A suspended estimate's response.  A coalesced one (``started``
+        set) records its latency as ``engine.estimate`` would; routed
+        ones are recorded by the engine.  ``_answer`` counts a failure."""
+        estimate = future.result()
+        if started is not None:
+            self.engine.stats.observe_latency(perf_counter() - started)
+        return 200, _estimate_body(estimate, user)
 
     async def _estimate_routed(
-        self,
-        user: Any,
-        doc_id: Any,
-        scope: Any,
-        query: Optional[TwigQuery],
-        signature: Optional[PlanSignature],
-    ) -> Tuple[int, Any]:
-        """Answer one ``/estimate`` body routed by document id, rollup, or
-        whole.
+        self, doc_id: Any, scope: Any, query: TwigQuery
+    ) -> float:
+        """Route one ``/estimate`` body past the coalescer: by document id
+        or to the rollup.
 
         ``{"doc": <id>}`` asks for the document's own synopsis and
         ``{"scope": "rollup"}`` for the merged rollup — both only exist
@@ -507,22 +528,18 @@ class SynopsisServer:
                     "daemon with `repro serve --collection`",
                 )
             try:
-                estimate = await estimate_doc(doc_id, query)
+                return await estimate_doc(doc_id, query)
             except KeyError as err:
                 raise _HttpError(404, str(err.args[0]) if err.args else str(err))
-        elif scope == "rollup":
-            estimate_rollup = getattr(self.engine, "estimate_rollup", None)
-            if estimate_rollup is None:
-                self.engine.stats.errors += 1
-                raise _HttpError(
-                    400,
-                    "this engine has no rollup; start the daemon with "
-                    "`repro serve --collection`",
-                )
-            estimate = await estimate_rollup(query)
-        else:
-            estimate = await self.engine.estimate(query, signature)
-        return 200, _estimate_body(estimate, user)
+        estimate_rollup = getattr(self.engine, "estimate_rollup", None)
+        if estimate_rollup is None:
+            self.engine.stats.errors += 1
+            raise _HttpError(
+                400,
+                "this engine has no rollup; start the daemon with "
+                "`repro serve --collection`",
+            )
+        return await estimate_rollup(query)
 
     def _dispatch(self, method: str, path: str, body: bytes) -> Any:
         """One request's ``(status, body)``, or a future of it."""
