@@ -61,7 +61,7 @@ while the transport is over its write high-water mark, so responses
 keep request order and a client that never reads cannot make the server
 buffer without bound.  One sweeper task per server closes keep-alive
 connections idle for :data:`IDLE_TIMEOUT_SECONDS` and connections whose
-started request is still incomplete after :data:`REQUEST_TIMEOUT_SECONDS`.
+oldest unanswered request started :data:`REQUEST_TIMEOUT_SECONDS` ago.
 """
 
 from __future__ import annotations
