@@ -71,7 +71,7 @@ import json
 import math
 from functools import partial
 from time import monotonic, perf_counter
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.core.estimation.plan import PlanSignature
 from repro.query.ast import TwigQuery
@@ -224,15 +224,12 @@ def _parse_json_body(body: bytes) -> Any:
         raise _HttpError(400, f"bad JSON body: {err}")
 
 
-class _Pending:
+class _Pending(NamedTuple):
     """A suspended ``/estimate``: its future, and ``answer(future)``, the
     ``(status, body)`` to write once the future is done."""
 
-    __slots__ = ("future", "answer")
-
-    def __init__(self, future: "asyncio.Future[Any]", answer: Any) -> None:
-        self.future = future
-        self.answer = answer
+    future: "asyncio.Future[Any]"
+    answer: Any
 
 
 class _HttpProtocol(asyncio.Protocol):
