@@ -60,13 +60,24 @@ def _pipelined_estimates(base_url, queries):
         reader = sock.makefile("rb")
         estimates = []
         for _ in queries:
-            status = int(reader.readline().split()[1])
+            status_line = reader.readline()
+            if not status_line:
+                raise ConnectionError("daemon closed the connection early")
+            status = int(status_line.split()[1])
             length = 0
-            for line in iter(reader.readline, b"\r\n"):
+            while True:
+                line = reader.readline()
+                if line == b"\r\n":
+                    break
+                if not line:
+                    raise ConnectionError("daemon closed mid-response head")
                 name, _, value = line.partition(b":")
                 if name.strip().lower() == b"content-length":
                     length = int(value)
-            body = json.loads(reader.read(length))
+            data = reader.read(length)
+            if len(data) < length:
+                raise ConnectionError("daemon closed mid-response body")
+            body = json.loads(data)
             estimates.append(body["estimate"] if status == 200 else body)
         return estimates
 

@@ -46,22 +46,22 @@ another service) can talk to the daemon without a client library:
 * ``POST /shutdown`` — graceful stop (used by tests and the CI smoke
   job; a production deployment would firewall it).
 
-Malformed queries and JSON bodies (nested too deeply, too) map to 400
-with a JSON error body; unknown routes to 404.  A framing error gets one
-response and the connection closes: a head over :data:`MAX_HEAD_BYTES`,
-too many header lines or a non-digit ``Content-Length`` (400), a body
-over :data:`MAX_BODY_BYTES` (413), ``Transfer-Encoding`` (501).
+Malformed queries and JSON bodies (too deeply nested ones too) map to
+400 with a JSON error body; unknown routes to 404.  A framing error (a
+head over :data:`MAX_HEAD_BYTES` or a bad ``Content-Length``: 400; a
+body over :data:`MAX_BODY_BYTES`: 413; ``Transfer-Encoding``: 501) gets
+one response, and the connection closes.
 
 Each connection is an :class:`asyncio.Protocol` that parses requests off
-its own receive buffer and answers them inside ``data_received``.  Only
-an ``/estimate`` that must wait (a coalescer-bound one that misses the
-estimate memo, or a document-routed or rollup one) becomes a future
-whose callback writes the response; reading pauses until then, and
-while the transport is over its write high-water mark, so responses
-keep request order and a client that never reads cannot make the server
-buffer without bound.  One sweeper task per server closes keep-alive
-connections idle for :data:`IDLE_TIMEOUT_SECONDS` and connections whose
-oldest unanswered request started :data:`REQUEST_TIMEOUT_SECONDS` ago.
+its receive buffer and answers them inside ``data_received``.  Only an
+``/estimate`` that must wait (a coalescer-bound memo miss, or a
+document-routed or rollup one) suspends, as a future whose callback
+writes the response.  Reading pauses while it waits and while the write
+buffer is over its high-water mark, so responses keep request order and
+a client that never reads is not buffered without bound.  A sweeper
+task closes connections idle for :data:`IDLE_TIMEOUT_SECONDS` and those
+whose oldest unanswered request started :data:`REQUEST_TIMEOUT_SECONDS`
+ago.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
 from functools import partial
 from time import monotonic, perf_counter
-from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core.estimation.plan import PlanSignature
 from repro.query.ast import TwigQuery
@@ -103,6 +104,9 @@ REQUEST_TIMEOUT_SECONDS = 10.0
 
 _MAX_HEADER_LINES = 100
 
+#: The empty line ending a request head; lines end in ``\r\n`` or ``\n``.
+_HEAD_END = re.compile(rb"\n\r?\n")
+
 #: The ``user`` tag of an ``/estimate`` body that has none.
 _NO_USER = object()
 
@@ -133,33 +137,22 @@ _STATUS_TEXT = {
 }
 
 
-def _response_bytes(status: int, body: Any, keep_alive: bool) -> bytes:
-    """A response around ``body``: a dict, or its JSON already encoded."""
-    if body.__class__ is not bytes:
-        body = json.dumps(body).encode("utf-8")
+def _response_bytes(
+    status: int, body: Dict[str, Any], keep_alive: bool
+) -> bytes:
+    payload = json.dumps(body).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
     ).encode("ascii")
-    return head + body
+    return head + payload
 
 
-#: A parsed request head: method, path, keep-alive flag, body length.
-_Head = Tuple[str, str, bool, int]
-
-
-def _parse_head(head: bytes, heads: Dict[bytes, _Head]) -> _Head:
-    """A request head's method, path, keep-alive flag and body length.
-
-    ``heads`` remembers parsed heads of up to 1 KiB, which clients
-    repeat; it is emptied when full.
-    """
-    parsed = heads.get(head)
-    if parsed is not None:
-        return parsed
+def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
+    """A request head's method, path, keep-alive flag and body length."""
     try:
         request_line, *fields = head.decode("ascii").rstrip().split("\n")
         method, target, _version = request_line.split(None, 2)
@@ -182,37 +175,7 @@ def _parse_head(head: bytes, heads: Dict[bytes, _Head]) -> _Head:
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     keep_alive = headers.get("connection", "").lower() != "close"
-    parsed = method, target.split("?", 1)[0], keep_alive, length
-    if len(head) <= 1024:
-        if len(heads) >= 1024:
-            heads.clear()
-        heads[head] = parsed
-    return parsed
-
-
-def _next_request(
-    buffer: bytearray, start: int, heads: Dict[bytes, _Head]
-) -> Optional[Tuple[str, str, bool, bytes, int]]:
-    """The request at ``buffer[start]`` as method, path, keep-alive flag,
-    body and the offset past it; None while incomplete.  Lines end in
-    ``\\r\\n`` or ``\\n``; framing errors raise :class:`_HttpError`."""
-    limit = start + MAX_HEAD_BYTES
-    end = buffer.find(b"\n\r\n", start, limit)
-    bare = buffer.find(b"\n\n", start, limit if end < 0 else end + 1)
-    if bare >= 0:
-        end = bare + 2
-    elif end >= 0:
-        end += 3
-    elif len(buffer) - start > MAX_HEAD_BYTES:
-        raise _HttpError(400, f"request head over {MAX_HEAD_BYTES} bytes")
-    else:
-        return None
-    head = bytes(buffer[start:end])
-    method, path, keep_alive, length = _parse_head(head, heads)
-    if len(buffer) < end + length:
-        return None
-    body = bytes(buffer[end : end + length])
-    return method, path, keep_alive, body, end + length
+    return method, target.split("?", 1)[0], keep_alive, length
 
 
 def _parse_json_body(body: bytes) -> Any:
@@ -224,14 +187,6 @@ def _parse_json_body(body: bytes) -> Any:
         raise _HttpError(400, f"bad JSON body: {err}")
 
 
-class _Pending(NamedTuple):
-    """A suspended ``/estimate``: its future, and ``answer(future)``, the
-    ``(status, body)`` to write once the future is done."""
-
-    future: "asyncio.Future[Any]"
-    answer: Any
-
-
 class _HttpProtocol(asyncio.Protocol):
     """One connection, served off its own receive buffer.  ``deadline``,
     which the sweeper checks, is the idle limit while the buffer is empty
@@ -241,7 +196,11 @@ class _HttpProtocol(asyncio.Protocol):
         self._server = server
         self.transport: Any = None
         self._buffer = bytearray()
-        self._waiting: Optional[asyncio.Future] = None  # a suspended estimate
+        # The head at the buffer's start: parsed with its length once
+        # complete, else how many of its bytes hold no end of head.
+        self._head: Optional[Tuple[Tuple[str, str, bool, int], int]] = None
+        self._scanned = 0
+        self._waiting = False  # a suspended estimate holds the connection
         self._paused = False  # the transport is over its write high-water mark
         self._closing = False
         self.deadline = math.inf
@@ -294,7 +253,7 @@ class _HttpProtocol(asyncio.Protocol):
             while start < len(buffer) and not (
                 self._waiting or self._paused or self._closing
             ):
-                request = _next_request(buffer, start, self._server._heads)
+                request = self._request(start)
                 if request is None:
                     break
                 method, path, keep_alive, body, start = request
@@ -311,16 +270,42 @@ class _HttpProtocol(asyncio.Protocol):
         elif start or fresh:
             self.deadline = monotonic() + REQUEST_TIMEOUT_SECONDS
 
+    def _request(self, start: int) -> Optional[Tuple[str, str, bool, bytes, int]]:
+        """The request at ``buffer[start]`` as method, path, keep-alive
+        flag, body and the offset past it; None while incomplete.  Only
+        the request at the buffer's start can be incomplete, so ``_head``
+        and ``_scanned`` hold for it."""
+        buffer = self._buffer
+        if self._head is None:
+            scan = start + max(self._scanned - 2, 0)
+            found = _HEAD_END.search(buffer, scan, start + MAX_HEAD_BYTES)
+            if found is None:
+                if len(buffer) - start > MAX_HEAD_BYTES:
+                    raise _HttpError(400, f"request head over {MAX_HEAD_BYTES} bytes")
+                self._scanned = len(buffer) - start
+                return None
+            head = bytes(buffer[start : found.end()])
+            self._head = _parse_head(head), len(head)
+        (method, path, keep_alive, length), size = self._head
+        end = start + size + length
+        if len(buffer) < end:
+            return None
+        self._head = None
+        self._scanned = 0
+        return method, path, keep_alive, bytes(buffer[start + size : end]), end
+
     def _answer(self, keep_alive: bool, handler: Any, *args: Any) -> None:
-        """Write ``handler(*args)``'s response, or answer a suspended
-        estimate it returns once its future is done."""
+        """Write ``handler(*args)``'s ``(status, body)``; if it returns
+        ``(future, answer)`` instead, write ``answer(result)`` once the
+        future is done."""
         try:
             response = handler(*args)
-            if response.__class__ is _Pending:
-                self._waiting = response.future
+            if response[0].__class__ is not int:
+                future, answer = response
+                self._waiting = True
                 self.transport.pause_reading()
-                response.future.add_done_callback(
-                    partial(self._answered, keep_alive, response.answer)
+                future.add_done_callback(
+                    partial(self._answered, keep_alive, answer)
                 )
                 return
             data = _response_bytes(*response, keep_alive)
@@ -334,8 +319,8 @@ class _HttpProtocol(asyncio.Protocol):
             self.close()
 
     def _answered(self, keep_alive: bool, answer: Any, future: Any) -> None:
-        self._waiting = None
-        self._answer(keep_alive, answer, future)
+        self._waiting = False
+        self._answer(keep_alive, lambda: answer(future.result()))
         if self._closing:
             self.transport.close()
         else:
@@ -357,7 +342,6 @@ class SynopsisServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self._connections: Set[_HttpProtocol] = set()
-        self._heads: Dict[bytes, _Head] = {}
         self._sweeper: Optional["asyncio.Task[None]"] = None
         #: The request memo: coalescer-bound ``/estimate`` body bytes
         #: that parsed, in insertion order, to their ``(user, scope,
@@ -473,31 +457,31 @@ class SynopsisServer:
 
     def _estimate(self, body: bytes) -> Any:
         """An ``/estimate`` response now if the estimate memo holds its
-        signature, else a :class:`_Pending` one: a coalescer future, or
-        a task for a document-routed or rollup body."""
+        signature, else ``(future, answer)``: a coalescer future, or a
+        task for a document-routed or rollup body."""
         user, doc_id, scope, query, signature = self._parse_estimate(body)
         if signature is None:
             task = asyncio.ensure_future(self._estimate_routed(doc_id, scope, query))
-            return _Pending(task, partial(self._estimated, user, None))
+            return task, partial(self._estimated, user, None)
         coalescer = self.engine.coalescer
         started = perf_counter()
         estimate = coalescer.remembered(signature)
         if estimate is None:
             future = coalescer.enqueue(query, signature)
-            return _Pending(future, partial(self._estimated, user, started))
-        self.engine.stats.observe_latency(perf_counter() - started)
-        return 200, _estimate_body(estimate, user)
+            return future, partial(self._estimated, user, started)
+        return self._estimated(user, started, estimate)
 
     def _estimated(
-        self, user: Any, started: Optional[float], future: "asyncio.Future[float]"
-    ) -> Tuple[int, Any]:
-        """A suspended estimate's response.  A coalesced one (``started``
-        set) records its latency as ``engine.estimate`` would; routed
-        ones are recorded by the engine.  ``_answer`` counts a failure."""
-        estimate = future.result()
+        self, user: Any, started: Optional[float], estimate: float
+    ) -> Tuple[int, Dict[str, Any]]:
+        """An ``/estimate`` response.  A coalesced one (``started`` set)
+        records its latency as ``engine.estimate`` would; routed ones are
+        recorded by the engine.  ``_answer`` counts a failure."""
         if started is not None:
             self.engine.stats.observe_latency(perf_counter() - started)
-        return 200, _estimate_body(estimate, user)
+        if user is _NO_USER:
+            return 200, {"estimate": estimate}
+        return 200, {"estimate": estimate, "user": user}
 
     async def _estimate_routed(
         self, doc_id: Any, scope: Any, query: TwigQuery
@@ -604,16 +588,6 @@ class SynopsisServer:
             self.shutdown()
             return 200, {"status": "shutting down"}
         raise _HttpError(404, f"no route {path}")
-
-
-def _estimate_body(estimate: float, user: Any) -> Any:
-    """An ``/estimate`` response body; JSON bytes in the common case."""
-    if user is _NO_USER and estimate.__class__ is float and math.isfinite(estimate):
-        return b'{"estimate": %r}' % estimate
-    response: Dict[str, Any] = {"estimate": estimate}
-    if user is not _NO_USER:
-        response["user"] = user
-    return response
 
 
 async def _run_server_async(

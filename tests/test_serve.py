@@ -738,6 +738,65 @@ class TestProtocolFraming:
         assert unread < len(request) * count // 2
         assert received.count(b"HTTP/1.1 ") == count
 
+    def test_trickled_request_parses_its_head_once(self, synopsis, monkeypatch):
+        import json
+        from repro.serve import http
+
+        parsed = []
+        scanned = []
+        parse_head = http._parse_head
+        head_end = http._HEAD_END
+
+        class CountingHeadEnd:
+            def search(self, buffer, pos, endpos):
+                scanned.append(min(endpos, len(buffer)) - pos)
+                return head_end.search(buffer, pos, endpos)
+
+        monkeypatch.setattr(
+            http, "_parse_head", lambda head: parsed.append(head) or parse_head(head)
+        )
+        monkeypatch.setattr(http, "_HEAD_END", CountingHeadEnd())
+
+        class Transport:
+            def __init__(self):
+                self.written = b""
+
+            def write(self, data):
+                self.written += data
+
+            def pause_reading(self):
+                pass
+
+            def resume_reading(self):
+                pass
+
+            def close(self):
+                pass
+
+        body = json.dumps({"queries": [{"query": PROBES[0]}] * 20}).encode()
+        head = (
+            b"POST /batch HTTP/1.1\r\nX-Pad: " + b"p" * (60 * 1024)
+            + b"\r\nContent-Length: %d\r\n\r\n" % len(body)
+        )
+
+        async def main():
+            server = SynopsisServer(ServeEngine(synopsis))
+            connection = http._HttpProtocol(server)
+            transport = Transport()
+            connection.connection_made(transport)
+            # One byte per receive: every byte of the head and of the
+            # body arrives in its own data_received call.
+            for index in range(len(head + body)):
+                connection.data_received((head + body)[index : index + 1])
+            return transport.written
+
+        (status, response), = _responses(asyncio.run(main()))
+        estimate = CompiledEstimator(synopsis).estimate(parse_twig(PROBES[0]))
+        assert (status, response) == (200, {"estimates": [estimate] * 20})
+        assert parsed == [head]
+        # Each head byte is searched for the end of the head about once.
+        assert sum(scanned) <= 3 * len(head)
+
     @pytest.mark.parametrize("terminated", [True, False])
     def test_header_line_over_64_kib_gets_one_400(self, synopsis, terminated):
         line = b"X-Pad: " + b"a" * (64 * 1024)
