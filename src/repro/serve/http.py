@@ -200,7 +200,8 @@ class _HttpProtocol(asyncio.Protocol):
         # complete, else how many of its bytes hold no end of head.
         self._head: Optional[Tuple[Tuple[str, str, bool, int], int]] = None
         self._scanned = 0
-        self._waiting = False  # a suspended estimate holds the connection
+        # A suspended estimate's future; holding it keeps its task alive.
+        self._waiting: Optional[asyncio.Future] = None
         self._paused = False  # the transport is over its write high-water mark
         self._closing = False
         self.deadline = math.inf
@@ -302,7 +303,7 @@ class _HttpProtocol(asyncio.Protocol):
             response = handler(*args)
             if response[0].__class__ is not int:
                 future, answer = response
-                self._waiting = True
+                self._waiting = future
                 self.transport.pause_reading()
                 future.add_done_callback(
                     partial(self._answered, keep_alive, answer)
@@ -319,7 +320,7 @@ class _HttpProtocol(asyncio.Protocol):
             self.close()
 
     def _answered(self, keep_alive: bool, answer: Any, future: Any) -> None:
-        self._waiting = False
+        self._waiting = None
         self._answer(keep_alive, lambda: answer(future.result()))
         if self._closing:
             self.transport.close()
