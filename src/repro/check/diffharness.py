@@ -98,7 +98,7 @@ from repro.update.ops import (
 from repro.values.summary import SummaryConfig
 from repro.workload.generator import TwigWorkloadGenerator, WorkloadConfig
 from repro.workload.negative import make_negative_workload
-from repro.xmltree.columnar import freeze, ingest_string
+from repro.xmltree.columnar import freeze, ingest_string, thaw
 from repro.xmltree.events import iter_events, iter_events_str
 from repro.xmltree.parser import XMLParseError, parse_string
 from repro.xmltree.serializer import serialize
@@ -510,10 +510,15 @@ class DifferentialHarness:
         """
         size = len(doc)
         roll = rng.random()
-        if roll < 0.35:
+        if roll < 0.25:
             parent = rng.randrange(size)
             position = rng.randint(0, sum(1 for _ in doc.children(parent)))
             return InsertSubtree(parent, position, self._fragment(rng))
+        if roll < 0.40 and size > 1:  # a copy of an element, as its next sibling
+            index = rng.randrange(1, size)
+            parent = doc.parent[index]
+            position = list(doc.children(parent)).index(index) + 1
+            return InsertSubtree(parent, position, serialize(thaw(doc, index)))
         if roll < 0.60 and size > 1:
             return DeleteSubtree(rng.randrange(1, size))
         return ValueChange(rng.randrange(size), self._random_value_text(rng))

@@ -141,24 +141,31 @@ def down_pass(
     return down
 
 
-def up_pass(down: Sequence[int], parents: Sequence[int]) -> List[int]:
+def up_pass(
+    down: Sequence[int],
+    parents: Sequence[int],
+    table: Optional[Dict[Tuple[int, int], int]] = None,
+) -> List[int]:
     """Preorder class ids: ``(down id, parent class)`` interned.
 
     Parents precede children in preorder, so every parent's class is
     known when its children are reached; interning in index order
     numbers classes by first occurrence, the root's class being 0.
+    ``table`` (empty when passed) receives every non-root class's key;
+    a caller that passes its own can keep interning against it later.
     """
+    if table is None:
+        table = {}
     classes = [0]
     append = classes.append
-    interned: Dict[Tuple[int, int], int] = {}
-    get = interned.get
+    get = table.get
     for down_id, parent_index in zip(
         islice(down, 1, None), islice(parents, 1, None)
     ):
         key = (down_id, classes[parent_index])
         class_id = get(key)
         if class_id is None:
-            class_id = interned[key] = len(interned) + 1
+            class_id = table[key] = len(table) + 1
         append(class_id)
     return classes
 

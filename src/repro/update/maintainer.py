@@ -9,9 +9,9 @@ which is what the differential harness's update round pins down.
 The reference partition (:mod:`repro.core.reference`) comes from two
 passes: a bottom-up *down* pass giving every element the id of its
 subtree's isomorphism type, and a preorder *up* pass interning ``(down
-id, parent class)``.  The maintainer keeps the down column and its
-intern table alive, spliced along with the document columns, and every
-update takes one of two paths:
+id, parent class)``.  The maintainer keeps both passes' columns and
+intern tables alive, spliced along with the document columns, plus the
+per-class aggregates, and every update takes one of two paths:
 
 * **summary-local** — a same-kind NUMERIC/STRING value change.  Classes
   ignore values, so the partition cannot move: the one cluster holding
@@ -20,13 +20,16 @@ update takes one of two paths:
 * **localized** — inserts, deletes, kind flips and same-kind TEXT
   changes.  An update changes the down ids of the spliced subtree and
   of the splice point's ancestor chain only, so only those rows are
-  re-keyed (a kind flip re-keys the element and its ancestors; a TEXT
-  change re-keys nothing).  One up pass and the assembly then run over
-  the whole document, in a rebuild's order, which keeps class numbering
+  re-keyed (a kind flip re-keys the element and its ancestors).
+  Usually the classes then move by delta alone (see
+  :meth:`IncrementalMaintainer._localized`), and a TEXT change moves
+  none.  Otherwise — a class would appear, empty or reorder, an
+  ancestor shares its class, or a kind flips — one whole-document up
+  pass re-derives them (``MaintainerStats.class_passes``).  Either way
+  the assembly runs in a rebuild's order, which keeps class numbering
   and node ids identical to a rebuild.  Summary work is confined to
-  clusters whose member set changed: a cluster that is the exact image
-  of an old one (the same elements, shifted by the splice) keeps the
-  old summary object, and TEXT summaries — whose term ids are interned
+  clusters whose member set changed: every other cluster keeps the old
+  summary object, and TEXT summaries — whose term ids are interned
   across clusters in build order — re-encode only from the first TEXT
   cluster whose centroid or position moved, after rewinding the shared
   vocabulary to that point.
@@ -51,7 +54,7 @@ compression engine without re-running phase 2 globally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, compress, count, islice
 from typing import (
     Any,
@@ -62,6 +65,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -110,11 +114,10 @@ _BUDGET_STEPS = (
 def enforce_summary_budget(
     summary: Optional[ValueSummary],
     max_bytes: Optional[int],
-    engine: str = "kernel",
 ) -> Optional[ValueSummary]:
     """Compress ``summary`` through its stepper until it fits the budget.
 
-    Deterministic in ``(summary, max_bytes, engine)``, so the rebuild
+    Deterministic in ``(summary, max_bytes)``, so the rebuild
     oracle applies the same function to freshly built summaries and
     stays bit-exact with incrementally maintained ones.
     """
@@ -123,7 +126,7 @@ def enforce_summary_budget(
     current = summary
     if current.size_bytes() <= max_bytes:
         return current
-    stepper = make_stepper(current, engine)
+    stepper = make_stepper(current)
     step = 1
     for family, amount in _BUDGET_STEPS:
         if isinstance(current, family):
@@ -152,8 +155,11 @@ class MaintainerStats:
     #: Whole-document refinements; construction runs the only one.
     full_recomputes: int = 0
     #: Inserts, deletes, kind flips and TEXT changes: touched rows
-    #: re-keyed, then one up pass and the assembly.
+    #: re-keyed, classes moved by delta, then the assembly.
     localized_updates: int = 0
+    #: Whole-document up passes: construction's, plus one per
+    #: localized update whose classes could not move by delta.
+    class_passes: int = 0
     #: Cluster summaries (TEXT: centroids) computed from values...
     summaries_built: int = 0
     #: ...and carried over from a cluster's exact image instead.
@@ -161,18 +167,7 @@ class MaintainerStats:
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
-        return {
-            "updates_applied": self.updates_applied,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "value_changes": self.value_changes,
-            "fast_path_updates": self.fast_path_updates,
-            "text_reencodes": self.text_reencodes,
-            "full_recomputes": self.full_recomputes,
-            "localized_updates": self.localized_updates,
-            "summaries_built": self.summaries_built,
-            "summaries_reused": self.summaries_reused,
-        }
+        return asdict(self)
 
 
 def _members(classes: List[int], key: int) -> List[int]:
@@ -202,7 +197,6 @@ class IncrementalMaintainer:
         config: Optional[SummaryConfig] = None,
         text_word_threshold: int = DEFAULT_TEXT_WORD_THRESHOLD,
         max_summary_bytes: Optional[int] = None,
-        value_engine: str = "kernel",
     ) -> None:
         self.doc = doc
         self.value_paths = (
@@ -211,7 +205,6 @@ class IncrementalMaintainer:
         self.base_config = config if config is not None else SummaryConfig()
         self.text_word_threshold = text_word_threshold
         self.max_summary_bytes = max_summary_bytes
-        self.value_engine = value_engine
         self.stats = MaintainerStats()
 
         if self.value_paths is None:
@@ -246,11 +239,8 @@ class IncrementalMaintainer:
         self._next_down = self._table_floor = len(self._down_table)
         self.stats.full_recomputes += 1
 
-        self._classes: List[int] = up_pass(self._down, doc.parent)
-        self._counts: Counter = Counter()
-        self.synopsis: XClusterSynopsis = self._assemble(
-            columnar_aggregates(doc, self._classes), {}, {}
-        )
+        self._partition()
+        self.synopsis: XClusterSynopsis = self._assemble({}, {})
 
     # -- wanted paths ------------------------------------------------------
 
@@ -331,7 +321,6 @@ class IncrementalMaintainer:
         return enforce_summary_budget(
             build_summary(vtype, vals, self._config),
             self.max_summary_bytes,
-            self.value_engine,
         )
 
     def _encode_text(self, centroid: TermCentroid) -> ValueSummary:
@@ -343,16 +332,12 @@ class IncrementalMaintainer:
                 )
             ),
             self.max_summary_bytes,
-            self.value_engine,
         )
 
     # -- assembly ------------------------------------------------------------
 
     def _assemble(
-        self,
-        aggregates: Aggregates,
-        image: Dict[int, int],
-        old_nodes: Dict[int, SynopsisNode],
+        self, image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
     ) -> XClusterSynopsis:
         """Materialize the synopsis of the current class column.
 
@@ -362,10 +347,10 @@ class IncrementalMaintainer:
         old class holding exactly the same elements; those keep their
         summary from ``old_nodes`` (the pre-update node table).
         """
-        doc = self.doc
         classes = self._classes
+        aggregates = self._aggregates
         node_vtypes = aggregates[2]
-        node_paths = dict(zip(classes, doc.path_ids))
+        node_paths = self._class_paths
         wanted = self._wanted
         summarized = [
             key
@@ -423,7 +408,6 @@ class IncrementalMaintainer:
             vocabulary.truncate(marks[len(text)])
             del marks[len(text) + 1:]
         self._text = text
-        self._counts = aggregates[0]
         return materialize_synopsis(aggregates, summaries, classes[0])
 
     def _graft(self, fresh: XClusterSynopsis) -> None:
@@ -440,10 +424,83 @@ class IncrementalMaintainer:
         live.root_id = fresh.root_id
         live._next_id = fresh._next_id
 
-    # -- the two update paths -------------------------------------------------
+    # -- moving the classes --------------------------------------------------
 
-    def _localized(self, at: int, inserted: int, removed: int, touched: int) -> None:
-        """Up pass, image matching, and assembly after a re-keyed update.
+    def _partition(self) -> None:
+        """The whole-document up pass and aggregation, kept for deltas."""
+        doc = self.doc
+        #: ``(down id, parent class)`` -> class id, and each class's key
+        #: by class id (the root's is never needed).
+        self._up_table: Dict[Tuple[int, int], int] = {}
+        self._classes: List[int] = up_pass(self._down, doc.parent, self._up_table)
+        self._class_key: List[Any] = [None, *self._up_table]
+        self._aggregates: Aggregates = columnar_aggregates(doc, self._classes)
+        self._class_paths = dict(zip(self._classes, doc.path_ids))
+        self.stats.class_passes += 1
+
+    def _keep_ancestors(self, parent: int) -> bool:
+        """Re-intern the re-keyed ``parent`` and its ancestors, top-down.
+
+        Each keeps its class id under its new key, its table entry
+        renamed in place, when it was its class's only member and the
+        key is not interned yet.  False at the first one that cannot,
+        leaving the table for a whole-document pass to rebuild.
+        """
+        counts = self._aggregates[0]
+        table = self._up_table
+        classes = self._classes
+        for index in list(self._ancestors(parent))[-2::-1]:  # the root keeps 0
+            key = (self._down[index], classes[self.doc.parent[index]])
+            class_id = classes[index]
+            if counts[class_id] != 1 or table.get(key, class_id) != class_id:
+                return False
+            del table[self._class_key[class_id]]
+            table[key] = class_id
+            self._class_key[class_id] = key
+        return True
+
+    def _localized(self, at: int, inserted: int, removed: int, parent: int) -> None:
+        """Move the classes after a splice under ``parent``, then assemble.
+
+        Old rows ``[at, at + removed)`` were cut or new rows ``[at, at +
+        inserted)`` spliced in, and the rows' and ancestors' down ids
+        re-keyed.  When the splice root's class has a member before
+        ``at``, that member's subtree is isomorphic to the splice and
+        lies wholly before it, so every spliced row's class exists
+        before ``at`` and no class appears, empties or reorders: the
+        class column, counts and edge totals move by the spliced rows
+        alone.  Otherwise :meth:`_reclassify` runs.
+        """
+        classes = self._classes
+        table = self._up_table
+        if inserted:
+            root = table.get((self._down[at], classes[parent]))
+        else:
+            root = classes[at]
+        if (
+            root is None
+            or classes.index(root) >= at
+            or not self._keep_ancestors(parent)
+        ):
+            self._reclassify(at, inserted, removed, -1)
+            return
+        if inserted:
+            down = self._down
+            parent_of = self.doc.parent
+            classes[at:at] = [0] * inserted
+            for index in range(at, at + inserted):
+                classes[index] = table[(down[index], classes[parent_of[index]])]
+        rows = classes[at:at + inserted + removed]
+        del classes[at:at + removed]
+        counts, _, _, edges = self._aggregates
+        sign = 1 if inserted else -1
+        for key in rows:
+            counts[key] += sign
+            edges[(self._class_key[key][1], key)] += sign
+        self._reassemble(set(rows))
+
+    def _reclassify(self, at: int, inserted: int, removed: int, touched: int) -> None:
+        """Whole-document up pass, image matching, and assembly.
 
         Old rows ``[at, at + removed)`` were cut and new rows ``[at, at
         + inserted)`` spliced in; every other row kept its element.
@@ -451,10 +508,10 @@ class IncrementalMaintainer:
         cluster never counts as an image.
         """
         old = self._classes
-        old_counts = self._counts
-        classes = self._classes = up_pass(self._down, self.doc.parent)
-        aggregates = columnar_aggregates(self.doc, classes)
-        counts = aggregates[0]
+        old_counts = self._aggregates[0]
+        self._partition()
+        classes = self._classes
+        counts = self._aggregates[0]
         pairs = Counter(
             zip(
                 chain(islice(classes, at), islice(classes, at + inserted, None)),
@@ -468,8 +525,12 @@ class IncrementalMaintainer:
         }
         if touched >= 0:
             image.pop(classes[touched], None)
-        self._graft(self._assemble(aggregates, image, self.synopsis.nodes))
-        self.stats.localized_updates += 1
+        self._graft(self._assemble(image, self.synopsis.nodes))
+
+    def _reassemble(self, changed: Set[int]) -> None:
+        """Assemble unmoved classes, every cluster but ``changed`` kept."""
+        image = {key: key for key in self._aggregates[0] if key not in changed}
+        self._graft(self._assemble(image, self.synopsis.nodes))
 
     def _refresh_cluster(self, index: int) -> None:
         """Rebuild the one summary of the cluster holding ``index``.
@@ -521,21 +582,21 @@ class IncrementalMaintainer:
             self._rekey(
                 chain(range(at + inserted - 1, at - 1, -1), self._ancestors(op.parent))
             )
-            self._localized(at, inserted, 0, -1)
+            self._localized(at, inserted, 0, op.parent)
         elif isinstance(op, DeleteSubtree):
             stats.deletes += 1
             removed = size - len(doc)
             del self._down[op.index:op.index + removed]
             self._rekey(self._ancestors(cut_parent))
-            self._localized(op.index, 0, removed, -1)
+            self._localized(op.index, 0, removed, cut_parent)
         else:
             stats.value_changes += 1
             if old_kind != new_kind:
                 self._rekey(self._ancestors(op.index))
-                self._localized(0, 0, 0, op.index)
+                self._reclassify(0, 0, 0, op.index)
             elif new_kind == KIND_TEXT:
                 stats.text_reencodes += 1
-                self._localized(0, 0, 0, op.index)
+                self._reassemble({self._classes[op.index]})
             elif new_kind == KIND_NULL:
                 # NULL -> NULL: the document is untouched semantically.
                 path = "noop"
@@ -543,6 +604,8 @@ class IncrementalMaintainer:
                 path = "summary-local"
                 self._refresh_cluster(op.index)
                 stats.fast_path_updates += 1
+        if path == "localized":
+            stats.localized_updates += 1
         # Every applied update bumps the version, so estimation caches
         # (SynopsisIndex tables, reach/selectivity caches) can never
         # serve a stale answer across an update boundary.

@@ -787,16 +787,16 @@ def freeze(tree: XMLTree) -> ColumnarDocument:
     return doc
 
 
-def thaw(doc: ColumnarDocument) -> XMLTree:
-    """Materialize the object :class:`XMLTree` of a columnar document."""
+def thaw(doc: ColumnarDocument, root: int = 0) -> XMLTree:
+    """The object :class:`XMLTree` of a columnar document's subtree at
+    ``root`` (by default, of the whole document)."""
     if not len(doc):
         raise ValueError("cannot thaw an empty ColumnarDocument")
     elements: List[XMLElement] = []
     parent_column = doc.parent
-    for index in range(len(doc)):
+    for index in range(root, doc.subtree_end(root)):
         element = XMLElement(doc.label(index), doc.value(index))
-        parent_index = parent_column[index]
-        if parent_index >= 0:
-            elements[parent_index].append_child(element)
+        if index > root:
+            elements[parent_column[index] - root].append_child(element)
         elements.append(element)
     return XMLTree(elements[0])

@@ -271,6 +271,146 @@ def test_xmark_mixed_stream_200_ops_matches_rebuild():
     assert stats.summaries_reused > stats.summaries_built
 
 
+# -- classes moved by delta ---------------------------------------------------
+
+RECORDS = ("item", "person", "open_auction", "closed_auction")
+ITEM = "<item><name>gammaword</name><qty>3</qty></item>"
+
+
+def _no_up_pass(monkeypatch):
+    """Make any whole-document up pass inside the maintainer fail."""
+    import repro.update.maintainer as maintainer_module
+
+    def whole_document_up_pass(*args, **kwargs):
+        raise AssertionError("an update ran a whole-document up pass")
+
+    monkeypatch.setattr(maintainer_module, "up_pass", whole_document_up_pass)
+
+
+def _record_update(doc, rng, kind, label):
+    """One op shaped like the serve-update benchmark's record stream.
+
+    An insert clones a record beside itself at a seeded sibling
+    position, a delete removes one of several records with its label,
+    and a value change rewrites a ``price`` or ``name`` with a value of
+    the same kind.
+    """
+    if kind == "set_value":
+        indexes = [i for i in range(len(doc)) if doc.label(i) == label]
+        index = rng.choice(indexes)
+        path = doc.label_path(index)
+        donor = rng.choice([i for i in indexes if doc.label_path(i) == path])
+        text = str(rng.randint(1, 20000)) if label == "price" else doc.value(donor)
+        return ValueChange(index, text)
+    index = rng.choice([i for i in range(len(doc)) if doc.label(i) == label])
+    if kind == "delete":
+        return DeleteSubtree(index)
+    parent = doc.parent[index]
+    position = rng.randint(0, sum(1 for _ in doc.children(parent)))
+    return InsertSubtree(parent, position, serialize(thaw(doc, index)))
+
+
+def test_record_stream_moves_classes_by_delta():
+    """Record clones, record deletes and same-kind value changes on
+    XMark: bit-exact after every op, and almost no up pass."""
+    doc = ingest_string(serialize(generate_xmark(scale=0.1, seed=7).tree))
+    maintainer = IncrementalMaintainer(doc)
+    rng = random.Random(18)
+    for step in range(48):
+        kind = ("insert", "delete", "set_value", "set_value")[step % 4]
+        label = ("price", "name")[step % 2] if kind == "set_value" else RECORDS[
+            step // 4 % 4
+        ]
+        op = _record_update(doc, rng, kind, label)
+        maintainer.apply(op)
+        rebuilt = build_reference_synopsis(doc, None)
+        assert synopsis_to_dict(maintainer.synopsis) == synopsis_to_dict(
+            rebuilt
+        ), f"step {step}: {op}"
+    stats = maintainer.stats
+    assert stats.localized_updates == 24
+    # Construction's pass, plus at most a quarter of the 24 structural
+    # ops (4 on this stream): deleting the only or the first record of
+    # its class, or cloning one ahead of every record of its class,
+    # re-derives the classes.
+    assert stats.class_passes <= 1 + 6
+    assert stats.summaries_reused > stats.summaries_built
+
+
+def _assert_fell_back(maintainer, twin, op):
+    passes = maintainer.stats.class_passes
+    _check_step(maintainer, twin, op)
+    assert maintainer.stats.class_passes == passes + 1
+
+
+def test_clone_before_the_first_record_of_its_kind_falls_back():
+    maintainer, twin = _pair()
+    # Both <item>s share one class; a copy ahead of them moves it.
+    _assert_fell_back(maintainer, twin, InsertSubtree(0, 0, ITEM))
+
+
+def test_deleting_the_first_record_of_a_kind_falls_back():
+    maintainer, twin = _pair()
+    _assert_fell_back(maintainer, twin, DeleteSubtree(1))  # item 4 remains
+
+
+def test_fragment_with_a_fresh_label_falls_back():
+    maintainer, twin = _pair()
+    _assert_fell_back(maintainer, twin, InsertSubtree(0, 3, "<extra>word</extra>"))
+
+
+def test_leaf_inside_a_shared_class_ancestor_falls_back():
+    maintainer, twin = _pair()
+    # The new <qty> itself is an interned key, but its parent <item>
+    # shares its class with the other <item>, which it now leaves.
+    _assert_fell_back(maintainer, twin, InsertSubtree(1, 2, "<qty>3</qty>"))
+
+
+def test_ancestor_joining_another_class_falls_back():
+    # The first <item> is alone in its class, and a second <qty> makes
+    # it isomorphic to the other <item>: its new key is already taken.
+    maintainer, twin = _pair(
+        "<root><item><qty>1</qty></item>"
+        "<item><qty>1</qty><qty>2</qty></item></root>"
+    )
+    _assert_fell_back(maintainer, twin, InsertSubtree(1, 1, "<qty>5</qty>"))
+    assert len(maintainer.synopsis) == 3  # root, one item class, qty
+
+
+def test_clone_beside_and_later_delete_run_no_up_pass(monkeypatch):
+    maintainer, twin = _pair()
+    _no_up_pass(monkeypatch)
+    _check_step(maintainer, twin, InsertSubtree(0, 2, ITEM))  # after both
+    _check_step(maintainer, twin, DeleteSubtree(4))  # the second <item>
+    assert maintainer.stats.class_passes == 1
+    assert maintainer.stats.localized_updates == 2
+
+
+def test_same_kind_text_change_runs_no_up_pass(monkeypatch):
+    maintainer, twin = _pair()
+    _no_up_pass(monkeypatch)
+    result = _check_step(maintainer, twin, ValueChange(7, "other words here"))
+    assert result["path"] == "localized"
+    assert maintainer.stats.text_reencodes == 1
+    assert maintainer.stats.class_passes == 1
+
+
+def test_stats_snapshot_lists_every_counter():
+    maintainer, _ = _pair()
+    snapshot = maintainer.stats.snapshot()
+    assert list(snapshot)[:8] == [
+        "updates_applied",
+        "inserts",
+        "deletes",
+        "value_changes",
+        "fast_path_updates",
+        "text_reencodes",
+        "full_recomputes",
+        "localized_updates",
+    ]
+    assert snapshot["class_passes"] == 1
+
+
 # -- value edge cases --------------------------------------------------------
 
 
