@@ -1,7 +1,7 @@
 """In-place :class:`ColumnarDocument` mutation for the update stream.
 
 Preorder layout makes every subtree a contiguous index range, so both
-structural ops are array splices plus one reference-remapping pass:
+structural ops are array splices plus a reference shift past them:
 
 * **insert** — the fragment (itself a small columnar document from the
   byte tokenizer) is re-interned into the host's label/path/value
@@ -17,10 +17,12 @@ structural ops are array splices plus one reference-remapping pass:
 Both ops also keep ``post`` and ``level`` current without a whole-tree
 walk: a subtree is contiguous in postorder too, so a splice shifts the
 post ranks past it by the subtree size (see :func:`insert_subtree`),
-and depths only ever change inside the spliced range.  The lazily
-built interval-join caches (``subtree_ends`` / ``label_positions``)
-are dropped — they were documented as "immutable documents only" and
-this module is what made that qualifier real.
+and depths only ever change inside the spliced range.  A shift
+rewrites the rows past the splice and one parent chain before it
+(:func:`_shift_tail`).  The lazily built interval-join caches
+(``subtree_ends`` / ``label_positions``) are dropped — they were
+documented as "immutable documents only" and this module is what made
+that qualifier real.
 
 Value changes re-type the new text through the ingestion heuristic and
 report ``(old_kind, new_kind)`` so the maintainer can tell a
@@ -81,17 +83,30 @@ def invalidate_derived(doc: ColumnarDocument) -> None:
     doc._label_positions = None
 
 
-def _shift_column(column: array, floor: int, delta: int) -> None:
-    """Add ``delta`` to every entry ``>= floor``, in place."""
-    column[:] = array(
-        "i", [value + delta if value >= floor else value for value in column]
-    )
+def _shift_tail(
+    doc: ColumnarDocument, at: int, floor: int, delta: int, post_floor: int
+) -> None:
+    """Move references past a splice at row ``at`` by ``delta``.
 
-
-def _shift_references(doc: ColumnarDocument, floor: int, delta: int) -> None:
-    """Shift every structure reference ``>= floor`` by ``delta``."""
-    for column in (doc.parent, doc.first_child, doc.next_sibling):
-        _shift_column(column, floor, delta)
+    Every link ``>= floor`` and every post rank ``>= post_floor`` moves.
+    Rows from ``at`` on are rewritten; a row before ``at`` can hold a
+    moving link only if its subtree reaches row ``at - 1`` (its first
+    child or next sibling lies past it), and a moving post rank only if
+    it is an ancestor of the splice, so only the parent chain of row
+    ``at - 1`` is patched among them.
+    """
+    columns = (doc.parent, doc.first_child, doc.next_sibling, doc.post)
+    floors = (floor, floor, floor, post_floor)
+    for column, low in zip(columns, floors):
+        column[at:] = array(
+            "i", [value + delta if value >= low else value for value in column[at:]]
+        )
+    row = at - 1
+    while row >= 0:
+        for column, low in zip(columns[1:], floors[1:]):
+            if column[row] >= low:
+                column[row] += delta
+        row = doc.parent[row]
 
 
 def _path_key_index(doc: ColumnarDocument) -> Dict[Tuple[int, int], int]:
@@ -193,9 +208,8 @@ def insert_subtree(
     # precede ``at`` and are not its ancestors (``parent`` and the
     # ``level[parent]`` above it), so it takes ranks from ``base`` on
     # and every later-finishing host element moves up by its size.
-    _shift_references(doc, at, count)
     base = at - doc.level[parent] - 1
-    _shift_column(doc.post, base, count)
+    _shift_tail(doc, at, at, count, base)
 
     # 2. Re-intern the fragment's labels, paths, and values against the
     # host tables, and renumber its structure columns to their final
@@ -312,8 +326,7 @@ def delete_subtree(doc: ColumnarDocument, index: int) -> int:
 
     # Surviving references can only point below the cut or past it:
     # in-range targets were all inside the deleted subtree.
-    _shift_references(doc, end, -count)
-    _shift_column(doc.post, last_post + 1, -count)
+    _shift_tail(doc, index, end, -count, last_post + 1)
 
     invalidate_derived(doc)
     return count

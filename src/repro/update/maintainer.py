@@ -25,21 +25,25 @@ per-class aggregates, and every update takes one of two paths:
   :meth:`IncrementalMaintainer._localized`), and a TEXT change moves
   none.  Otherwise — a class would appear, empty or reorder, an
   ancestor shares its class, or a kind flips — one whole-document up
-  pass re-derives them (``MaintainerStats.class_passes``).  Either way
-  the assembly runs in a rebuild's order, which keeps class numbering
-  and node ids identical to a rebuild.  Summary work is confined to
-  clusters whose member set changed: every other cluster keeps the old
-  summary object, and TEXT summaries — whose term ids are interned
-  across clusters in build order — re-encode only from the first TEXT
-  cluster whose centroid or position moved, after rewinding the shared
-  vocabulary to that point.
+  pass re-derives them (``MaintainerStats.class_passes``) and the
+  assembly runs in a rebuild's order, which keeps class numbering and
+  node ids identical to a rebuild.  Classes moved by delta instead
+  patch the live nodes of the changed clusters in place.  Summary work
+  is confined to clusters whose member set changed: every other cluster
+  keeps the old summary object.  TEXT summaries — whose term ids are
+  interned across clusters in build order — rewind the shared
+  vocabulary to the first TEXT cluster whose centroid or position
+  moved and re-encode from there, until the vocabulary after a
+  re-encoded cluster is back in its old state at that point: then the
+  old tail is restored and later clusters keep their encodings
+  (``MaintainerStats.text_encodes`` counts the encodes).
 
 No update runs a whole-document refinement: construction runs the only
 down pass (``MaintainerStats.full_recomputes``).
 
-The maintained synopsis object never changes identity: localized
-updates graft the fresh node table into the live object and every
-applied update bumps ``XClusterSynopsis.version``, so the estimation
+The maintained synopsis object never changes identity: updates patch
+its nodes or graft a fresh node table into it, and every applied
+update bumps ``XClusterSynopsis.version``, so the estimation
 caches keyed on it (:class:`~repro.core.estimation.indexes.SynopsisIndex`
 via the weak-registry, serving plan caches) invalidate through the
 existing version protocol and the daemon keeps answering correctly
@@ -164,6 +168,9 @@ class MaintainerStats:
     summaries_built: int = 0
     #: ...and carried over from a cluster's exact image instead.
     summaries_reused: int = 0
+    #: TEXT summaries encoded by updates: changed clusters, plus later
+    #: ones while the shared vocabulary differs from its old state.
+    text_encodes: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
@@ -241,6 +248,7 @@ class IncrementalMaintainer:
 
         self._partition()
         self.synopsis: XClusterSynopsis = self._assemble({}, {})
+        self.stats.text_encodes = 0  # counts encodes by updates only
 
     # -- wanted paths ------------------------------------------------------
 
@@ -325,6 +333,7 @@ class IncrementalMaintainer:
 
     def _encode_text(self, centroid: TermCentroid) -> ValueSummary:
         """A TEXT summary over the current vocabulary state."""
+        self.stats.text_encodes += 1
         return enforce_summary_budget(
             TextSummary(
                 EndBiasedTermHistogram.from_centroid(
@@ -347,9 +356,16 @@ class IncrementalMaintainer:
         old class holding exactly the same elements; those keep their
         summary from ``old_nodes`` (the pre-update node table).
         """
+        return materialize_synopsis(
+            self._aggregates, self._summaries(image, old_nodes), self._classes[0]
+        )
+
+    def _summaries(
+        self, image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
+    ) -> Dict[int, ValueSummary]:
+        """Every summarized class's summary, for :meth:`_assemble`."""
         classes = self._classes
-        aggregates = self._aggregates
-        node_vtypes = aggregates[2]
+        node_vtypes = self._aggregates[2]
         node_paths = self._class_paths
         wanted = self._wanted
         summarized = [
@@ -392,8 +408,9 @@ class IncrementalMaintainer:
                 stats.summaries_reused += 1
             else:
                 if not rewound:
-                    rewound = True
-                    vocabulary.truncate(marks[position])
+                    rewound = synced = True
+                    old_marks, base = marks[:], marks[position]
+                    tail = vocabulary.truncate(base)
                     del marks[position + 1:]
                 if source is None:
                     centroid = TermCentroid.from_term_sets(values[key])
@@ -401,14 +418,27 @@ class IncrementalMaintainer:
                 else:
                     centroid = old_centroids[source]
                     stats.summaries_reused += 1
+                start = len(vocabulary)
                 summaries[key] = self._encode_text(centroid)
-                marks.append(len(vocabulary))
+                size = len(vocabulary)
+                marks.append(size)
+                # While ``synced`` the vocabulary is a prefix of the old
+                # one (``tail`` holds its terms from id ``base`` on); at
+                # the old size for the next position it is in its old
+                # state, so restore the tail: later encodings stand again.
+                synced = synced and (
+                    vocabulary.since(start) == tail[start - base:size - base]
+                )
+                if synced and old_marks[position + 1:position + 2] == [size]:
+                    vocabulary.intern_all(tail[size - base:])
+                    marks[position + 2:] = old_marks[position + 2:]
+                    rewound = False
             text.append((key, centroid))
         if not rewound:
             vocabulary.truncate(marks[len(text)])
             del marks[len(text) + 1:]
         self._text = text
-        return materialize_synopsis(aggregates, summaries, classes[0])
+        return summaries
 
     def _graft(self, fresh: XClusterSynopsis) -> None:
         """Install a reassembled node table into the live synopsis object.
@@ -528,9 +558,26 @@ class IncrementalMaintainer:
         self._graft(self._assemble(image, self.synopsis.nodes))
 
     def _reassemble(self, changed: Set[int]) -> None:
-        """Assemble unmoved classes, every cluster but ``changed`` kept."""
-        image = {key: key for key in self._aggregates[0] if key not in changed}
-        self._graft(self._assemble(image, self.synopsis.nodes))
+        """Patch the live nodes after an update that moved no class.
+
+        Every cluster but ``changed`` keeps its summary (TEXT ones up to
+        re-encoding).  Edges neither appear nor vanish, so the
+        ``changed`` nodes take their new counts, child averages and
+        parent edge entries in place, in a rebuild's float arithmetic.
+        """
+        counts, _, _, edges = self._aggregates
+        nodes = self.synopsis.nodes
+        image = {key: key for key in counts if key not in changed}
+        for key, summary in self._summaries(image, nodes).items():
+            nodes[key].vsumm = summary
+        for key in changed:
+            node = nodes[key]
+            node.count = total = counts[key]
+            for child in node.children:
+                node.children[child] = edges[(key, child)] / total
+            if key != self._classes[0]:
+                parent = self._class_key[key][1]
+                nodes[parent].children[key] = edges[(parent, key)] / counts[parent]
 
     def _refresh_cluster(self, index: int) -> None:
         """Rebuild the one summary of the cluster holding ``index``.

@@ -23,7 +23,8 @@ indexed terms into the uniform bucket, re-averaging its frequency.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import neg
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional
 
 from repro.values.rle import RunLengthBitmap
 from repro.values.termvector import TermCentroid, Vocabulary
@@ -35,15 +36,20 @@ FIXED_BYTES = 8
 
 
 def check_encoding(
-    exact: Mapping[int, float], bitmap: RunLengthBitmap, bucket_member_count: int
+    exact: Mapping[int, float],
+    bitmap: RunLengthBitmap,
+    bucket_member_count: int,
+    bits: Optional[AbstractSet[int]] = None,
 ) -> None:
     """Raise ``ValueError`` unless every exact term has its bitmap bit set
-    and the bucket covers exactly the remaining set bits."""
-    for term_id in exact:
-        if term_id not in bitmap:
-            raise ValueError(
-                "every exactly-indexed term must have its bitmap bit set"
-            )
+    and the bucket covers exactly the remaining set bits (one set test
+    against ``bits``, the bitmap's set bits, when the caller has them)."""
+    if not (
+        all(term_id in bitmap for term_id in exact)
+        if bits is None
+        else exact.keys() <= bits
+    ):
+        raise ValueError("every exactly-indexed term must have its bitmap bit set")
     if bucket_member_count < 0:
         raise ValueError("bucket_member_count must be non-negative")
     if bucket_member_count != len(bitmap) - len(exact):
@@ -126,19 +132,22 @@ class EndBiasedTermHistogram:
             exact_terms: how many top frequencies to retain exactly;
                 ``None`` retains all (the detailed reference form).
         """
-        ids_and_weights = sorted(
-            ((vocabulary.intern(term), weight) for term, weight in centroid.weights.items()),
-            key=lambda item: (-item[1], item[0]),
-        )
+        weights = centroid.weights
+        ids = vocabulary.intern_all(weights)
+        # (-weight, id) pairs sort without a key function; negation is
+        # exact, and so is a sum of negated weights.
+        ranked = sorted(zip(map(neg, weights.values()), ids))
         if exact_terms is None:
-            exact_terms = len(ids_and_weights)
-        exact = dict(ids_and_weights[:exact_terms])
-        rest = ids_and_weights[exact_terms:]
-        bitmap = RunLengthBitmap.from_ids(
-            term_id for term_id, _ in ids_and_weights
+            exact_terms = len(ranked)
+        exact = {term_id: -weight for weight, term_id in ranked[:exact_terms]}
+        rest = ranked[exact_terms:]
+        bits = set(ids)
+        bitmap = RunLengthBitmap.from_ids(bits)
+        average = -sum(weight for weight, _ in rest) / len(rest) if rest else 0.0
+        check_encoding(exact, bitmap, len(rest), bits)
+        return cls.trusted(
+            vocabulary, exact, bitmap, average, len(rest), centroid.count
         )
-        average = sum(weight for _, weight in rest) / len(rest) if rest else 0.0
-        return cls(vocabulary, exact, bitmap, average, len(rest), centroid.count)
 
     @classmethod
     def empty(cls, vocabulary: Vocabulary) -> "EndBiasedTermHistogram":

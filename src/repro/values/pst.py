@@ -34,6 +34,7 @@ only ``str`` and ``int`` is never tracked by the garbage collector.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Bytes per stored PST node: symbol (1) + count (4) + structure encoding (4).
@@ -63,23 +64,26 @@ class PrunedSuffixTree:
         max_nodes: Optional[int] = None,
     ) -> "PrunedSuffixTree":
         """Build a PST by inserting every substring (up to ``max_depth``)
-        of every string, then optionally pruning down to ``max_nodes``."""
+        of every string, then optionally pruning down to ``max_nodes``.
+        Each distinct string is inserted once, with its multiplicity: a
+        repeat adds no key, so order and counts stay the same."""
         tree = cls(max_depth)
-        for string in strings:
-            tree.insert_string(string)
+        for string, times in Counter(strings).items():
+            tree.insert_string(string, times)
         if max_nodes is not None and tree.node_count > max_nodes:
             tree.prune_leaves(tree.node_count - max_nodes)
         return tree
 
-    def insert_string(self, string: str) -> None:
-        """Index one string: each of its distinct substrings (length ≤
-        ``max_depth``) gets its document frequency incremented once.
+    def insert_string(self, string: str, times: int = 1) -> None:
+        """Index ``times`` copies of one string: each of its distinct
+        substrings (length ≤ ``max_depth``) gets its document frequency
+        incremented by ``times``.
 
         Substrings are enumerated in trie-walk order (every start, each
         extended one symbol at a time), so new keys enter the dict in
         the order a trie would create their nodes.
         """
-        self.string_count += 1
+        self.string_count += times
         depth = self.max_depth
         length = len(string)
         counts = self.counts
@@ -91,7 +95,7 @@ class PrunedSuffixTree:
                 for stop in range(start + 1, min(start + depth, length) + 1)
             ]
         ):
-            counts[substring] = get(substring, 0) + 1
+            counts[substring] = get(substring, 0) + times
 
     def copy(self) -> "PrunedSuffixTree":
         """An independent copy (same substrings, counts and order)."""

@@ -15,7 +15,8 @@ rule of Section 4.1.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from itertools import count, filterfalse
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 
 class Vocabulary:
@@ -35,6 +36,19 @@ class Vocabulary:
         self._id_to_term.append(term)
         return new_id
 
+    def intern_all(self, terms: Collection[str]) -> List[int]:
+        """:meth:`intern` of each of ``terms``, as C-level passes."""
+        index = self._term_to_id
+        fresh = dict.fromkeys(filterfalse(index.__contains__, terms))
+        if fresh:
+            index.update(zip(fresh, count(len(self._id_to_term))))
+            self._id_to_term.extend(fresh)
+        return list(map(index.__getitem__, terms))
+
+    def since(self, size: int) -> List[str]:
+        """The terms with ids ``>= size``, in id order."""
+        return self._id_to_term[size:]
+
     def id_of(self, term: str) -> int:
         """The id of a known term.
 
@@ -51,15 +65,18 @@ class Vocabulary:
         """The term with the given id (IndexError if out of range)."""
         return self._id_to_term[term_id]
 
-    def truncate(self, size: int) -> None:
-        """Forget every term with id ``>= size``.
+    def truncate(self, size: int) -> List[str]:
+        """Forget every term with id ``>= size``; the forgotten terms.
 
         Ids are assigned in interning order, so this rewinds the
-        vocabulary to the state it had when it held ``size`` terms.
+        vocabulary to the state it had when it held ``size`` terms, and
+        :meth:`intern_all` of the returned terms undoes it.
         """
-        for term in self._id_to_term[size:]:
+        tail = self.since(size)
+        for term in tail:
             del self._term_to_id[term]
         del self._id_to_term[size:]
+        return tail
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
