@@ -76,12 +76,11 @@ def _treewalk_pass(tree, queries):
 def _interval_pass(doc, queries):
     """Evaluate the workload with a cold interval engine.
 
-    Dropping the document's memoized indexes keeps the index build
+    Dropping the document's derived columns keeps the index build
     inside the timed region: the reported time is the full cost of
     going from stored columns to answered workload.
     """
-    doc._subtree_ends = None
-    doc._label_positions = None
+    doc.drop_derived()
     evaluator = IntervalEvaluator(doc)
     return [evaluator.selectivity(query) for query in queries]
 

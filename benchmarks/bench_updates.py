@@ -20,12 +20,21 @@ synopsis from the same mutated document:
   point.  Each point also reports the median maintenance latency per
   op kind and how many ops took the localized path.
 
+At asserting scales a ``paper_scale`` entry adds the paper's XMark size
+(:data:`PAPER_SCALE`, ~204k elements) on the end-to-end serve-update
+workload's op stream (records cloned beside their kind, records
+deleted, prices and names rewritten): per-kind median latency, the
+structure entries each splice rewrote, and one rebuild parity check
+after the whole stream.
+
 Results land in ``BENCH_updates.json``.
 """
 
 import gc
 import random
 import statistics
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import common
@@ -60,6 +69,12 @@ OP_SEED = 0x0BDA7E5
 #: a genuinely slow maintainer fails every retry, so the floor still
 #: gates.  The best measurement is reported.
 POINT_RETRIES = 2
+
+#: The paper's XMark document size, and the serve-update stream rounds
+#: streamed into it (each a quarter inserts, a quarter deletes and half
+#: value changes of 4 ops).
+PAPER_SCALE = 12.7
+PAPER_ROUNDS = 30
 
 
 def _sweep_point(scale, seed, op_source):
@@ -131,6 +146,52 @@ def _sweep_point(scale, seed, op_source):
     }
 
 
+def _paper_scale_point(seed):
+    """Per-kind maintenance latency on the serve-update item stream at
+    :data:`PAPER_SCALE`, checked against one rebuild at the end."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+    from workloads import make_updates, update_plan
+
+    xml = serialize(generate_xmark(PAPER_SCALE, seed).tree)
+    twin = ingest_string(xml)
+    rng = random.Random(OP_SEED)
+    ops = []
+    for _ in range(PAPER_ROUNDS):
+        ops += make_updates(twin, rng, update_plan(rng, 4))[0]
+    del twin
+    doc = ingest_string(xml)
+    maintainer = IncrementalMaintainer(doc)
+    latency = {"insert": [], "delete": [], "set_value": []}
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for op in ops:
+            started = perf_counter()
+            maintainer.apply(op)
+            latency[op.op].append(perf_counter() - started)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    rebuilt = build_reference_synopsis(doc, None, SummaryConfig())
+    stats = maintainer.stats
+    return {
+        "scale": PAPER_SCALE,
+        "elements": len(doc),
+        "updates_applied": len(ops),
+        "latency_ms": {
+            kind: round(1000 * statistics.median(samples), 3)
+            for kind, samples in latency.items()
+        },
+        "rows_relinked_per_splice": round(
+            stats.rows_relinked / (stats.inserts + stats.deletes), 1
+        ),
+        "class_passes": stats.class_passes,
+        "equivalent": synopsis_to_dict(maintainer.synopsis)
+        == synopsis_to_dict(rebuilt),
+    }
+
+
 def test_incremental_maintenance_speedup(experiment_context):
     """Maintainer vs per-update rebuild on XMark → BENCH_updates.json.
 
@@ -160,6 +221,9 @@ def test_incremental_maintenance_speedup(experiment_context):
 
     headline = points[-1]
     equivalent = all(point["equivalent"] for point in points)
+    paper = _paper_scale_point(context.config.xmark_seed) if asserting else None
+    if paper is not None:
+        equivalent = equivalent and paper["equivalent"]
     report = {
         "dataset": "xmark",
         "scale": bench_scale,
@@ -170,6 +234,8 @@ def test_incremental_maintenance_speedup(experiment_context):
         "speedup_asserted": asserting,
         "equivalent": equivalent,
     }
+    if paper is not None:
+        report["paper_scale"] = paper
     out_path = common.write_report("updates", report, "BENCH_updates.json")
     print(
         f"\nBENCH_updates: {headline['updates_applied']} ops on "
@@ -180,6 +246,12 @@ def test_incremental_maintenance_speedup(experiment_context):
         f"{headline['speedup']:.2f}x, median ms per op {headline['latency_ms']} "
         f"({out_path})"
     )
+    if paper is not None:
+        print(
+            f"paper scale: {paper['elements']} elements, median ms per op "
+            f"{paper['latency_ms']}, {paper['rows_relinked_per_splice']} rows "
+            f"relinked per splice, equivalent {paper['equivalent']}"
+        )
 
     assert equivalent, "maintained synopsis drifted from rebuild-from-scratch"
     if asserting:

@@ -361,6 +361,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     from repro.core import build_reference_synopsis
     from repro.core.serialization import synopsis_to_dict
+    from repro.xmltree.columnar import freeze
     from repro.xmltree.stats import collect_statistics
 
     started = perf_counter()
@@ -377,10 +378,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         columnar_synopsis
     )
     stats_match = collect_statistics(tree) == collect_statistics(doc)
+    frozen = freeze(tree)
+    columns_match = all(
+        getattr(doc, name) == getattr(frozen, name)
+        for name in ("parent", "first_child", "next_sibling", "post", "level")
+    )
     print(f"object-tree parse: {parse_seconds:.3f}s")
     print(f"reference synopsis parity: {'ok' if synopses_match else 'DIVERGED'}")
     print(f"statistics parity: {'ok' if stats_match else 'DIVERGED'}")
-    return 0 if synopses_match and stats_match else 1
+    print(f"column parity: {'ok' if columns_match else 'DIVERGED'}")
+    return 0 if synopses_match and stats_match and columns_match else 1
 
 
 def _read_query_log(path: str):
@@ -702,8 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--compare",
         action="store_true",
-        help="also parse the object tree and verify phase-1 parity "
-        "(exits non-zero on divergence)",
+        help="also parse the object tree and verify phase-1 and "
+        "structure-column parity (exits non-zero on divergence)",
     )
     ingest.set_defaults(handler=_cmd_ingest)
 

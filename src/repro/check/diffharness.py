@@ -516,7 +516,7 @@ class DifferentialHarness:
             return InsertSubtree(parent, position, self._fragment(rng))
         if roll < 0.40 and size > 1:  # a copy of an element, as its next sibling
             index = rng.randrange(1, size)
-            parent = doc.parent[index]
+            parent = doc.parent_of(index)
             position = list(doc.children(parent)).index(index) + 1
             return InsertSubtree(parent, position, serialize(thaw(doc, index)))
         if roll < 0.60 and size > 1:

@@ -4,8 +4,9 @@ This is the optimized twin of the tree-walk evaluator
 (:mod:`repro.query.evaluator`): it computes the same binding-tuple
 count ``s(Q)`` (paper Section 2) without touching a single
 ``XMLElement``.  The document is a :class:`ColumnarDocument`, whose
-implicit preorder index plus ``post``/``level`` columns form an XPath
-accelerator-style pre/post/level encoding: ``d`` is a descendant of
+implicit preorder index plus ``post``/``level`` (``post`` derived from
+the stored subtree sizes) form an XPath accelerator-style pre/post/level
+encoding: ``d`` is a descendant of
 ``a`` iff ``a < d`` and ``post[d] < post[a]``, and the subtree of
 ``a`` is the contiguous preorder interval ``[a, ends[a])``.
 
@@ -280,22 +281,19 @@ class IntervalEvaluator:
         return [x for x in window if parent[x] in context_set]
 
     def _children_of(self, contexts):
-        """Wildcard child step: follow the sibling links per context.
+        """Wildcard child step: step over the subtree sizes per context.
 
         Children of nested contexts interleave in preorder, so the
         concatenation is re-sorted; distinct parents cannot share a
         child, so no dedup is needed.
         """
-        first_child = self.doc.first_child
-        next_sibling = self.doc.next_sibling
+        children = self.doc.children
         out: List[int] = []
         for context in contexts:
-            child = 0 if context < 0 else first_child[context]
-            if context < 0 and not self._count:
-                child = -1
-            while child >= 0:
-                out.append(child)
-                child = next_sibling[child]
+            if context >= 0:
+                out.extend(children(context))
+            elif self._count:
+                out.append(0)  # the virtual document node's one child
         out.sort()
         return out
 

@@ -16,7 +16,6 @@ from repro.update.columnar import (
     change_value,
     delete_subtree,
     insert_subtree,
-    invalidate_derived,
 )
 from repro.update.maintainer import (
     IncrementalMaintainer,
@@ -51,7 +50,6 @@ __all__ = [
     "delete_subtree",
     "enforce_summary_budget",
     "insert_subtree",
-    "invalidate_derived",
     "parse_fragment",
     "tree_preorder",
     "update_from_dict",

@@ -171,6 +171,9 @@ class MaintainerStats:
     #: TEXT summaries encoded by updates: changed clusters, plus later
     #: ones while the shared vocabulary differs from its old state.
     text_encodes: int = 0
+    #: ``size``/``parent_gap`` entries structural ops rewrote outside
+    #: the spliced rows: the splice's ancestors and their children past it.
+    rows_relinked: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
@@ -270,31 +273,31 @@ class IncrementalMaintainer:
 
     def _ancestors(self, index: int) -> Iterator[int]:
         """``index`` and its ancestors, bottom-up."""
-        parent = self.doc.parent
+        gap = self.doc.parent_gap
         while index >= 0:
             yield index
-            index = parent[index]
+            index -= gap[index]
 
     def _rekey(self, indices: Iterable[int]) -> None:
         """Recompute the down ids of ``indices``, children before parents.
 
-        Children come from the ``first_child``/``next_sibling`` links,
-        so a re-keyed element sees its siblings' existing ids and its
+        Children are found by stepping over subtree sizes, so a
+        re-keyed element sees its siblings' existing ids and its
         re-keyed children's fresh ones.
         """
         doc = self.doc
         down = self._down
         table = self._down_table
-        first_child = doc.first_child
-        next_sibling = doc.next_sibling
+        size = doc.size
         path_ids = doc.path_ids
         kinds = doc.value_kind
         for index in indices:
             kids = []
-            child = first_child[index]
-            while child >= 0:
+            child = index + 1
+            end = index + size[index]
+            while child < end:
                 kids.append(down[child])
-                child = next_sibling[child]
+                child += size[child]
             key = subtree_key((path_ids[index] << 2) | kinds[index], kids)
             down_id = table.get(key)
             if down_id is None:
@@ -479,8 +482,9 @@ class IncrementalMaintainer:
         counts = self._aggregates[0]
         table = self._up_table
         classes = self._classes
+        gap = self.doc.parent_gap
         for index in list(self._ancestors(parent))[-2::-1]:  # the root keeps 0
-            key = (self._down[index], classes[self.doc.parent[index]])
+            key = (self._down[index], classes[index - gap[index]])
             class_id = classes[index]
             if counts[class_id] != 1 or table.get(key, class_id) != class_id:
                 return False
@@ -516,10 +520,10 @@ class IncrementalMaintainer:
             return
         if inserted:
             down = self._down
-            parent_of = self.doc.parent
+            gap = self.doc.parent_gap
             classes[at:at] = [0] * inserted
             for index in range(at, at + inserted):
-                classes[index] = table[(down[index], classes[parent_of[index]])]
+                classes[index] = table[(down[index], classes[index - gap[index]])]
         rows = classes[at:at + inserted + removed]
         del classes[at:at + removed]
         counts, _, _, edges = self._aggregates
@@ -611,20 +615,19 @@ class IncrementalMaintainer:
         doc = self.doc
         size = len(doc)
         cut_parent = (
-            doc.parent[op.index]
+            doc.parent_of(op.index)
             if isinstance(op, DeleteSubtree) and 0 < op.index < size
             else -1
         )
-        _, old_kind, new_kind = apply_update(doc, op, self.text_word_threshold)
+        relinked = doc.rows_relinked
+        at, old_kind, new_kind = apply_update(doc, op, self.text_word_threshold)
         stats = self.stats
         stats.updates_applied += 1
+        stats.rows_relinked += doc.rows_relinked - relinked
         path = "localized"
         if isinstance(op, InsertSubtree):
             stats.inserts += 1
             inserted = len(doc) - size
-            at = doc.first_child[op.parent]
-            for _ in range(op.position):
-                at = doc.next_sibling[at]
             self._down[at:at] = [0] * inserted
             self._rekey(
                 chain(range(at + inserted - 1, at - 1, -1), self._ancestors(op.parent))

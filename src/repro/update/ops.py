@@ -172,6 +172,32 @@ def parse_fragment(
     return fragment
 
 
+def insert_row(doc: ColumnarDocument, parent: int, position: int) -> int:
+    """The row an insert as child ``position`` of ``parent`` splices at.
+
+    That is the displaced child's row, or one past the parent's subtree
+    when appending.  Walks the children up to ``position`` once; raises
+    ``ValueError`` when ``parent`` or ``position`` is out of range.
+    """
+    if not 0 <= parent < len(doc):
+        raise ValueError(f"insert parent {parent} out of range")
+    size = doc.size
+    end = parent + size[parent]
+    row = parent + 1 if position >= 0 else end + 1
+    for _ in range(position):
+        if row >= end:
+            row = end + 1
+            break
+        row += size[row]
+    if row > end:
+        child_count = sum(1 for _ in doc.children(parent))
+        raise ValueError(
+            f"insert position {position} out of range "
+            f"(parent has {child_count} children)"
+        )
+    return row
+
+
 def validate_update(
     doc: ColumnarDocument, op: UpdateOp
 ) -> Optional[str]:
@@ -184,14 +210,10 @@ def validate_update(
     """
     size = len(doc)
     if isinstance(op, InsertSubtree):
-        if not 0 <= op.parent < size:
-            return f"insert parent {op.parent} out of range"
-        child_count = sum(1 for _ in doc.children(op.parent))
-        if not 0 <= op.position <= child_count:
-            return (
-                f"insert position {op.position} out of range "
-                f"(parent has {child_count} children)"
-            )
+        try:
+            insert_row(doc, op.parent, op.position)
+        except ValueError as err:
+            return str(err)
         return None
     if isinstance(op, DeleteSubtree):
         if op.index == 0:
@@ -283,6 +305,7 @@ __all__ = [
     "UpdateOp",
     "ValueChange",
     "apply_update_tree",
+    "insert_row",
     "parse_fragment",
     "tree_preorder",
     "update_from_dict",

@@ -4,15 +4,18 @@
 columns instead of one Python object per element:
 
 * ``labels`` — interned label ids into ``label_table``;
-* ``parent`` / ``first_child`` / ``next_sibling`` — ``array('i')``
-  structure columns encoding the tree (-1 is the null link), which make
-  both parent-chasing and subtree scans cache-friendly array walks;
-* ``post`` / ``level`` — post-order ranks and root-distance depths,
-  completing the *pre/post/level* interval encoding of the XPath
-  accelerator: together with the implicit preorder index they make
-  descendant-or-self a pair of integer comparisons (``a <= d`` and
-  ``post[d] <= post[a]``), which the interval join engine of
-  :mod:`repro.query.interval` exploits for exact twig evaluation;
+* ``size`` / ``parent_gap`` / ``level`` — ``array('i')`` structure
+  columns: the subtree size (self included), the distance back to the
+  parent (``i - parent``; the root holds 1, so its parent reads -1), and
+  the root distance.  Every entry is relative to its own row, so a
+  splice rewrites only its ancestors' sizes and the gaps of their
+  children past it (:mod:`repro.update.columnar`);
+* ``parent`` / ``first_child`` / ``next_sibling`` / ``post`` — the
+  absolute links and post-order ranks of the *pre/post/level* interval
+  encoding, available per row in O(1) (:meth:`ColumnarDocument.
+  parent_of` and friends) and as lazily derived, cached columns for
+  bulk readers such as the interval join engine of
+  :mod:`repro.query.interval`.  A mutation drops the caches;
 * ``path_ids`` — interned root-to-element label-path ids; the path table
   itself is columnar (``path_parent`` / ``path_label``), so a document
   with millions of elements stores each distinct path once;
@@ -39,6 +42,7 @@ element, which ``tests/test_columnar.py`` pins down.
 from __future__ import annotations
 
 from array import array
+from operator import add, sub
 from typing import (
     Dict,
     Iterable,
@@ -96,16 +100,14 @@ class ColumnarDocument:
         "label_table",
         "label_index",
         "labels",
-        "parent",
-        "first_child",
-        "next_sibling",
-        "post",
+        "size",
+        "parent_gap",
         "level",
-        "_subtree_ends",
-        "_label_positions",
+        "_derived",
         "path_ids",
         "path_parent",
         "path_label",
+        "_path_index",
         "_path_tuples",
         "value_kind",
         "value_ref",
@@ -115,6 +117,7 @@ class ColumnarDocument:
         "text_values",
         "term_table",
         "term_index",
+        "rows_relinked",
     )
 
     def __init__(self) -> None:
@@ -122,24 +125,23 @@ class ColumnarDocument:
         self.label_table: List[str] = []
         self.label_index: Dict[str, int] = {}
         self.labels = array("i")
-        self.parent = array("i")
-        self.first_child = array("i")
-        self.next_sibling = array("i")
-        #: Post-order rank and root-distance depth per element.  With the
-        #: implicit preorder index these form the pre/post/level interval
-        #: encoding: ``d`` is in the subtree of ``a`` iff ``a <= d`` and
-        #: ``post[d] <= post[a]``.
-        self.post = array("i")
+        #: Subtree size (self included), distance back to the parent
+        #: (the root holds 1) and root distance per element.  The
+        #: subtree of ``i`` is exactly ``range(i, i + size[i])``.
+        self.size = array("i")
+        self.parent_gap = array("i")
         self.level = array("i")
-        #: Lazily built interval-join indexes (immutable documents only).
-        self._subtree_ends: Optional[array] = None
-        self._label_positions: Optional[List[array]] = None
+        #: Lazily derived bulk columns by name (:meth:`_derive`),
+        #: dropped by every mutation (:meth:`drop_derived`).
+        self._derived: Dict[str, object] = {}
         #: Per-element interned path ids; the path table is itself
         #: columnar: ``path_parent[p]`` is the path id of the prefix and
         #: ``path_label[p]`` the last label id (-1 parent for roots).
+        #: Append-only, so its intern map lives as long as the document.
         self.path_ids = array("i")
         self.path_parent = array("i")
         self.path_label = array("i")
+        self._path_index: Dict[Tuple[int, int], int] = {}
         self._path_tuples: Dict[int, Tuple[str, ...]] = {}
         self.value_kind = array("b")
         self.value_ref = array("i")
@@ -155,6 +157,9 @@ class ColumnarDocument:
         self.text_values: List = []
         self.term_table: List[str] = []
         self.term_index: Dict[str, int] = {}
+        #: ``size``/``parent_gap`` entries rewritten by splices (outside
+        #: the spliced rows themselves): the work counter of updates.
+        self.rows_relinked = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -165,6 +170,15 @@ class ColumnarDocument:
             self.label_index[label] = lid
             self.label_table.append(label)
         return lid
+
+    def _path_id(self, parent_path_id: int, label_id: int) -> int:
+        key = (parent_path_id, label_id)
+        pid = self._path_index.get(key)
+        if pid is None:
+            pid = self._path_index[key] = len(self.path_parent)
+            self.path_parent.append(parent_path_id)
+            self.path_label.append(label_id)
+        return pid
 
     # -- per-element accessors ---------------------------------------------
 
@@ -222,12 +236,25 @@ class ColumnarDocument:
         """The root-to-element label path of element ``index``."""
         return self.path_tuple(self.path_ids[index])
 
-    def children(self, index: int) -> Iterator[int]:
-        """Child indexes of element ``index`` in document order."""
-        child = self.first_child[index]
-        while child >= 0:
-            yield child
-            child = self.next_sibling[child]
+    def parent_of(self, index: int) -> int:
+        """The parent row of element ``index`` (-1 at the root)."""
+        return index - self.parent_gap[index]
+
+    def first_child_of(self, index: int) -> int:
+        """The first child row of element ``index``, or -1 for a leaf."""
+        return index + 1 if self.size[index] > 1 else -1
+
+    def next_sibling_of(self, index: int) -> int:
+        """The next sibling row of element ``index``, or -1 for a last child."""
+        sibling = index + self.size[index]
+        parent = index - self.parent_gap[index]
+        return sibling if parent >= 0 and sibling < parent + self.size[parent] else -1
+
+    def post_of(self, index: int) -> int:
+        """The post-order rank of element ``index``: the rows that close
+        before it are its descendants and every earlier row but its
+        ``level`` ancestors."""
+        return index + self.size[index] - 1 - self.level[index]
 
     def subtree_end(self, index: int) -> int:
         """One past the last preorder index of the subtree at ``index``.
@@ -236,50 +263,89 @@ class ColumnarDocument:
         the subtree of ``index`` is exactly ``range(index,
         subtree_end(index))``.
         """
-        sibling = self.next_sibling[index]
-        if sibling >= 0:
-            return sibling
-        node = self.parent[index]
-        while node >= 0:
-            sibling = self.next_sibling[node]
-            if sibling >= 0:
-                return sibling
-            node = self.parent[node]
-        return len(self.labels)
+        return index + self.size[index]
+
+    def children(self, index: int) -> Iterator[int]:
+        """Child indexes of element ``index`` in document order."""
+        size = self.size
+        end = index + size[index]
+        child = index + 1
+        while child < end:
+            yield child
+            child += size[child]
 
     def is_descendant(self, index: int, ancestor: int) -> bool:
         """Whether ``index`` lies in the proper subtree of ``ancestor``.
 
-        Two integer comparisons over the pre/post encoding — no pointer
+        Two integer comparisons over the subtree range — no pointer
         chasing, O(1).
         """
-        return ancestor < index and self.post[index] < self.post[ancestor]
+        return ancestor < index < ancestor + self.size[ancestor]
+
+    # -- derived bulk columns ----------------------------------------------
+
+    def _derive(self, name: str):
+        """Compute one bulk column from the stored ones (see
+        :meth:`_cached`).  The per-row accessors define every value;
+        ``parent`` and ``subtree_ends``, which builds and the interval
+        engine read, are mapped in C."""
+        rows = range(len(self.labels))
+        if name == "parent":
+            return array("i", map(sub, rows, self.parent_gap))
+        if name == "subtree_ends":
+            return array("i", map(add, rows, self.size))
+        if name == "label_positions":
+            positions = [array("i") for _ in self.label_table]
+            appends = [column.append for column in positions]
+            for index, label_id in enumerate(self.labels):
+                appends[label_id](index)
+            return positions
+        accessor = getattr(self, name + "_of")
+        return array("i", map(accessor, rows))
+
+    def _cached(self, name: str):
+        column = self._derived.get(name)
+        if column is None:
+            column = self._derived[name] = self._derive(name)
+        return column
+
+    def drop_derived(self) -> None:
+        """Forget the derived columns; a mutation calls this, since they
+        are keyed by preorder index and label id.  The path-tuple memo
+        survives: the path table is append-only."""
+        self._derived.clear()
+
+    parent = property(
+        lambda self: self._cached("parent"),
+        doc="Parent index per element (-1 at the root), derived and cached.",
+    )
+    first_child = property(
+        lambda self: self._cached("first_child"),
+        doc="First-child index per element (-1 for leaves), derived and cached.",
+    )
+    next_sibling = property(
+        lambda self: self._cached("next_sibling"),
+        doc="Next-sibling index per element (-1 for last children), "
+        "derived and cached.",
+    )
+    post = property(
+        lambda self: self._cached("post"),
+        doc="Post-order rank per element, derived and cached.  With the "
+        "preorder index and ``level`` it forms the pre/post interval "
+        "encoding: ``d`` is in the subtree of ``a`` iff ``a <= d`` and "
+        "``post[d] <= post[a]``.",
+    )
 
     def subtree_ends(self) -> array:
-        """The cached subtree-end column: ``ends[i]`` is one past the
-        last preorder index of the subtree at ``i``.
+        """The subtree-end column: ``ends[i]`` is one past the last
+        preorder index of the subtree at ``i``.
 
         The subtree of ``i`` is exactly ``range(i, ends[i])``, so
         bisecting a sorted preorder array against ``(i, ends[i])``
-        yields the descendant window of ``i``.  Built once per document
-        in a single stack pass over the ``level`` column; documents are
-        immutable after construction, so the cache never invalidates.
+        yields the descendant window of ``i``.  Derived in one C-level
+        pass over ``size`` and cached until the next mutation.
         """
-        ends = self._subtree_ends
-        if ends is None:
-            count = len(self.labels)
-            ends = array("i", [count]) * count if count else array("i")
-            level = self.level
-            stack: List[int] = []
-            for index in range(count):
-                depth = level[index]
-                while stack and level[stack[-1]] >= depth:
-                    ends[stack.pop()] = index
-                stack.append(index)
-            # Whatever remains open runs to the end of the document and
-            # keeps the initialized value ``count``.
-            self._subtree_ends = ends
-        return ends
+        return self._cached("subtree_ends")
 
     def label_positions(self) -> List[array]:
         """Per-label sorted preorder index arrays (cached).
@@ -289,14 +355,7 @@ class ColumnarDocument:
         accelerator relation the interval join engine bisects its
         descendant windows into.  Built in one pass over ``labels``.
         """
-        positions = self._label_positions
-        if positions is None:
-            positions = [array("i") for _ in self.label_table]
-            appends = [column.append for column in positions]
-            for index, label_id in enumerate(self.labels):
-                appends[label_id](index)
-            self._label_positions = positions
-        return positions
+        return self._cached("label_positions")
 
     def cursor(self, index: int = 0) -> "ColumnarCursor":
         """An object-like navigator positioned on element ``index``."""
@@ -323,10 +382,8 @@ class ColumnarDocument:
         total = 0
         for column in (
             self.labels,
-            self.parent,
-            self.first_child,
-            self.next_sibling,
-            self.post,
+            self.size,
+            self.parent_gap,
             self.level,
             self.path_ids,
             self.path_parent,
@@ -380,7 +437,7 @@ class ColumnarCursor:
 
     def parent(self) -> Optional["ColumnarCursor"]:
         """A cursor on the parent element, or ``None`` at the root."""
-        parent = self.doc.parent[self.index]
+        parent = self.doc.parent_of(self.index)
         return ColumnarCursor(self.doc, parent) if parent >= 0 else None
 
     def children(self) -> Iterator["ColumnarCursor"]:
@@ -461,83 +518,6 @@ def _store_text_terms(
     doc.text_values.append(tuple(ids))
 
 
-def _append_node(
-    doc: ColumnarDocument,
-    label_id: int,
-    parent_index: int,
-    last_child: array,
-) -> int:
-    """Append one element row, linking it into the structure columns."""
-    index = len(doc.labels)
-    doc.labels.append(label_id)
-    doc.parent.append(parent_index)
-    doc.first_child.append(-1)
-    doc.next_sibling.append(-1)
-    # Post-order ranks need the whole subtree; the builder backfills
-    # them afterwards (:func:`_fill_postorder`).
-    doc.post.append(-1)
-    doc.level.append(doc.level[parent_index] + 1 if parent_index >= 0 else 0)
-    doc.value_kind.append(KIND_NULL)
-    doc.value_ref.append(-1)
-    last_child.append(-1)
-    if parent_index >= 0:
-        previous = last_child[parent_index]
-        if previous >= 0:
-            doc.next_sibling[previous] = index
-        else:
-            doc.first_child[parent_index] = index
-        last_child[parent_index] = index
-    return index
-
-
-def _intern_path(
-    doc: ColumnarDocument, parent_path_id: int, label_id: int,
-    path_index: Dict[Tuple[int, int], int],
-) -> int:
-    key = (parent_path_id, label_id)
-    pid = path_index.get(key)
-    if pid is None:
-        pid = len(doc.path_parent)
-        path_index[key] = pid
-        doc.path_parent.append(parent_path_id)
-        doc.path_label.append(label_id)
-    return pid
-
-
-def _fill_postorder(doc: ColumnarDocument) -> None:
-    """Backfill the ``post`` column of a structurally complete document.
-
-    :func:`from_events` assigns post-order ranks inline as elements
-    close; tree-built documents (:func:`freeze`) only know the full
-    structure after the walk, so ranks are derived here with an
-    explicit-stack post-order traversal over the structure columns.
-    The two routes are bit-identical — pinned by the freeze-vs-ingest
-    column test.
-    """
-    if not len(doc.labels):
-        return
-    post = doc.post
-    first_child = doc.first_child
-    next_sibling = doc.next_sibling
-    rank = 0
-    #: (element, children already expanded?) frames.
-    stack: List[Tuple[int, bool]] = [(0, False)]
-    while stack:
-        index, expanded = stack.pop()
-        if expanded:
-            post[index] = rank
-            rank += 1
-            continue
-        stack.append((index, True))
-        children = []
-        child = first_child[index]
-        while child >= 0:
-            children.append(child)
-            child = next_sibling[child]
-        for child in reversed(children):
-            stack.append((child, False))
-
-
 def from_events(
     events: Iterable[XMLEvent],
     type_map: Optional[Mapping[TypeKey, ValueType]] = None,
@@ -552,29 +532,23 @@ def from_events(
 
     This is the ingest hot loop: every column, intern table, and stack
     is bound to a local, and node/path appends are inlined rather than
-    routed through :func:`_append_node` / :func:`_intern_path` (which
-    remain the readable single-node reference used by :func:`freeze`).
-    The stored columns are bit-identical either way — pinned by the
-    freeze-vs-ingest equality test.
+    routed through :meth:`ColumnarDocument._path_id` (the single-node
+    reference used by :func:`freeze`).  The stored columns are
+    bit-identical either way — pinned by the freeze-vs-ingest equality
+    test.
     """
     type_map = type_map or {}
     doc = ColumnarDocument()
-    path_index: Dict[Tuple[int, int], int] = {}
-    #: Per-element last-child index, for sibling linking during the pass.
-    last_child = array("i")
+    path_index = doc._path_index
     #: Open-element stacks: node index, path id, buffered text chunks.
     open_nodes: List[int] = []
     open_pids: List[int] = []
     open_text: List[List[str]] = []
 
     labels_col = doc.labels
-    parent_col = doc.parent
-    first_child = doc.first_child
-    next_sibling = doc.next_sibling
-    post_col = doc.post
+    size_col = doc.size
+    gap_col = doc.parent_gap
     level_col = doc.level
-    #: Next post-order rank; attributes close instantly, elements at END.
-    post_rank = 0
     path_ids = doc.path_ids
     path_parent = doc.path_parent
     path_label = doc.path_label
@@ -606,23 +580,16 @@ def from_events(
                 label_table.append(label)
             index = len(labels_col)
             labels_col.append(label_id)
-            parent_col.append(parent_index)
-            first_child.append(-1)
-            next_sibling.append(-1)
+            # An attribute is a childless leaf, so its size is final;
+            # an element's is written when it closes.
+            size_col.append(1)
+            gap_col.append(index - parent_index)
             # Depth equals the open-element count for both kinds: a new
             # element is not yet on the stack, and an attribute hangs
             # off the stack top.
             level_col.append(len(open_nodes))
             value_kind.append(KIND_NULL)
             value_ref.append(-1)
-            last_child.append(-1)
-            if parent_index >= 0:
-                previous = last_child[parent_index]
-                if previous >= 0:
-                    next_sibling[previous] = index
-                else:
-                    first_child[parent_index] = index
-                last_child[parent_index] = index
             key = (parent_pid, label_id)
             pid = path_index.get(key)
             if pid is None:
@@ -632,22 +599,16 @@ def from_events(
                 path_label.append(label_id)
             path_ids.append(pid)
             if kind is START or kind == START:
-                post_col.append(-1)
                 open_nodes.append(index)
                 open_pids.append(pid)
                 open_text.append([])
             else:
-                # An attribute is a childless leaf: it closes the moment
-                # it opens, so its post-order rank is assigned inline.
-                post_col.append(post_rank)
-                post_rank += 1
                 value_kind[index] = KIND_STRING
                 value_ref[index] = len(string_values)
                 string_values.append(event[2])
         elif kind is END or kind == END:
             index = open_nodes.pop()
-            post_col[index] = post_rank
-            post_rank += 1
+            size_col[index] = len(labels_col) - index
             pid = open_pids.pop()
             chunks = open_text.pop()
             if chunks:
@@ -771,19 +732,27 @@ def freeze(tree: XMLTree) -> ColumnarDocument:
     re-typing); the preorder of the columns matches ``tree.root.iter()``.
     """
     doc = ColumnarDocument()
-    path_index: Dict[Tuple[int, int], int] = {}
-    last_child = array("i")
     stack: List[Tuple[XMLElement, int, int]] = [(tree.root, -1, -1)]
     while stack:
         element, parent_index, parent_pid = stack.pop()
         label_id = doc._label_id(element.label)
-        index = _append_node(doc, label_id, parent_index, last_child)
-        pid = _intern_path(doc, parent_pid, label_id, path_index)
+        index = len(doc.labels)
+        doc.labels.append(label_id)
+        doc.size.append(1)
+        doc.parent_gap.append(index - parent_index)
+        doc.level.append(doc.level[parent_index] + 1 if parent_index >= 0 else 0)
+        doc.value_kind.append(KIND_NULL)
+        doc.value_ref.append(-1)
+        pid = doc._path_id(parent_pid, label_id)
         doc.path_ids.append(pid)
         _store_value(doc, index, element.value)
         for child in reversed(element.children):
             stack.append((child, index, pid))
-    _fill_postorder(doc)
+    # Children follow their parents in preorder, so one backward pass
+    # has every subtree complete before it is added to its parent's.
+    size, gap = doc.size, doc.parent_gap
+    for index in range(len(size) - 1, 0, -1):
+        size[index - gap[index]] += size[index]
     return doc
 
 
@@ -793,10 +762,9 @@ def thaw(doc: ColumnarDocument, root: int = 0) -> XMLTree:
     if not len(doc):
         raise ValueError("cannot thaw an empty ColumnarDocument")
     elements: List[XMLElement] = []
-    parent_column = doc.parent
     for index in range(root, doc.subtree_end(root)):
         element = XMLElement(doc.label(index), doc.value(index))
         if index > root:
-            elements[parent_column[index] - root].append_child(element)
+            elements[doc.parent_of(index) - root].append_child(element)
         elements.append(element)
     return XMLTree(elements[0])
