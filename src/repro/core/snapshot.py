@@ -170,8 +170,8 @@ def _encode_pst(summary: StringSummary, out: bytearray) -> int:
     tree = summary.pst
     counts = tree.counts
     out += _PST_HEAD.pack(tree.max_depth, tree.string_count, len(counts))
-    # Pre-order, each parent's children in trie order, so the decoder
-    # rebuilds the same per-parent order (and thus the same bytes).
+    # Pre-order, each parent's children sorted by symbol, so the bytes
+    # depend on the counts alone.
     child_lists = tree.child_lists()
     stack = list(reversed(child_lists.get("", ())))
     nodes = 0

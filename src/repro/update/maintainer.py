@@ -84,9 +84,11 @@ from repro.core.reference import (
 )
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.update.columnar import apply_update
-from repro.update.ops import DeleteSubtree, InsertSubtree, UpdateOp
+from repro.update.ops import DeleteSubtree, InsertSubtree, UpdateOp, ValueChange
 from repro.values.ebth import EndBiasedTermHistogram
+from repro.values.kernels.pst import PSTPruneKernel
 from repro.values.kernels.queue import make_stepper
+from repro.values.pst import PrunedSuffixTree
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
@@ -98,6 +100,7 @@ from repro.values.summary import (
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.xmltree.columnar import (
     KIND_NULL,
+    KIND_STRING,
     KIND_TEXT,
     KIND_TO_TYPE,
     ColumnarDocument,
@@ -174,6 +177,9 @@ class MaintainerStats:
     #: ``size``/``parent_gap`` entries structural ops rewrote outside
     #: the spliced rows: the splice's ancestors and their children past it.
     rows_relinked: int = 0
+    #: STRING summaries re-pruned from stored counts plus the strings
+    #: that entered or left the cluster, instead of re-counted.
+    string_deltas: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
@@ -238,6 +244,9 @@ class IncrementalMaintainer:
         #: vocabulary size before each one (plus the final size).
         self._text: List[Tuple[int, TermCentroid]] = []
         self._vocab_marks: List[int] = [0]
+        #: STRING class id -> the substring counts pruning dropped from
+        #: its summary's PST; with the kept ones, the full counts.
+        self._dropped: Dict[int, Dict[str, int]] = {}
 
         #: The down column (preorder, spliced like the document's) and
         #: its key -> id table; ids are never reused, and the table is
@@ -326,13 +335,50 @@ class IncrementalMaintainer:
                 values[classes[index]].append(value_of(index))
         return values
 
-    def _summary(self, vtype: ValueType, vals: list) -> ValueSummary:
-        """The NUMERIC/STRING summary a rebuild would attach."""
+    def _summary(self, key: int, vtype: ValueType, vals: list) -> ValueSummary:
+        """The NUMERIC/STRING summary a rebuild would attach to ``key``."""
         self.stats.summaries_built += 1
+        if vtype is ValueType.STRING:
+            return self._prune(
+                key, PrunedSuffixTree.from_strings(vals, self._config.pst_max_depth)
+            )
         return enforce_summary_budget(
             build_summary(vtype, vals, self._config),
             self.max_summary_bytes,
         )
+
+    def _prune(self, key: int, tree: PrunedSuffixTree) -> ValueSummary:
+        """The STRING summary a rebuild would attach to ``key``, pruned
+        from ``tree``'s full counts; what pruning (and the budget)
+        dropped becomes ``key``'s ``_dropped`` entry.  Pruning ranks by
+        a total key, so the kept set does not depend on dict order."""
+        removed: List[Tuple[int, str]] = []
+        excess = tree.node_count - self._config.pst_node_cap(tree.string_count)
+        if excess > 0:
+            PSTPruneKernel(tree).prune(excess, removed)
+        dropped = {substring: -negative for negative, substring in removed}
+        summary = enforce_summary_budget(StringSummary(tree), self.max_summary_bytes)
+        if summary.pst is not tree:  # the budget pruned a copy further
+            kept = summary.pst.counts
+            dropped.update(item for item in tree.counts.items() if item[0] not in kept)
+        self._dropped[key] = dropped
+        return summary
+
+    def _reprune(
+        self, key: int, summary: StringSummary, dropped: Dict[str, int], delta: Counter
+    ) -> ValueSummary:
+        """``key``'s STRING summary after ``delta`` (string -> copies
+        that entered, negative when they left), from its full counts:
+        the kept ones plus ``dropped``."""
+        self.stats.string_deltas += 1
+        tree = summary.pst.copy()
+        tree.counts.update(dropped)
+        for string, times in delta.items():
+            if times > 0:
+                tree.insert_string(string, times)
+            elif times < 0:
+                tree.remove_string(string, -times)
+        return self._prune(key, tree)
 
     def _encode_text(self, centroid: TermCentroid) -> ValueSummary:
         """A TEXT summary over the current vocabulary state."""
@@ -360,13 +406,20 @@ class IncrementalMaintainer:
         summary from ``old_nodes`` (the pre-update node table).
         """
         return materialize_synopsis(
-            self._aggregates, self._summaries(image, old_nodes), self._classes[0]
+            self._aggregates, self._summaries(image, old_nodes, {}), self._classes[0]
         )
 
     def _summaries(
-        self, image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
+        self,
+        image: Dict[int, int],
+        old_nodes: Dict[int, SynopsisNode],
+        deltas: Dict[int, Counter],
     ) -> Dict[int, ValueSummary]:
-        """Every summarized class's summary, for :meth:`_assemble`."""
+        """Every summarized class's summary, for :meth:`_assemble`.
+
+        Outside ``image``, a STRING cluster with stored counts and a
+        ``deltas`` entry is re-pruned; the others are built from values.
+        """
         classes = self._classes
         node_vtypes = self._aggregates[2]
         node_paths = self._class_paths
@@ -376,8 +429,12 @@ class IncrementalMaintainer:
             for key, vtype in node_vtypes.items()
             if vtype is not ValueType.NULL and wanted(node_paths[key])
         ]
+        old_dropped = self._dropped
+        self._dropped = dropped = {}
+        deltas = {key: delta for key, delta in deltas.items() if key in old_dropped}
         values = self._gather(
-            classes, [key for key in summarized if key not in image]
+            classes,
+            [key for key in summarized if key not in image and key not in deltas],
         )
 
         stats = self.stats
@@ -391,11 +448,17 @@ class IncrementalMaintainer:
         for key in summarized:
             source = image.get(key)
             if node_vtypes[key] is not ValueType.TEXT:
-                if source is None:
-                    summaries[key] = self._summary(node_vtypes[key], values[key])
-                else:
+                if source is not None:
                     summaries[key] = old_nodes[source].vsumm
                     stats.summaries_reused += 1
+                    if source in old_dropped:
+                        dropped[key] = old_dropped[source]
+                elif key in deltas:
+                    summaries[key] = self._reprune(
+                        key, old_nodes[key].vsumm, old_dropped[key], deltas[key]
+                    )
+                else:
+                    summaries[key] = self._summary(key, node_vtypes[key], values[key])
                 continue
             position = len(text)
             if (
@@ -493,12 +556,15 @@ class IncrementalMaintainer:
             self._class_key[class_id] = key
         return True
 
-    def _localized(self, at: int, inserted: int, removed: int, parent: int) -> None:
+    def _localized(
+        self, at: int, inserted: int, removed: int, parent: int, cut: Dict[int, Counter]
+    ) -> None:
         """Move the classes after a splice under ``parent``, then assemble.
 
-        Old rows ``[at, at + removed)`` were cut or new rows ``[at, at +
-        inserted)`` spliced in, and the rows' and ancestors' down ids
-        re-keyed.  When the splice root's class has a member before
+        Old rows ``[at, at + removed)`` were cut (``cut`` holds their
+        STRING deltas) or new rows ``[at, at + inserted)`` spliced in,
+        and the rows' and ancestors' down ids re-keyed.  When the splice
+        root's class has a member before
         ``at``, that member's subtree is isomorphic to the splice and
         lies wholly before it, so every spliced row's class exists
         before ``at`` and no class appears, empties or reorders: the
@@ -531,7 +597,7 @@ class IncrementalMaintainer:
         for key in rows:
             counts[key] += sign
             edges[(self._class_key[key][1], key)] += sign
-        self._reassemble(set(rows))
+        self._reassemble(set(rows), self._string_deltas(at, at + inserted, 1, cut))
 
     def _reclassify(self, at: int, inserted: int, removed: int, touched: int) -> None:
         """Whole-document up pass, image matching, and assembly.
@@ -561,18 +627,19 @@ class IncrementalMaintainer:
             image.pop(classes[touched], None)
         self._graft(self._assemble(image, self.synopsis.nodes))
 
-    def _reassemble(self, changed: Set[int]) -> None:
+    def _reassemble(self, changed: Set[int], deltas: Dict[int, Counter]) -> None:
         """Patch the live nodes after an update that moved no class.
 
         Every cluster but ``changed`` keeps its summary (TEXT ones up to
-        re-encoding).  Edges neither appear nor vanish, so the
+        re-encoding); ``deltas`` holds the STRING values that entered
+        or left changed clusters.  Edges neither appear nor vanish, so the
         ``changed`` nodes take their new counts, child averages and
         parent edge entries in place, in a rebuild's float arithmetic.
         """
         counts, _, _, edges = self._aggregates
         nodes = self.synopsis.nodes
         image = {key: key for key in counts if key not in changed}
-        for key, summary in self._summaries(image, nodes).items():
+        for key, summary in self._summaries(image, nodes, deltas).items():
             nodes[key].vsumm = summary
         for key in changed:
             node = nodes[key]
@@ -583,12 +650,14 @@ class IncrementalMaintainer:
                 parent = self._class_key[key][1]
                 nodes[parent].children[key] = edges[(parent, key)] / counts[parent]
 
-    def _refresh_cluster(self, index: int) -> None:
+    def _refresh_cluster(self, index: int, cut: Dict[int, Counter]) -> None:
         """Rebuild the one summary of the cluster holding ``index``.
 
         Only reachable for same-kind NUMERIC/STRING changes: the
         partition cannot have moved (classes ignore values), so the
-        dirty region is exactly this cluster's value list.
+        dirty region is exactly this cluster's value list.  A STRING
+        cluster with stored counts is re-pruned from them, the old value
+        (``cut``) leaving and the new one entering, reading no others.
         """
         doc = self.doc
         # All class members share one label path and one kind (the
@@ -597,10 +666,26 @@ class IncrementalMaintainer:
             return
         classes = self._classes
         key = classes[index]
+        node = self.synopsis.nodes[key]
+        delta = self._string_deltas(index, index + 1, 1, cut).get(key)
+        if delta is not None and key in self._dropped:
+            node.vsumm = self._reprune(key, node.vsumm, self._dropped[key], delta)
+            return
         vals = list(map(doc.value, _members(classes, key)))
-        self.synopsis.nodes[key].vsumm = self._summary(
-            KIND_TO_TYPE[doc.value_kind[index]], vals
-        )
+        node.vsumm = self._summary(key, KIND_TO_TYPE[doc.value_kind[index]], vals)
+
+    def _string_deltas(
+        self, start: int, stop: int, sign: int, deltas: Dict[int, Counter]
+    ) -> Dict[int, Counter]:
+        """Add ``sign`` for each STRING value of rows ``[start, stop)``
+        to its class's entry in ``deltas`` (class -> string -> copies)."""
+        doc = self.doc
+        kinds = doc.value_kind
+        for row in range(start, stop):
+            if kinds[row] == KIND_STRING:
+                delta = deltas.setdefault(self._classes[row], Counter())
+                delta[doc.value(row)] += sign
+        return deltas
 
     # -- the update entry point --------------------------------------------
 
@@ -619,6 +704,12 @@ class IncrementalMaintainer:
             if isinstance(op, DeleteSubtree) and 0 < op.index < size
             else -1
         )
+        # STRING values leaving the document, read before the splice.
+        cut: Dict[int, Counter] = {}
+        if cut_parent >= 0:
+            self._string_deltas(op.index, op.index + doc.size[op.index], -1, cut)
+        elif isinstance(op, ValueChange) and 0 <= op.index < size:
+            self._string_deltas(op.index, op.index + 1, -1, cut)
         relinked = doc.rows_relinked
         at, old_kind, new_kind = apply_update(doc, op, self.text_word_threshold)
         stats = self.stats
@@ -632,13 +723,13 @@ class IncrementalMaintainer:
             self._rekey(
                 chain(range(at + inserted - 1, at - 1, -1), self._ancestors(op.parent))
             )
-            self._localized(at, inserted, 0, op.parent)
+            self._localized(at, inserted, 0, op.parent, cut)
         elif isinstance(op, DeleteSubtree):
             stats.deletes += 1
             removed = size - len(doc)
             del self._down[op.index:op.index + removed]
             self._rekey(self._ancestors(cut_parent))
-            self._localized(op.index, 0, removed, cut_parent)
+            self._localized(op.index, 0, removed, cut_parent, cut)
         else:
             stats.value_changes += 1
             if old_kind != new_kind:
@@ -646,13 +737,13 @@ class IncrementalMaintainer:
                 self._reclassify(0, 0, 0, op.index)
             elif new_kind == KIND_TEXT:
                 stats.text_reencodes += 1
-                self._reassemble({self._classes[op.index]})
+                self._reassemble({self._classes[op.index]}, {})
             elif new_kind == KIND_NULL:
                 # NULL -> NULL: the document is untouched semantically.
                 path = "noop"
             else:
                 path = "summary-local"
-                self._refresh_cluster(op.index)
+                self._refresh_cluster(op.index, cut)
                 stats.fast_path_updates += 1
         if path == "localized":
             stats.localized_updates += 1

@@ -133,6 +133,10 @@ class EndBiasedTermHistogram:
                 ``None`` retains all (the detailed reference form).
         """
         weights = centroid.weights
+        # New terms take ids in sorted order, never in ``weights`` order,
+        # which follows set iteration and so the hash seed; the second
+        # call only reads the ids back, in ``weights`` order.
+        vocabulary.intern_all(sorted(weights))
         ids = vocabulary.intern_all(weights)
         # (-weight, id) pairs sort without a key function; negation is
         # exact, and so is a sum of negated weights.

@@ -117,13 +117,10 @@ class KernelPSTStepper(SummaryStepper):
     def __init__(self, summary: StringSummary) -> None:
         super().__init__(summary)
         self._working = summary.pst.copy()
-        #: The working trie's starting order.  Pruning only deletes
-        #: keys, so every later state is this dict filtered to the
-        #: surviving keys, which is what a rollback rebuilds.
-        self._initial = dict(self._working.counts)
         self._kernel: Optional[PSTPruneKernel] = PSTPruneKernel(self._working)
         self._ranked = sorted(
-            (-count, substring) for substring, count in self._initial.items()
+            (-count, substring)
+            for substring, count in self._working.counts.items()
         )
         #: ``(-count, substring)`` pruned by the last advance, in prune
         #: order, and the summary it continued from.
@@ -155,9 +152,8 @@ class KernelPSTStepper(SummaryStepper):
         """Undo the last advance: the working trie, the ranked list and
         ``expected`` return to their prior state.
 
-        Re-inserting the pruned keys would append them after their
-        surviving siblings, so the trie is rebuilt from the starting
-        order instead, restoring every parent's child order.  The prune
+        The pruned keys are re-inserted with their counts (dict order
+        carries no meaning, see :mod:`repro.values.pst`).  The prune
         queue has moved past the restored trie, so it is reseeded on
         the next advance; the greedy prune sequence is a fixed point of
         the trie, so the chain continues unchanged.
@@ -165,14 +161,10 @@ class KernelPSTStepper(SummaryStepper):
         removed = self._removed
         if removed is None:
             return
-        alive = self._working.counts
-        restored = {substring for _, substring in removed}
-        self._working.counts = {
-            substring: count
-            for substring, count in self._initial.items()
-            if substring in alive or substring in restored
-        }
+        counts = self._working.counts
         for key in removed:
+            negative, substring = key
+            counts[substring] = -negative
             insort(self._ranked, key)
         self._removed = None
         self._kernel = None

@@ -21,14 +21,15 @@ queries on absent symbols estimate to exactly zero), and compression
 difference between a leaf's exact count and the Markovian estimate the
 remaining tree would produce for it.
 
-The trie is stored flat, as one insertion-ordered ``substring → count``
-dict with no node objects.  A trie is prefix-closed, so the parent of
-node ``s`` is ``s[:-1]`` (the root, ``""``, carries ``string_count``)
-and its children are the indexed substrings one symbol longer.
-Restricted to the children of one parent, dict order is the order the
-children were first inserted — the trie's child order, which the
-encoders emit (:meth:`PrunedSuffixTree.child_lists`).  A dict holding
-only ``str`` and ``int`` is never tracked by the garbage collector.
+The trie is stored flat, as one ``substring → count`` dict with no
+node objects.  A trie is prefix-closed, so the parent of node ``s`` is
+``s[:-1]`` (the root, ``""``, carries ``string_count``) and its
+children are the indexed substrings one symbol longer.  Dict order
+carries no meaning: the encoders and the sampler read each parent's
+children sorted by symbol (:meth:`PrunedSuffixTree.child_lists`), and
+pruning ranks by a total key, so a tree's bytes and behaviour depend on
+its counts alone.  A dict holding only ``str`` and ``int`` is never
+tracked by the garbage collector.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class PrunedSuffixTree:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
-        #: Indexed substring -> document frequency (prefix-closed; see
-        #: the module docstring for the order invariant).
+        #: Indexed substring -> document frequency (prefix-closed).
         self.counts: Dict[str, int] = {}
         #: Number of strings summarized (the root count).
         self.string_count = 0
@@ -65,8 +65,7 @@ class PrunedSuffixTree:
     ) -> "PrunedSuffixTree":
         """Build a PST by inserting every substring (up to ``max_depth``)
         of every string, then optionally pruning down to ``max_nodes``.
-        Each distinct string is inserted once, with its multiplicity: a
-        repeat adds no key, so order and counts stay the same."""
+        Each distinct string is inserted once, with its multiplicity."""
         tree = cls(max_depth)
         for string, times in Counter(strings).items():
             tree.insert_string(string, times)
@@ -77,28 +76,40 @@ class PrunedSuffixTree:
     def insert_string(self, string: str, times: int = 1) -> None:
         """Index ``times`` copies of one string: each of its distinct
         substrings (length ≤ ``max_depth``) gets its document frequency
-        incremented by ``times``.
-
-        Substrings are enumerated in trie-walk order (every start, each
-        extended one symbol at a time), so new keys enter the dict in
-        the order a trie would create their nodes.
-        """
+        incremented by ``times``."""
         self.string_count += times
-        depth = self.max_depth
-        length = len(string)
         counts = self.counts
         get = counts.get
-        for substring in dict.fromkeys(
+        for substring in self._distinct_substrings(string):
+            counts[substring] = get(substring, 0) + times
+
+    def remove_string(self, string: str, times: int = 1) -> None:
+        """Undo :meth:`insert_string` of ``times`` copies of ``string``
+        (which the counts must hold): a substring whose document
+        frequency falls to zero leaves the trie."""
+        self.string_count -= times
+        counts = self.counts
+        for substring in self._distinct_substrings(string):
+            remaining = counts[substring] - times
+            if remaining:
+                counts[substring] = remaining
+            else:
+                del counts[substring]
+
+    def _distinct_substrings(self, string: str) -> Dict[str, None]:
+        """The distinct substrings of ``string`` up to ``max_depth``."""
+        depth = self.max_depth
+        length = len(string)
+        return dict.fromkeys(
             [
                 string[start:stop]
                 for start in range(length)
                 for stop in range(start + 1, min(start + depth, length) + 1)
             ]
-        ):
-            counts[substring] = get(substring, 0) + times
+        )
 
     def copy(self) -> "PrunedSuffixTree":
-        """An independent copy (same substrings, counts and order)."""
+        """An independent copy (same substrings and counts)."""
         clone = PrunedSuffixTree(self.max_depth)
         clone.counts = dict(self.counts)
         clone.string_count = self.string_count
@@ -119,16 +130,12 @@ class PrunedSuffixTree:
 
     def child_lists(self) -> Dict[str, List[str]]:
         """Every internal node's children (``""`` is the root), each list
-        in trie child order: one pass over the dict, grouping keys under
-        their parents."""
+        sorted by symbol: the canonical child order, so what reads it
+        (the encoders, :meth:`StringSummary.sample_value`) depends on the
+        counts alone, never on the order keys entered the dict."""
         children: Dict[str, List[str]] = {}
-        for substring in self.counts:
-            parent = substring[:-1]
-            siblings = children.get(parent)
-            if siblings is None:
-                children[parent] = [substring]
-            else:
-                siblings.append(substring)
+        for substring in sorted(self.counts):
+            children.setdefault(substring[:-1], []).append(substring)
         return children
 
     # -- estimation -----------------------------------------------------------
@@ -252,10 +259,14 @@ class PrunedSuffixTree:
         symbol keeps its depth-1 node, per the paper's modification).
 
         Listed in the order of a stack walk that pushes each node's
-        children in trie order (right-to-left pre-order), the order the
-        count-only ablation pruner breaks its ties in.
+        children in dict order (right-to-left pre-order), the order the
+        count-only ablation pruner breaks its ties in.  That pruner
+        keeps this dict-order tie-break; the error-ranked pruner uses a
+        total key and never reads this order.
         """
-        children = self.child_lists()
+        children: Dict[str, List[str]] = {}
+        for substring in self.counts:
+            children.setdefault(substring[:-1], []).append(substring)
         leaves: List[str] = []
         stack = list(children.get("", ()))
         while stack:
@@ -296,12 +307,7 @@ class PrunedSuffixTree:
     # -- fusion ---------------------------------------------------------------
 
     def fuse(self, other: "PrunedSuffixTree") -> "PrunedSuffixTree":
-        """Combine two PSTs: union of substrings with summed counts.
-
-        The left side's keys keep their order and the right-only keys
-        follow in the right side's order, so every node lists the left
-        side's children first, then the right-only ones.
-        """
+        """Combine two PSTs: union of substrings with summed counts."""
         result = PrunedSuffixTree(max(self.max_depth, other.max_depth))
         counts = dict(self.counts)
         get = counts.get

@@ -67,6 +67,12 @@ class SummaryConfig:
     pst_nodes_per_string: int = 16
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
 
+    def pst_node_cap(self, strings: int) -> int:
+        """The node cap of a detailed PST over ``strings`` strings."""
+        return min(
+            self.pst_max_nodes, max(24, self.pst_nodes_per_string * strings)
+        )
+
 
 class ValueSummary:
     """Abstract value-distribution summary attached to a synopsis node."""
@@ -333,12 +339,10 @@ class StringSummary(ValueSummary):
         cls, values: Iterable[str], config: SummaryConfig
     ) -> "StringSummary":
         strings = list(values)
-        max_nodes = min(
-            config.pst_max_nodes,
-            max(24, config.pst_nodes_per_string * len(strings)),
-        )
         tree = PrunedSuffixTree.from_strings(
-            strings, max_depth=config.pst_max_depth, max_nodes=max_nodes
+            strings,
+            max_depth=config.pst_max_depth,
+            max_nodes=config.pst_node_cap(len(strings)),
         )
         return cls(tree)
 

@@ -5,10 +5,10 @@ of the reference synopses of XMark 0.2 and IMDB 0.1, of the same PSTs
 after fusing adjacent pairs, of each after a chain of kernel
 ``st_cmprs`` stepper advances that includes one rollback, and of each
 after batches of the count-only ablation pruner.  The encoders
-walk the trie in pre-order with children in insertion order, so these
-bytes pin per-parent child order as well as the substrings and counts.
-PST bytes depend only on document order, not on ``PYTHONHASHSEED`` or
-the Python version.
+walk the trie in pre-order with each parent's children sorted by
+symbol, so these bytes pin the substrings and counts alone (the
+ablation pruner breaks ties in dict order, which follows document
+order).  None of it depends on ``PYTHONHASHSEED`` or the Python version.
 """
 
 import copy
@@ -28,28 +28,28 @@ from repro.values.summary import StringSummary
 #: (dataset, case) -> sha256 of the concatenated PST payloads.
 GOLDEN = {
     ("xmark", "reference"): (
-        "8f44f23b14e8a4526eecbf6283a550f69ce414a85d191886bf1667951db81761"
+        "c58f2ce2b6cceebe137cf32f8844d875f2036bbcfe29440c095fd84191a02328"
     ),
     ("xmark", "fused"): (
-        "a1fa78f7221d15ccbbdad27a8f6d4c0a3716ff5b2751557d9e48e93facc8c9d2"
+        "6d4d3212530e01a093a14d94d77755942f252b0822762407f084fc2ea5a01c04"
     ),
     ("xmark", "stepped"): (
-        "e2fb007a65a7c4672a5d41c9fbebb1ff53ad58bfec94110848c49efce5e6f608"
+        "b51391ebf407d87459e76ad7398dbb7e3fb73d0d1ba3b543115e9454df6ec0a3"
     ),
     ("imdb", "reference"): (
-        "06a5da14e54581ceb504a541cce69f2696e36bd15479bcbe27762d278851c451"
+        "5080dd7a8090ff637d5ab716e04a52dcd8016d38b2084bee1f5c5495822144ae"
     ),
     ("imdb", "fused"): (
-        "28aeac6e542a4371d55ee9980c3bc9e789b7ab73d63959d100a733ef75192eaf"
+        "454b065b8cfab9345230f7d10879580be64fdc91767416b55399a86ae06a2501"
     ),
     ("xmark", "naive"): (
-        "2d782de0090b5110a3083313f234e535ca5e2b9e69dc4d7598d26c8fa440e51b"
+        "5ee2d570b6acea4ff59a7b452b9623218f4c036a0cf4e57ca3a95a44300f2439"
     ),
     ("imdb", "naive"): (
-        "db3a608572a37df45b6bc0e740c34efe6ae2e00f9ecd1f2aed7ec702eeb218e6"
+        "9d60aa791cd6ada2e132b2c242d8d3f9241b896e8c1d09b40acff21be3916902"
     ),
     ("imdb", "stepped"): (
-        "12414df8aa5fbc84d3647cae98ccb02d80a6916cdb5432bb9b875cfef993fb8a"
+        "13033106d9c435dc255fae4f634740ebbd1a44c4238b05811a56dfe55c1c8d21"
     ),
 }
 

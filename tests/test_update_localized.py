@@ -1,9 +1,10 @@
 """Localized maintenance: work confined to what an update changed.
 
-Splices rewrite only the columns' rows at or past the splice point (plus
-the parent chain before it), TEXT summaries re-encode only until the
-shared vocabulary is back in its old state, PSTs count each distinct
-string once, and the localized path patches the live synopsis nodes.
+Splices rewrite only the spliced rows, the subtree sizes of their
+ancestors and the parent gaps of those ancestors' children past the
+splice; TEXT summaries re-encode only until the shared vocabulary is
+back in its old state, PSTs count each distinct string once, and the
+localized path patches the live synopsis nodes.
 Each test pins the result to what a rebuild or a fresh freeze gives.
 """
 

@@ -79,12 +79,12 @@ def random_ebth_pairs(draw):
 
 
 def ordered_substrings(tree):
-    """Substrings in pre-order, each parent's children in dict order
-    (pins the per-parent child order the encoders emit)."""
+    """Substrings in pre-order, each parent's children sorted by symbol
+    (pins the canonical child order the encoders emit)."""
     out = []
 
     def visit(prefix):
-        for substring, count in tree.counts.items():
+        for substring, count in sorted(tree.counts.items()):
             if len(substring) == len(prefix) + 1 and substring.startswith(prefix):
                 out.append((substring, count))
                 visit(substring)
@@ -161,8 +161,8 @@ class TestPSTPruning:
 
 
 def trie_fusion_order(left, right):
-    """Pre-order of the trie fusion: summed counts, each node's left
-    children first (in left order), then its right-only children."""
+    """Pre-order of the trie fusion: summed counts over the union of
+    each node's children, in canonical (sorted) child order."""
     out = []
 
     def children(tree, prefix):
@@ -179,7 +179,7 @@ def trie_fusion_order(left, right):
             for substring in children(right, prefix)
             if substring not in left.counts
         ]
-        for substring in left_children + right_only:
+        for substring in sorted(left_children + right_only):
             count = left.counts.get(substring, 0) + right.counts.get(substring, 0)
             out.append((substring, count))
             visit(substring)
@@ -359,7 +359,7 @@ class TestSteppers:
         assert pending.pst is trie
         assert trie.node_count < node_count
         stepper.rollback()
-        assert ordered_substrings(trie) == before  # dict order included
+        assert ordered_substrings(trie) == before  # child order included
         assert trie.node_count == node_count
         assert trie.invariant_issues() == []
         assert stepper.expected is committed
