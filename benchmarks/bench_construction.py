@@ -4,9 +4,10 @@ The paper motivates the localized Δ metric and the bounded candidate
 pool (``H_m`` / ``H_l``) with construction efficiency (Section 4.3).
 These benches measure the real costs: reference-synopsis construction,
 a full budgeted build at two pool configurations, and the candidate
--scoring engine comparison (scalar reference path vs the vectorized
-profile-backed engine, plus an opt-in parallel pool-construction
-datapoint), whose results land in ``BENCH_construction.json``.
+-scoring engine comparison (the scalar-Δ
+:class:`~repro.check.oracles.ReferenceBuilder` vs the production builder
+and its vectorized profile-backed engine), whose results land in
+``BENCH_construction.json``.
 """
 
 from time import perf_counter
@@ -14,6 +15,7 @@ from time import perf_counter
 import pytest
 
 import common
+from repro.check.oracles import ReferenceBuilder
 from repro.core import build_reference_synopsis
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.sizing import structural_size_bytes
@@ -59,7 +61,7 @@ def test_budgeted_build_time(experiment_context, benchmark, pool_max, pool_min):
     assert stats.merges_applied > 0
 
 
-def _timed_build(context, dataset_name, budget, scoring, workers=1):
+def _timed_build(context, dataset_name, budget, builder_class):
     """One full budgeted build; returns (seconds, stats, synopsis)."""
     synopsis = context.fresh_reference(dataset_name)
     config = BuildConfig(
@@ -67,10 +69,8 @@ def _timed_build(context, dataset_name, budget, scoring, workers=1):
         value_budget=10**9,
         pool_max=context.config.pool_max,
         pool_min=context.config.pool_min,
-        scoring=scoring,
-        workers=workers,
     )
-    builder = XClusterBuilder(config)
+    builder = builder_class(config)
     started = perf_counter()
     builder.compress(synopsis)
     elapsed = perf_counter() - started
@@ -94,14 +94,13 @@ def _stats_record(seconds, stats):
         "profile_hit_rate": round(stats.profile_hit_rate, 4),
         "pool_trims": stats.pool_trims,
         "candidates_trimmed": stats.candidates_trimmed,
-        "workers_used": stats.workers_used,
         "final_structural_bytes": stats.final_structural_bytes,
         "final_nodes": stats.final_nodes,
     }
 
 
 def test_scoring_engine_speedup(experiment_context):
-    """Scalar vs vectorized (vs parallel) XMark builds → BENCH_construction.json.
+    """Scalar vs vectorized XMark builds → BENCH_construction.json.
 
     The vectorized engine must reproduce the scalar merge decisions
     exactly, and at full bench scale must deliver at least a 2x
@@ -113,13 +112,10 @@ def test_scoring_engine_speedup(experiment_context):
     budget = structural_size_bytes(reference) // 10
 
     scalar_seconds, scalar_stats, scalar_synopsis = _timed_build(
-        context, dataset_name, budget, "scalar"
+        context, dataset_name, budget, ReferenceBuilder
     )
     vector_seconds, vector_stats, vector_synopsis = _timed_build(
-        context, dataset_name, budget, "vectorized"
-    )
-    parallel_seconds, parallel_stats, parallel_synopsis = _timed_build(
-        context, dataset_name, budget, "vectorized", workers=4
+        context, dataset_name, budget, XClusterBuilder
     )
 
     speedup = scalar_seconds / vector_seconds if vector_seconds > 0 else 0.0
@@ -135,10 +131,6 @@ def test_scoring_engine_speedup(experiment_context):
         scalar_stats.merges_applied == vector_stats.merges_applied
         and shape(scalar_synopsis) == shape(vector_synopsis)
     )
-    parallel_matches_serial = (
-        parallel_stats.merges_applied == vector_stats.merges_applied
-        and shape(parallel_synopsis) == shape(vector_synopsis)
-    )
 
     report = {
         "dataset": dataset_name,
@@ -147,24 +139,20 @@ def test_scoring_engine_speedup(experiment_context):
         "structural_budget": budget,
         "scalar": _stats_record(scalar_seconds, scalar_stats),
         "vectorized": _stats_record(vector_seconds, vector_stats),
-        "parallel_workers_4": _stats_record(parallel_seconds, parallel_stats),
         "speedup": round(speedup, 3),
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_asserted": context.config.scale >= SPEEDUP_ASSERT_MIN_SCALE,
         "equivalent": equivalent,
-        "parallel_matches_serial": parallel_matches_serial,
     }
     out_path = common.write_report(
         "construction", report, "BENCH_construction.json"
     )
     print(
         f"\nBENCH_construction: scalar {scalar_seconds:.2f}s, "
-        f"vectorized {vector_seconds:.2f}s, workers=4 {parallel_seconds:.2f}s "
-        f"-> speedup {speedup:.2f}x ({out_path})"
+        f"vectorized {vector_seconds:.2f}s -> speedup {speedup:.2f}x ({out_path})"
     )
 
     assert equivalent, "vectorized build diverged from the scalar reference"
-    assert parallel_matches_serial, "parallel build diverged from serial"
     if context.config.scale >= SPEEDUP_ASSERT_MIN_SCALE:
         assert speedup >= SPEEDUP_FLOOR, (
             f"vectorized speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor"

@@ -3,14 +3,15 @@
 Phase 2 of XCLUSTERBUILD repeatedly picks the valued node whose next
 compression step (``hist_cmprs`` / ``st_cmprs`` / ``tv_cmprs``) loses the
 least accuracy per byte saved.  The reference summary classes recompute
-each step from scratch; the kernel engine
-(:mod:`repro.values.kernels`) drives the same greedy sequences through
-incremental priority queues and persistent per-node steppers.
+each step from scratch (:class:`~repro.check.oracles.ReferenceBuilder`,
+which also scores with the scalar Δ); the production builder's kernel
+engine (:mod:`repro.values.kernels`) drives the same greedy sequences
+through incremental priority queues and persistent per-node steppers.
 
 This bench isolates phase 2 on XMark: the structural budget is set to
 the full reference size (so phase 1 applies no merges and both runs
 start from identical summaries) while the value budget forces a deep
-compression pass.  The same build runs once per engine; the kernel run
+compression pass.  The same build runs once per builder; the kernel run
 must reproduce the reference run *exactly* — same step count, same
 per-node summary sizes, estimates within 1e-9 — and at full bench scale
 must deliver at least a 2x speedup on the combined ``st_cmprs`` +
@@ -20,6 +21,7 @@ must deliver at least a 2x speedup on the combined ``st_cmprs`` +
 """
 
 import common
+from repro.check.oracles import ReferenceBuilder
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.estimator import XClusterEstimator
 from repro.core.sizing import (
@@ -47,15 +49,16 @@ def _relative_difference(expected, actual):
     return abs(expected - actual) / scale
 
 
-def _run_build(context, dataset_name, engine, structural_budget, value_budget):
+def _run_build(
+    context, dataset_name, builder_class, structural_budget, value_budget
+):
     synopsis = context.fresh_reference(dataset_name)
-    builder = XClusterBuilder(
+    builder = builder_class(
         BuildConfig(
             structural_budget=structural_budget,
             value_budget=value_budget,
             pool_max=context.config.pool_max,
             pool_min=context.config.pool_min,
-            value_engine=engine,
         )
     )
     builder.compress(synopsis)
@@ -70,7 +73,7 @@ def _summary_sizes(synopsis):
     }
 
 
-def _stats_record(stats):
+def _stats_record(stats, engine):
     compression_seconds = (
         stats.hist_cmprs_seconds
         + stats.st_cmprs_seconds
@@ -89,7 +92,7 @@ def _stats_record(stats):
         "value_stale_pops": stats.value_stale_pops,
         "final_value_bytes": stats.final_value_bytes,
         "value_budget_met": stats.value_budget_met,
-        "engine": stats.value_engine_used,
+        "engine": engine,
     }
 
 
@@ -108,10 +111,10 @@ def test_value_kernel_engine_speedup(experiment_context):
     queries = [wq.query for wq in context.workload(dataset_name).queries]
 
     reference_synopsis, reference_stats = _run_build(
-        context, dataset_name, "reference", structural_budget, value_budget
+        context, dataset_name, ReferenceBuilder, structural_budget, value_budget
     )
     kernel_synopsis, kernel_stats = _run_build(
-        context, dataset_name, "kernel", structural_budget, value_budget
+        context, dataset_name, XClusterBuilder, structural_budget, value_budget
     )
 
     # Parity: the kernel engine must make the identical greedy decisions,
@@ -166,8 +169,8 @@ def test_value_kernel_engine_speedup(experiment_context):
         "reference_value_bytes": value_size_bytes(reference),
         "value_size_breakdown": value_size_breakdown(kernel_synopsis),
         "queries": len(queries),
-        "reference": _stats_record(reference_stats),
-        "kernel": _stats_record(kernel_stats),
+        "reference": _stats_record(reference_stats, "reference"),
+        "kernel": _stats_record(kernel_stats, "kernel"),
         "speedup": round(speedup, 3),
         "value_phase_speedup": round(phase_speedup, 3),
         "speedup_floor": SPEEDUP_FLOOR,

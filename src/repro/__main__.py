@@ -7,7 +7,7 @@ Subcommands::
     python -m repro estimate synopsis.bin "//movie[./year >= 2000]/title"
     python -m repro convert synopsis.json synopsis.bin --format snapshot
     python -m repro serve (synopsis.bin | --document INPUT.xml) \
-        [--host H] [--port P] [--workers N]
+        [--host H] [--port P]
     python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title" \
         [--engine interval|treewalk]
     python -m repro experiments [--scale 0.25] [--queries 15]
@@ -143,7 +143,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         maintainer = IncrementalMaintainer(doc)
         engine = ServeEngine(
             maintainer=maintainer,
-            workers=args.workers,
             window_seconds=args.window_ms / 1000.0,
             max_batch=args.max_batch,
         )
@@ -151,21 +150,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"maintaining {args.document}: {len(doc)} elements -> "
             f"{len(engine.synopsis)} clusters, "
             f"{total_size_bytes(engine.synopsis)} synopsis bytes, "
-            f"workers={engine.workers}, updates enabled (POST /update)",
+            "updates enabled (POST /update)",
             flush=True,
         )
     else:
         synopsis = load_synopsis(args.synopsis)  # format auto-detected
         engine = ServeEngine(
             synopsis,
-            workers=args.workers,
             window_seconds=args.window_ms / 1000.0,
             max_batch=args.max_batch,
         )
         print(
             f"loaded {args.synopsis}: {len(synopsis)} clusters, "
-            f"{total_size_bytes(synopsis)} synopsis bytes, "
-            f"workers={engine.workers}",
+            f"{total_size_bytes(synopsis)} synopsis bytes",
             flush=True,
         )
     run_server(engine, host=args.host, port=args.port)
@@ -599,11 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="TCP port (default 0: pick a free port and print it)",
     )
+    # Accepted only as 1, for the e2e benchmark client; the next change
+    # to benchmarks/e2e drops the flag together with the client argument.
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for large batches (copy-on-write under fork)",
+        "--workers", type=int, choices=[1], default=1, help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--window-ms",

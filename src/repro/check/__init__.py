@@ -6,10 +6,12 @@ The correctness tooling behind ``python -m repro check``:
   synopsis and returning structured :class:`Violation` records for
   every breach of the paper's definitional invariants;
 * :mod:`repro.check.diffharness` — :class:`DifferentialHarness`, the
-  seeded fuzzer running reference-vs-kernel builds and scalar-vs-
+  seeded fuzzer running reference-vs-production builds and scalar-vs-
   compiled estimation side by side on generated documents;
 * :mod:`repro.check.oracles` — slow reference implementations kept off
-  the production call path (the fixpoint partition oracle);
+  the production call path (the fixpoint partition oracle, the PST
+  estimation oracle and the scalar
+  :class:`~repro.check.oracles.ReferenceBuilder`);
 * :mod:`repro.check.shrink` — delta-debugging minimization of failing
   documents and queries;
 * :mod:`repro.check.report` — :class:`CheckReport` aggregation.

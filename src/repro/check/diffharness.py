@@ -1,8 +1,9 @@
 """The seeded engine-parity fuzzer.
 
-The codebase keeps two implementations of everything hot: scalar vs
-vectorized candidate scoring, reference vs kernel value compression,
-the scalar estimation oracle vs the compiled twig-plan engine.  The
+The codebase keeps an oracle beside everything hot: the scalar-Δ,
+reference-compression :class:`~repro.check.oracles.ReferenceBuilder`
+vs the production builder, the scalar estimation oracle vs the compiled
+twig-plan engine.  The
 paper's fixtures exercise them on two dataset families; this harness
 exercises them on *arbitrary* documents, generated from a seed:
 
@@ -10,8 +11,9 @@ exercises them on *arbitrary* documents, generated from a seed:
    partition to equal the fixpoint oracle's
    (:mod:`repro.check.oracles`), and derive its reference synopsis;
 2. **audit** the reference with the :class:`InvariantAuditor`;
-3. build the budgeted synopsis twice — once per engine stack — and
-   require identical shapes (node multiset + structural bytes);
+3. build the budgeted synopsis twice — with the production builder and
+   the reference builder — and require identical shapes (node multiset
+   + structural bytes);
 4. audit the compressed synopsis;
 5. generate a positive + negative twig workload and require the scalar
    oracle and the compiled estimator to agree within ``tolerance``;
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.invariants import InvariantAuditor
-from repro.check.oracles import fixpoint_reference_classes
+from repro.check.oracles import ReferenceBuilder, fixpoint_reference_classes
 from repro.check.report import CheckReport, Failure
 from repro.check.shrink import (
     copy_query,
@@ -692,7 +694,7 @@ class DifferentialHarness:
     def _build_pair(
         self, document: XMLTree, value_paths
     ) -> Tuple[Optional[XClusterSynopsis], Optional[str]]:
-        """Both engine stacks' builds; (synopsis, None) on parity."""
+        """Production and reference builds; (synopsis, None) on parity."""
         reference = build_reference_synopsis(document, value_paths)
         structural = max(
             256,
@@ -701,25 +703,14 @@ class DifferentialHarness:
         value = max(
             256, int(value_size_bytes(reference) * self.config.value_fraction)
         )
-        shapes = {}
-        synopsis = None
-        for scoring, value_engine in (
-            ("scalar", "reference"),
-            ("vectorized", "kernel"),
-        ):
-            config = BuildConfig(
-                structural_budget=structural,
-                value_budget=value,
-                scoring=scoring,
-                value_engine=value_engine,
-            )
-            built = XClusterBuilder(config).build(document, value_paths)
-            shapes[scoring] = _build_shape(built)
-            synopsis = built  # keep the optimized build for estimation
-        if shapes["scalar"] != shapes["vectorized"]:
+        config = BuildConfig(structural_budget=structural, value_budget=value)
+        oracle = _build_shape(ReferenceBuilder(config).build(document, value_paths))
+        synopsis = XClusterBuilder(config).build(document, value_paths)
+        shape = _build_shape(synopsis)
+        if oracle != shape:
             return None, (
-                "scalar/reference and vectorized/kernel builds diverge: "
-                f"{shapes['scalar'][:2]} vs {shapes['vectorized'][:2]}"
+                "reference and production builds diverge: "
+                f"{oracle[:2]} vs {shape[:2]}"
             )
         return synopsis, None
 
@@ -863,12 +854,7 @@ class DifferentialHarness:
             256,
             int(value_size_bytes(object_reference) * self.config.value_fraction),
         )
-        config = BuildConfig(
-            structural_budget=structural,
-            value_budget=value,
-            scoring="vectorized",
-            value_engine="kernel",
-        )
+        config = BuildConfig(structural_budget=structural, value_budget=value)
         object_built = XClusterBuilder(config).build(parsed, value_paths)
         columnar_built = XClusterBuilder(config).build(columnar, value_paths)
         if synopsis_to_dict(object_built) != synopsis_to_dict(columnar_built):

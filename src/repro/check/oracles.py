@@ -6,13 +6,25 @@ both-ways refinement, iterated until the class count stops growing.
 :func:`greedy_estimate_count` is the PST estimation oracle for
 :meth:`repro.values.pst.PrunedSuffixTree.estimate_count`: the greedy
 maximal-overlap chaining, re-walking and re-looking-up every piece.
-Only the differential harness and the tests import this module.
+:class:`ReferenceBuilder` is the construction oracle for
+:class:`repro.core.builder.XClusterBuilder`: the same greedy loop, scored
+by the scalar Δ of :mod:`repro.core.distance` and compressed by the
+scalar ``compress`` methods re-run from scratch per step.
+Only the differential harness, the tests and the layer benchmarks
+import this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.builder import XClusterBuilder
+from repro.core.distance import (
+    SelectivityCache,
+    compression_baseline,
+    compression_delta,
+    merge_delta,
+)
 from repro.core.reference import (
     Document,
     _document_order,
@@ -20,7 +32,17 @@ from repro.core.reference import (
     _object_initial_keys,
     columnar_initial_keys,
 )
+from repro.core.scoring import ScoringEngine
+from repro.core.synopsis import SynopsisNode, XClusterSynopsis
+from repro.values.kernels.pst import prune_leaves_reference
+from repro.values.kernels.queue import GenericStepper, SummaryStepper
 from repro.values.pst import PrunedSuffixTree
+from repro.values.summary import (
+    HistogramSummary,
+    StringSummary,
+    TextSummary,
+    ValueSummary,
+)
 from repro.xmltree.columnar import ColumnarDocument
 
 #: Safety cap on refinement iterations (convergence is far faster).
@@ -134,9 +156,113 @@ def greedy_estimate_count(tree: PrunedSuffixTree, query: str) -> float:
     return probability * total
 
 
+class ScalarScoringEngine(ScoringEngine):
+    """The :class:`ScoringEngine` interface over the scalar Δ metric.
+
+    Every selectivity goes through :func:`repro.core.distance.
+    node_selectivity` and one dict cache shared by the whole run.  The
+    σ_old baseline :meth:`profile_for` returns is the scalar
+    :func:`~repro.core.distance.compression_baseline` list, which is what
+    this engine's :meth:`compression_delta` takes.  No profiles are kept,
+    so the hit counters stay zero.
+    """
+
+    def __init__(
+        self, synopsis: XClusterSynopsis, predicate_limit: int = 48
+    ) -> None:
+        super().__init__(synopsis, predicate_limit)
+        self.cache: SelectivityCache = {}
+
+    def merge_delta(self, u: SynopsisNode, v: SynopsisNode) -> float:
+        return merge_delta(self.synopsis, u, v, self.predicate_limit, self.cache)
+
+    def profile_for(self, node: SynopsisNode):
+        return compression_baseline(node, self.predicate_limit, self.cache)
+
+    def compression_delta(self, node, compressed, profile=None) -> float:
+        return compression_delta(
+            node, compressed, self.predicate_limit, self.cache, baseline=profile
+        )
+
+
+class ReferenceHistogramStepper(SummaryStepper):
+    """``hist_cmprs`` by ``Histogram.compress`` from the current summary."""
+
+    family = "hist_cmprs"
+
+    def advance(self, amount: int) -> Optional[ValueSummary]:
+        current = self.expected
+        if not current.can_compress:
+            return None
+        compressed = HistogramSummary(current.histogram.compress(amount))
+        self.expected = compressed
+        return compressed
+
+
+class ReferencePSTStepper(SummaryStepper):
+    """``st_cmprs`` by :func:`prune_leaves_reference` on a fresh clone."""
+
+    family = "st_cmprs"
+
+    def advance(self, amount: int) -> Optional[ValueSummary]:
+        clone = self.expected.pst.copy()
+        if prune_leaves_reference(clone, amount) == 0:
+            return None
+        compressed = StringSummary(clone)
+        self.expected = compressed
+        return compressed
+
+
+class ReferenceEBTHStepper(SummaryStepper):
+    """``tv_cmprs`` by ``EndBiasedTermHistogram.compress``."""
+
+    family = "tv_cmprs"
+
+    def advance(self, amount: int) -> Optional[ValueSummary]:
+        current = self.expected
+        if not current.can_compress:
+            return None
+        compressed = TextSummary(current.ebth.compress(amount))
+        self.expected = compressed
+        return compressed
+
+
+def reference_stepper(summary: ValueSummary) -> SummaryStepper:
+    """The scalar-oracle stepper for one summary's family."""
+    if isinstance(summary, HistogramSummary):
+        return ReferenceHistogramStepper(summary)
+    if isinstance(summary, StringSummary):
+        return ReferencePSTStepper(summary)
+    if isinstance(summary, TextSummary):
+        return ReferenceEBTHStepper(summary)
+    return GenericStepper(summary)
+
+
+class ReferenceBuilder(XClusterBuilder):
+    """XCLUSTERBUILD on the scalar oracles.
+
+    Scores with :class:`ScalarScoringEngine` and compresses with the
+    ``Reference*Stepper`` classes; every merge and compression decision
+    equals the production builder's, so the two build byte-identical
+    synopses.
+    """
+
+    def _new_engine(self, synopsis: XClusterSynopsis) -> ScoringEngine:
+        return ScalarScoringEngine(synopsis, self.config.predicate_limit)
+
+    def _new_stepper(self, summary: ValueSummary) -> SummaryStepper:
+        return reference_stepper(summary)
+
+
 __all__ = [
     "MAX_REFINEMENT_ROUNDS",
+    "ReferenceBuilder",
+    "ReferenceEBTHStepper",
+    "ReferenceHistogramStepper",
+    "ReferencePSTStepper",
+    "ScalarScoringEngine",
     "fixpoint_reference_classes",
     "greedy_estimate_count",
+    "reference_stepper",
     "refine_to_fixpoint",
 ]

@@ -14,9 +14,9 @@ stack is deterministic, so the collection build exploits that head-on:
    structure's budget depends only on its own element count, so the
    build cache dedups across shards too;
 2. **parallel fan-out** — distinct structures are independent, so they
-   shard over :func:`repro.core.parallel.pool_context` when
-   ``workers > 1`` (fork → spawn → serial fallback; the report records
-   what actually ran);
+   shard over a process pool when ``workers > 1`` (fork → spawn →
+   serial fallback, :func:`pool_context`; the report records what
+   actually ran);
 3. **snapshot encode** — payloads are binary snapshots, packed into
    per-shard containers, so serving opens one mmap per shard instead
    of N files.
@@ -69,7 +69,6 @@ from repro.collection.store import (
 )
 from repro.core.autobudget import allocate_budget
 from repro.core.builder import BuildConfig, XClusterBuilder
-from repro.core.parallel import pool_context
 from repro.core.reference import build_reference_synopsis
 from repro.core.snapshot import snapshot_to_bytes, synopsis_from_snapshot
 from repro.query.ast import TwigQuery
@@ -212,6 +211,30 @@ def _payload_task(item):
         xml, budgets, compress, threshold
     )
     return content_hash, ref_bytes, variants, elements
+
+
+#: Pool start methods in preference order.  ``fork`` shares the parent
+#: address space; ``spawn`` pickles the tasks.  Tests monkeypatch this
+#: tuple to force the spawn or serial fallback.
+START_METHODS = ("fork", "spawn")
+
+
+def pool_context():
+    """The first available start method's context; ``None`` means serial.
+
+    Unknown or unsupported method names (``multiprocessing.get_context``
+    raises ``ValueError``) are skipped rather than raised.
+    ``multiprocessing`` is imported here, so only a parallel build pays
+    for it.
+    """
+    import multiprocessing
+
+    for method in START_METHODS:
+        try:
+            return multiprocessing.get_context(method)
+        except ValueError:
+            continue
+    return None
 
 
 def _run_payload_builds(

@@ -10,8 +10,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.distance` — the localized Δ(S, S′) structure-value
   clustering error metric over atomic query paths (Section 4.1);
 * :mod:`repro.core.scoring` — the vectorized candidate-scoring engine
-  (per-node selectivity profiles, factored child moments, and opt-in
-  parallel pool construction);
+  (per-node selectivity profiles and factored child moments);
 * :mod:`repro.core.builder` — the two-phase XCLUSTERBUILD algorithm
   (structure-value merge with a marginal-loss candidate pool, then
   value-summary compression; Figures 5 and 6);
@@ -20,8 +19,8 @@ This package implements the paper's primary contribution:
   scalar reference oracle);
 * :mod:`repro.core.estimation` — the compiled twig-plan estimation
   engine: synopsis-level transition/reach indexes with cross-query
-  caching, batched workload serving over a process pool, and the
-  ``EstimatorStats`` observability layer;
+  caching, batched workload serving, and the ``EstimatorStats``
+  observability layer;
 * :mod:`repro.core.sizing` — byte-accurate storage accounting;
 * :mod:`repro.core.baselines` — tag-only and structure-only summaries
   plus naive merge policies used by the ablation benchmarks.

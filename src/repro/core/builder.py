@@ -11,6 +11,13 @@ Phase 2 — **value-summary compression** — compresses the per-node value
 summaries down to the value budget ``B_val`` by repeatedly applying the
 cheapest ``hist_cmprs`` / ``st_cmprs`` / ``tv_cmprs`` step, ranked by the
 same marginal-loss rule.
+
+Both phases score through the vectorized
+:class:`~repro.core.scoring.ScoringEngine` and compress through the
+incremental kernel steppers of :mod:`repro.values.kernels.queue`.  The
+scalar oracles plug in through :meth:`XClusterBuilder._new_engine` and
+:meth:`XClusterBuilder._new_stepper` (see
+:class:`repro.check.oracles.ReferenceBuilder`).
 """
 
 from __future__ import annotations
@@ -20,11 +27,6 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.distance import (
-    SelectivityCache,
-    compression_baseline,
-    compression_delta,
-)
 from repro.core.pool import CandidatePool, build_pool
 from repro.core.scoring import ScoringEngine
 from repro.core.reference import Document, LabelPath, build_reference_synopsis
@@ -70,18 +72,6 @@ class BuildConfig:
         histogram_step: buckets removed per ``hist_cmprs`` step.
         string_step: PST leaves pruned per ``st_cmprs`` step.
         text_step: terms demoted per ``tv_cmprs`` step.
-        scoring: candidate-scoring implementation — ``"vectorized"``
-            (the profile-backed engine, default) or ``"scalar"`` (the
-            reference Δ implementation, kept for parity testing and
-            benchmarking against the pre-optimization path).
-        value_engine: phase-2 compression execution — ``"kernel"``
-            (incremental per-node steppers backed by
-            :mod:`repro.values.kernels`, default) or ``"reference"``
-            (the scalar oracles re-run from scratch per step; same
-            decisions bit-for-bit, kept for parity and benchmarking).
-        workers: processes for parallel pool construction; 1 (default)
-            keeps pool builds serial.  Only the vectorized engine fans
-            out; scalar scoring ignores this knob.
         audit: run the :mod:`repro.check` invariant auditor on the
             compressed synopsis; violations land in
             :attr:`BuildStats.audit_violations`.  Off by default (it
@@ -98,9 +88,6 @@ class BuildConfig:
     histogram_step: int = 1
     string_step: int = 8
     text_step: int = 4
-    scoring: str = "vectorized"
-    value_engine: str = "kernel"
-    workers: int = 1
     audit: bool = False
     summary: SummaryConfig = field(default_factory=SummaryConfig)
 
@@ -111,8 +98,8 @@ class BuildStats:
 
     Beyond the outcome counters, the stats carry the construction
     profiling layer: per-phase wall-clock timers, Δ-evaluation counts,
-    selectivity-cache and profile hit rates (vectorized scoring only),
-    and the candidate-pool trim churn.
+    selectivity-cache and profile hit rates, and the candidate-pool trim
+    churn.
     """
 
     merges_applied: int = 0
@@ -141,10 +128,6 @@ class BuildStats:
     #: Candidate-pool capacity trims and candidates evicted by them.
     pool_trims: int = 0
     candidates_trimmed: int = 0
-    #: Processes used for pool construction (1 = serial).
-    workers_used: int = 1
-    #: Phase-2 compression engine actually used ("kernel"/"reference").
-    value_engine_used: str = "kernel"
     #: Phase-2 wall-clock split: seconds inside compression advances,
     #: per summary family, plus Δ evaluation of the resulting candidates
     #: (including the σ_old baseline/profile taken before each advance).
@@ -179,7 +162,7 @@ class _ValueCandidate:
 
     Ordered by ``(marginal_loss, node_id)`` — the node id makes equal
     losses pop in a canonical order, independent of heap history (and
-    therefore identical between the kernel and reference engines).
+    therefore identical between the kernel and reference steppers).
     """
 
     marginal_loss: float
@@ -197,18 +180,7 @@ class XClusterBuilder:
 
     def __init__(self, config: Optional[BuildConfig] = None) -> None:
         self.config = config if config is not None else BuildConfig()
-        if self.config.scoring not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"unknown scoring mode {self.config.scoring!r}; "
-                "expected 'vectorized' or 'scalar'"
-            )
-        if self.config.value_engine not in ("kernel", "reference"):
-            raise ValueError(
-                f"unknown value engine {self.config.value_engine!r}; "
-                "expected 'kernel' or 'reference'"
-            )
         self.stats = BuildStats()
-        self._cache: SelectivityCache = {}
         self._engine: Optional[ScoringEngine] = None
 
     # -- public API -----------------------------------------------------------
@@ -235,25 +207,17 @@ class XClusterBuilder:
         Returns the same synopsis object for convenience.
         """
         self.stats = BuildStats(reference_nodes=len(synopsis))
-        self.stats.workers_used = max(1, self.config.workers)
-        self.stats.value_engine_used = self.config.value_engine
-        self._cache = {}
-        self._engine = (
-            ScoringEngine(synopsis, self.config.predicate_limit)
-            if self.config.scoring == "vectorized"
-            else None
-        )
+        self._engine = engine = self._new_engine(synopsis)
         started = perf_counter()
         self._merge_phase(synopsis)
         self.stats.merge_phase_seconds = perf_counter() - started
         started = perf_counter()
         self._value_phase(synopsis)
         self.stats.value_phase_seconds = perf_counter() - started
-        if self._engine is not None:
-            self.stats.selectivity_cache_hits = self._engine.cache_hits
-            self.stats.selectivity_cache_misses = self._engine.cache_misses
-            self.stats.profile_hits = self._engine.profile_hits
-            self.stats.profile_misses = self._engine.profile_misses
+        self.stats.selectivity_cache_hits = engine.cache_hits
+        self.stats.selectivity_cache_misses = engine.cache_misses
+        self.stats.profile_hits = engine.profile_hits
+        self.stats.profile_misses = engine.profile_misses
         self.stats.final_structural_bytes = structural_size_bytes(synopsis)
         self.stats.final_value_bytes = value_size_bytes(synopsis)
         self.stats.structural_budget_met = (
@@ -271,12 +235,22 @@ class XClusterBuilder:
                 predicate_limit=self.config.predicate_limit
             )
             self.stats.audit_violations = auditor.audit(synopsis)
-            if self._engine is not None:
-                self.stats.audit_violations.extend(
-                    _profile_violation(message)
-                    for message in self._engine.audit_profiles()
-                )
+            self.stats.audit_violations.extend(
+                _profile_violation(message)
+                for message in engine.audit_profiles()
+            )
         return synopsis
+
+    # -- engine hooks (the scalar oracles override these) -----------------------
+
+    def _new_engine(self, synopsis: XClusterSynopsis) -> ScoringEngine:
+        """The Δ evaluator of one ``compress`` run: pool scoring and
+        the phase-2 σ_old baseline and delta."""
+        return ScoringEngine(synopsis, self.config.predicate_limit)
+
+    def _new_stepper(self, summary: ValueSummary) -> SummaryStepper:
+        """The phase-2 compression stepper of one summary chain."""
+        return make_stepper(summary)
 
     # -- phase 1: structure-value merge ------------------------------------------
 
@@ -286,7 +260,7 @@ class XClusterBuilder:
         level_limit: int,
         levels: Dict[int, int],
     ) -> CandidatePool:
-        """One timed ``build_pool`` call with the configured scoring path."""
+        """One timed ``build_pool`` call scored by the run's engine."""
         config = self.config
         started = perf_counter()
         pool = build_pool(
@@ -296,9 +270,7 @@ class XClusterBuilder:
             levels,
             config.predicate_limit,
             config.neighbors,
-            self._cache,
             engine=self._engine,
-            workers=config.workers if self._engine is not None else 1,
         )
         self.stats.pool_build_seconds += perf_counter() - started
         self.stats.pool_rebuilds += 1
@@ -432,7 +404,7 @@ class XClusterBuilder:
         summary = node.vsumm
         stepper = steppers.get(node.node_id)
         if stepper is None or stepper.expected is not summary:
-            stepper = make_stepper(summary, self.config.value_engine)
+            stepper = self._new_stepper(summary)
             steppers[node.node_id] = stepper
         started = perf_counter()
         compressed = stepper.advance(self._compression_step(summary))
@@ -452,12 +424,7 @@ class XClusterBuilder:
         # taken before the advance.
         size = summary.size_bytes()
         started = perf_counter()
-        if self._engine is not None:
-            baseline = self._engine.profile_for(node)
-        else:
-            baseline = compression_baseline(
-                node, self.config.predicate_limit, self._cache
-            )
+        baseline = self._engine.profile_for(node)
         self.stats.value_delta_seconds += perf_counter() - started
         compressed = self._advance_stepper(node, steppers)
         if compressed is None:
@@ -467,10 +434,7 @@ class XClusterBuilder:
             return None
         self.stats.scoring_calls += 1
         started = perf_counter()
-        if self._engine is not None:
-            delta = self._engine.compression_delta(node, compressed, baseline)
-        else:
-            delta = compression_delta(node, compressed, baseline=baseline)
+        delta = self._engine.compression_delta(node, compressed, baseline)
         self.stats.value_delta_seconds += perf_counter() - started
         return _ValueCandidate(
             marginal_loss=delta / saving,
@@ -487,8 +451,8 @@ class XClusterBuilder:
         if value_size <= config.value_budget:
             return
         #: node id -> the persistent compression stepper for its summary
-        #: chain (kernel engine: incremental heaps/orders carried across
-        #: successive steps on the same node).
+        #: chain (incremental heaps/orders carried across successive
+        #: steps on the same node).
         steppers: Dict[int, SummaryStepper] = {}
         heap: List[_ValueCandidate] = []
         for node in synopsis.valued_nodes():

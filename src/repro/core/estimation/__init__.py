@@ -15,9 +15,8 @@ is served from tables:
   the :class:`EstimatorStats` observability layer (compile/execute
   timers, cache hit rates, frontier telemetry);
 * :mod:`repro.core.estimation.serving` — :func:`estimate_many` and
-  :class:`WorkloadEstimator`: batched serving over a fork-based process
-  pool with per-worker warm caches, and compile-once retargeting across
-  synopses.
+  :class:`WorkloadEstimator`: batched in-process serving through warm
+  shared caches, and compile-once retargeting across synopses.
 
 The compiled path is a bit-exact replay of the scalar sum-product (the
 scalar estimator stays as the reference oracle; parity is pinned at
@@ -43,18 +42,13 @@ from repro.core.estimation.plan import (
     edge_key_of,
     twig_of,
 )
-from repro.core.estimation.serving import (
-    MIN_PARALLEL_QUERIES,
-    WorkloadEstimator,
-    estimate_many,
-)
+from repro.core.estimation.serving import WorkloadEstimator, estimate_many
 
 __all__ = [
     "CompiledEstimator",
     "CompiledPlan",
     "EstimatorStats",
     "EdgeKey",
-    "MIN_PARALLEL_QUERIES",
     "PlanCache",
     "PlanSignature",
     "PlanVariable",

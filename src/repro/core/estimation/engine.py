@@ -75,8 +75,6 @@ class EstimatorStats:
     max_frontier_nodes: int = 0
     #: Times the synopsis index detected a mutation and dropped tables.
     index_invalidations: int = 0
-    #: Processes used by the last batched call (1 = in-process serial).
-    workers_used: int = 1
 
     @property
     def plan_cache_hit_rate(self) -> float:

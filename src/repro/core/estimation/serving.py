@@ -3,30 +3,19 @@
 Two entry points:
 
 * :func:`estimate_many` — estimate a batch of queries against one
-  synopsis, optionally sharded over a process pool.  Each worker builds
-  one :class:`~repro.core.estimation.engine.CompiledEstimator` in its
-  initializer and keeps it (and its shared caches) warm across every
-  chunk it serves, so per-worker cache state amortizes exactly like the
-  single-process path.  Under the preferred ``fork`` start method the
-  synopsis and the query list are inherited by the children — never
-  pickled; when only ``spawn`` is available they travel through the
-  pool initargs instead (see :mod:`repro.core.parallel`).
+  synopsis in-process, optionally through a caller's
+  :class:`~repro.core.estimation.engine.CompiledEstimator` so its
+  caches and stats carry across calls.
 * :class:`WorkloadEstimator` — compile a fixed workload once and serve
   it against *changing* synopses.  Plans are synopsis-independent, so
   retargeting (autobudget evaluates one candidate synopsis per trial
   ratio) reuses every compiled plan and only the per-synopsis indexes
   are rebuilt.
-
-Estimation is a pure function of (synopsis, query): the parallel path
-returns the same floats as the serial path regardless of chunking, and
-it silently falls back to serial when process pools are unavailable
-(no usable start method, sandboxed environments) or the batch is too
-small to amortize the pool start.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.estimation.engine import (
     CompiledEstimator,
@@ -34,73 +23,13 @@ from repro.core.estimation.engine import (
     PlanCache,
 )
 from repro.core.estimation.plan import CompiledPlan
-from repro.core.parallel import pool_context
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import TwigQuery
-
-#: Below this many queries the pool-start/IPC overhead exceeds the
-#: estimation work, so batched calls stay serial.
-MIN_PARALLEL_QUERIES = 16
-
-#: Per-worker state set by the pool initializer (inherited through the
-#: fork, or pickled as initargs under spawn).  The estimator persists
-#: across chunks, keeping each worker's caches warm.
-_WORKER_ESTIMATOR: Optional[CompiledEstimator] = None
-_WORKER_QUERIES: Sequence[TwigQuery] = ()
-
-
-def _init_estimation_worker(
-    synopsis: XClusterSynopsis,
-    queries: Sequence[TwigQuery],
-    max_path_length: int,
-) -> None:
-    global _WORKER_ESTIMATOR, _WORKER_QUERIES
-    _WORKER_ESTIMATOR = CompiledEstimator(synopsis, max_path_length)
-    _WORKER_QUERIES = queries
-
-
-def _estimate_chunk(indexes: Sequence[int]) -> List[float]:
-    """Estimate one chunk of query indexes inside a worker process."""
-    estimator = _WORKER_ESTIMATOR
-    queries = _WORKER_QUERIES
-    return [estimator.estimate(queries[index]) for index in indexes]
-
-
-def _estimate_parallel(
-    synopsis: XClusterSynopsis,
-    queries: Sequence[TwigQuery],
-    workers: int,
-    max_path_length: int,
-) -> Optional[List[float]]:
-    """Shard ``queries`` over a process pool; ``None`` means fall back."""
-    context = pool_context()
-    if context is None:
-        return None
-    chunk_count = min(len(queries), workers * 4)
-    chunks = [
-        list(range(offset, len(queries), chunk_count))
-        for offset in range(chunk_count)
-    ]
-    try:
-        with context.Pool(
-            processes=workers,
-            initializer=_init_estimation_worker,
-            initargs=(synopsis, queries, max_path_length),
-        ) as pool:
-            chunk_results = pool.map(_estimate_chunk, chunks)
-    except (OSError, PermissionError, RuntimeError):
-        return None
-    results: List[float] = [0.0] * len(queries)
-    for chunk, estimates in zip(chunks, chunk_results):
-        for index, estimate in zip(chunk, estimates):
-            results[index] = estimate
-    return results
 
 
 def estimate_many(
     synopsis: XClusterSynopsis,
     queries: Sequence[TwigQuery],
-    workers: int = 1,
     max_path_length: int = 40,
     estimator: Optional[CompiledEstimator] = None,
 ) -> List[float]:
@@ -109,29 +38,17 @@ def estimate_many(
     Args:
         synopsis: the synopsis to estimate against.
         queries: the twig queries.
-        workers: processes to shard over; 1 (default) stays in-process.
-            The parallel path falls back to serial when pools are
-            unavailable or the batch is smaller than
-            :data:`MIN_PARALLEL_QUERIES`.
         max_path_length: descendant-axis expansion bound.
-        estimator: reuse an existing engine (serial path only); its
-            caches and stats then carry across calls.
+        estimator: reuse an existing engine; its caches and stats then
+            carry across calls.
 
     Returns:
         One estimate per query, ordered as the input.
     """
-    queries = list(queries)
     if estimator is not None and estimator.synopsis is not synopsis:
         raise ValueError("estimator is bound to a different synopsis")
-    if workers > 1 and len(queries) >= MIN_PARALLEL_QUERIES:
-        results = _estimate_parallel(synopsis, queries, workers, max_path_length)
-        if results is not None:
-            if estimator is not None:
-                estimator.stats.workers_used = workers
-            return results
     if estimator is None:
         estimator = CompiledEstimator(synopsis, max_path_length)
-    estimator.stats.workers_used = 1
     return [estimator.estimate(query) for query in queries]
 
 
@@ -173,25 +90,10 @@ class WorkloadEstimator:
             self._estimator = estimator
         return estimator
 
-    def estimate_all(
-        self, synopsis: XClusterSynopsis, workers: int = 1
-    ) -> List[float]:
-        """Estimates for every workload query against ``synopsis``.
-
-        With ``workers > 1`` the batch shards over a process pool (each
-        worker compiles its own warm plan cache — plans are cheap; the
-        synopsis-side tables dominate); otherwise the precompiled plans
-        execute in-process.
-        """
-        if workers > 1 and len(self.queries) >= MIN_PARALLEL_QUERIES:
-            results = _estimate_parallel(
-                synopsis, self.queries, workers, self.max_path_length
-            )
-            if results is not None:
-                self.stats.workers_used = workers
-                return results
+    def estimate_all(self, synopsis: XClusterSynopsis) -> List[float]:
+        """Estimates for every workload query against ``synopsis``, by
+        executing the precompiled plans."""
         estimator = self.estimator_for(synopsis)
         if self._plans is None:
             self._plans = [estimator.compile(query) for query in self.queries]
-        self.stats.workers_used = 1
         return [estimator.estimate_plan(plan) for plan in self._plans]

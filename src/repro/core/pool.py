@@ -15,14 +15,8 @@ nearest neighbors in a cheap structural-similarity order, exactly in the
 spirit of the paper's bottom-up level heuristic (nodes whose children
 were merged sort together).  Small groups still enumerate all pairs.
 
-Scoring goes through the vectorized :class:`~repro.core.scoring
-.ScoringEngine` when one is supplied (the builder's default); without an
-engine the pool falls back to the scalar Δ implementation, which is the
-pre-optimization reference path.  ``build_pool`` can additionally fan
-candidate scoring out over a ``multiprocessing`` pool (``workers > 1``);
-scoring is a pure function of the synopsis and candidate ordering is
-total (marginal loss, then node ids), so the parallel path keeps exactly
-the serial candidate set and pop order.
+Scoring goes through a :class:`~repro.core.scoring.ScoringEngine`: the
+builder's, which outlives any one pool, or a fresh one per pool.
 """
 
 from __future__ import annotations
@@ -31,8 +25,7 @@ import heapq
 import itertools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.core.distance import SelectivityCache, merge_delta
-from repro.core.scoring import ScoringEngine, score_pairs_parallel
+from repro.core.scoring import ScoringEngine
 from repro.core.sizing import merge_size_saving
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.summary import (
@@ -57,7 +50,7 @@ class MergeCandidate(NamedTuple):
     order is total on the leading ``(marginal_loss, u_id, v_id)`` — a
     pool holds at most one entry per node-id pair, so comparisons never
     reach the payload fields — and pops are deterministic regardless of
-    insertion order (serial and parallel pool builds pop identically).
+    insertion order.
     """
 
     marginal_loss: float
@@ -150,22 +143,26 @@ def candidate_pairs(
 
 
 class CandidatePool:
-    """A marginal-loss priority queue with lazy staleness checks."""
+    """A marginal-loss priority queue with lazy staleness checks.
+
+    Candidates are scored by ``engine``; without one the pool creates
+    its own over ``predicate_limit`` atomic predicates per summary.
+    """
 
     def __init__(
         self,
         synopsis: XClusterSynopsis,
         max_size: int,
         predicate_limit: int,
-        cache: Optional[SelectivityCache] = None,
         engine: Optional[ScoringEngine] = None,
         slack: float = POOL_SLACK,
     ) -> None:
         self.synopsis = synopsis
         self.max_size = max_size
-        self.predicate_limit = predicate_limit
-        self.cache: SelectivityCache = cache if cache is not None else {}
-        self.engine = engine
+        self.engine = (
+            engine if engine is not None
+            else ScoringEngine(synopsis, predicate_limit)
+        )
         self.slack = max(1.0, slack)
         self._heap: List[MergeCandidate] = []
         #: Bumped whenever a node's local neighborhood changes.
@@ -192,12 +189,7 @@ class CandidatePool:
         if u is None or v is None or u.merge_key() != v.merge_key():
             return None
         self.scoring_calls += 1
-        if self.engine is not None:
-            delta = self.engine.merge_delta(u, v)
-        else:
-            delta = merge_delta(
-                self.synopsis, u, v, self.predicate_limit, self.cache
-            )
+        delta = self.engine.merge_delta(u, v)
         saving = max(1, merge_size_saving(self.synopsis, u_id, v_id))
         return MergeCandidate(
             marginal_loss=delta / saving,
@@ -206,22 +198,6 @@ class CandidatePool:
             delta=delta,
             size_saving=saving,
             version=self._pair_version(u_id, v_id),
-        )
-
-    def add_scored(
-        self, u_id: int, v_id: int, delta: float, size_saving: int
-    ) -> None:
-        """Enqueue an externally scored candidate (parallel pool build)."""
-        heapq.heappush(
-            self._heap,
-            MergeCandidate(
-                marginal_loss=delta / size_saving,
-                u_id=u_id,
-                v_id=v_id,
-                delta=delta,
-                size_saving=size_saving,
-                version=self._pair_version(u_id, v_id),
-            ),
         )
 
     def push_pair(self, u_id: int, v_id: int) -> None:
@@ -263,8 +239,7 @@ class CandidatePool:
         node_ids = list(node_ids)
         for node_id in node_ids:
             self.node_versions[node_id] = self.node_versions.get(node_id, 0) + 1
-        if self.engine is not None:
-            self.engine.invalidate(node_ids)
+        self.engine.invalidate(node_ids)
 
     def pop_best(self) -> Optional[MergeCandidate]:
         """Pop the lowest-marginal-loss *valid* candidate.
@@ -293,25 +268,15 @@ def build_pool(
     levels: Dict[int, int],
     predicate_limit: int = 48,
     neighbors: int = 8,
-    cache: Optional[SelectivityCache] = None,
     engine: Optional[ScoringEngine] = None,
-    workers: int = 1,
 ) -> CandidatePool:
     """Assemble the candidate pool for the current level bound.
 
     Mirrors the paper's ``build_pool(S, Hm, l)``: consider merges among
     merge-compatible nodes whose level is at most ``level_limit``, keep
     the best ``max_size`` by marginal loss.
-
-    With ``workers > 1`` (and an engine), candidate scoring fans out
-    over a process pool; the scored candidates merge back into the same
-    heap and the final strict capacity trim keeps exactly the serial
-    result.  When a process pool is unavailable the build silently runs
-    serially.
     """
-    pool = CandidatePool(
-        synopsis, max_size, predicate_limit, cache, engine=engine
-    )
+    pool = CandidatePool(synopsis, max_size, predicate_limit, engine=engine)
     groups: Dict[Tuple, List[SynopsisNode]] = {}
     for node in synopsis:
         if levels.get(node.node_id, 0) > level_limit:
@@ -321,23 +286,7 @@ def build_pool(
         groups.setdefault(node.merge_key(), []).append(node)
 
     label_memo: Dict[int, Tuple[str, ...]] = {}
-    scored = None
-    if workers > 1 and engine is not None:
-        pairs = [
-            pair
-            for members in groups.values()
-            for pair in candidate_pairs(synopsis, members, neighbors, label_memo)
-        ]
-        scored = score_pairs_parallel(
-            synopsis, pairs, predicate_limit, workers
-        )
-        if scored is not None:
-            pool.scoring_calls += len(scored)
-            for u_id, v_id, delta, saving in scored:
-                pool.add_scored(u_id, v_id, delta, saving)
-            pool.enforce_capacity()
-    if scored is None:
-        for members in groups.values():
-            pool.extend(candidate_pairs(synopsis, members, neighbors, label_memo))
+    for members in groups.values():
+        pool.extend(candidate_pairs(synopsis, members, neighbors, label_memo))
     pool.enforce_capacity(strict=True)
     return pool

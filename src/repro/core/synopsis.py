@@ -104,7 +104,7 @@ class SynopsisNode:
     def __getstate__(self):
         # Decode thunks close over load-time buffers and are not
         # picklable; materialize before crossing a process boundary
-        # (the spawn-pool fallback pickles the synopsis into workers).
+        # or a ``copy.deepcopy``.
         return (
             self.node_id,
             self.label,

@@ -13,13 +13,12 @@ Three pieces compose the daemon's hot path:
   keyed by plan signature inside a short dispatch window; structurally
   identical plans collapse onto one representative execution and the
   whole window flushes as a single
-  :func:`~repro.core.estimation.serving.estimate_many` batch (which
-  shards over the copy-on-write fork pool once batches are large
-  enough to amortize it).  Under a repetition-heavy user mix — the
-  redbench-style banded workload — most of a window is duplicates, so
-  the executed batch is far smaller than the arrival batch.  Flushed
-  estimates are remembered per synopsis version, so a repeated plan is
-  answered without another execution until the synopsis changes.
+  :func:`~repro.core.estimation.serving.estimate_many` batch.  Under a
+  repetition-heavy user mix — the redbench-style banded workload — most
+  of a window is duplicates, so the executed batch is far smaller than
+  the arrival batch.  Flushed estimates are remembered per synopsis
+  version, so a repeated plan is answered without another execution
+  until the synopsis changes.
 * :class:`ServingStats` — latency/throughput observability riding on
   the estimator counters: a bounded reservoir of per-request latencies
   (p50/p99), batch occupancy, coalescing rate, and the cross-user plan
@@ -158,7 +157,6 @@ class ServingStats:
                 "plan_cache_hit_rate": estimator.plan_cache_hit_rate,
                 "reach_cache_hit_rate": estimator.reach_cache_hit_rate,
                 "selectivity_cache_hit_rate": estimator.selectivity_cache_hit_rate,
-                "workers_used": estimator.workers_used,
             },
         }
 
@@ -175,7 +173,6 @@ class ServeEngine:
     def __init__(
         self,
         synopsis: Optional[XClusterSynopsis] = None,
-        workers: int = 1,
         max_path_length: int = 40,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -191,7 +188,6 @@ class ServeEngine:
         # (and every derived cache, through the version protocol) stays
         # valid across ``/update`` batches.
         self.synopsis = synopsis if maintainer is None else maintainer.synopsis
-        self.workers = max(1, workers)
         self.max_path_length = max_path_length
         self.workload = WorkloadEstimator([], max_path_length)
         self.stats = ServingStats(self.workload.stats)
@@ -250,16 +246,11 @@ class ServeEngine:
         return twig_from_dict(ast)
 
     def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
-        """Synchronously estimate a batch through the shared state.
-
-        Large batches shard over the process pool (fork children share
-        the loaded snapshot pages copy-on-write); small ones execute
-        in-process against the shared caches.
-        """
+        """Synchronously estimate a batch in-process through the shared
+        caches."""
         return estimate_many(
             self.synopsis,
             queries,
-            workers=self.workers,
             max_path_length=self.max_path_length,
             estimator=self.estimator,
         )

@@ -15,7 +15,7 @@ another service) can talk to the daemon without a client library:
        "estimator": {"queries_estimated", "plans_compiled",
                      "plan_cache_hits", "plan_cache_hit_rate",
                      "reach_cache_hit_rate",
-                     "selectivity_cache_hit_rate", "workers_used"},
+                     "selectivity_cache_hit_rate"},
        "memo": {"requests": {"hits", "entries", "bytes"},
                 "estimates": {"hits", "entries"}}}
 
@@ -33,8 +33,7 @@ another service) can talk to the daemon without a client library:
   rollup requests use neither.
 * ``POST /batch`` — body ``{"queries": [<request body>, ...]}``, at
   most :data:`MAX_BATCH_QUERIES` of them (413 otherwise); response
-  ``{"estimates": [...]}``.  Large batches shard over the
-  copy-on-write worker pool.
+  ``{"estimates": [...]}``.
 * ``POST /update`` — body ``{"updates": [<update dict>, ...]}``
   (:func:`repro.update.ops.update_from_dict`); response
   ``{"applied": N, "version": V, "elements": E}``.  Only available

@@ -13,14 +13,10 @@ node's summary chain, so the follow-up candidate costs one incremental
 advance (heap pops for PSTs and histograms, an order-slice for EBTHs)
 plus a snapshot — or, for PSTs, no snapshot at all: the candidate is a
 view of the stepper's working trie, undone by
-:meth:`SummaryStepper.rollback` if it is never applied.  Both engines
-are provided behind the same interface:
-
-* ``make_stepper(summary, "kernel")`` — the incremental kernels;
-* ``make_stepper(summary, "reference")`` — the scalar oracles
-  (``Histogram.compress``, :func:`prune_leaves_reference`,
-  ``EndBiasedTermHistogram.compress``), used for parity testing and as
-  the benchmark baseline.
+:meth:`SummaryStepper.rollback` if it is never applied.
+:func:`make_stepper` picks the kernel stepper of a summary's family; the
+scalar oracles behind the same interface live in
+:mod:`repro.check.oracles`.
 
 Every stepper records the summary object its state continues from in
 ``expected``; the builder recreates the stepper whenever the node's
@@ -36,7 +32,7 @@ from typing import List, Optional, Tuple
 
 from repro.values.kernels.ebth import EBTHCompressionKernel
 from repro.values.kernels.histogram import HistogramCompressionKernel
-from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
+from repro.values.kernels.pst import PSTPruneKernel
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
@@ -186,65 +182,12 @@ class KernelEBTHStepper(SummaryStepper):
         return compressed
 
 
-class ReferenceHistogramStepper(SummaryStepper):
-    family = "hist_cmprs"
-
-    def advance(self, amount: int) -> Optional[ValueSummary]:
-        current = self.expected
-        if not current.can_compress:
-            return None
-        compressed = HistogramSummary(current.histogram.compress(amount))
-        self.expected = compressed
-        return compressed
-
-
-class ReferencePSTStepper(SummaryStepper):
-    family = "st_cmprs"
-
-    def advance(self, amount: int) -> Optional[ValueSummary]:
-        current = self.expected
-        clone = current.pst.copy()
-        if prune_leaves_reference(clone, amount) == 0:
-            return None
-        compressed = StringSummary(clone)
-        self.expected = compressed
-        return compressed
-
-
-class ReferenceEBTHStepper(SummaryStepper):
-    family = "tv_cmprs"
-
-    def advance(self, amount: int) -> Optional[ValueSummary]:
-        current = self.expected
-        if not current.can_compress:
-            return None
-        compressed = TextSummary(current.ebth.compress(amount))
-        self.expected = compressed
-        return compressed
-
-
-def make_stepper(summary: ValueSummary, engine: str = "kernel") -> SummaryStepper:
-    """The stepper for one summary under the requested engine."""
-    if engine not in ("kernel", "reference"):
-        raise ValueError(
-            f"unknown value engine {engine!r}; expected 'kernel' or 'reference'"
-        )
+def make_stepper(summary: ValueSummary) -> SummaryStepper:
+    """The kernel stepper for one summary's family."""
     if isinstance(summary, HistogramSummary):
-        return (
-            KernelHistogramStepper(summary)
-            if engine == "kernel"
-            else ReferenceHistogramStepper(summary)
-        )
+        return KernelHistogramStepper(summary)
     if isinstance(summary, StringSummary):
-        return (
-            KernelPSTStepper(summary)
-            if engine == "kernel"
-            else ReferencePSTStepper(summary)
-        )
+        return KernelPSTStepper(summary)
     if isinstance(summary, TextSummary):
-        return (
-            KernelEBTHStepper(summary)
-            if engine == "kernel"
-            else ReferenceEBTHStepper(summary)
-        )
+        return KernelEBTHStepper(summary)
     return GenericStepper(summary)

@@ -107,15 +107,11 @@ def evaluate_synopsis(
     synopsis: XClusterSynopsis,
     workload: Workload,
     bound: Optional[float] = None,
-    workers: int = 1,
 ) -> ErrorReport:
     """Estimate every workload query on ``synopsis`` and score it.
 
-    Estimation runs on the compiled engine (:mod:`repro.core.estimation`);
-    ``workers > 1`` shards the workload over a process pool.
+    Estimation runs on the compiled engine (:mod:`repro.core.estimation`).
     """
-    estimates = estimate_many(
-        synopsis, [wq.query for wq in workload.queries], workers=workers
-    )
+    estimates = estimate_many(synopsis, [wq.query for wq in workload.queries])
     pairs = list(zip(workload.queries, estimates))
     return evaluate_estimates(pairs, bound)

@@ -1,4 +1,5 @@
-"""``import repro`` and the CLI start without loading the check harness."""
+"""``import repro`` and the CLI start without loading the check harness
+or ``multiprocessing``."""
 
 import os
 import subprocess
@@ -45,3 +46,12 @@ def test_check_names_still_importable_from_package():
         " run_differential_check is repro.check.run_differential_check)"
     )
     assert out.strip() == "True True"
+
+
+def test_cli_serve_and_collection_do_not_import_multiprocessing():
+    """Only a parallel collection build imports ``multiprocessing``."""
+    out = _run(
+        "import sys, repro.__main__, repro.serve, repro.collection; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    assert out.strip() == "False"

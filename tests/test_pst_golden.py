@@ -103,7 +103,7 @@ def _fused(summaries):
 def _stepped(summaries):
     digest = _Digest()
     for summary in summaries:
-        stepper = make_stepper(summary, "kernel")
+        stepper = make_stepper(summary)
         for amount in (3, 7):
             advanced = stepper.advance(amount)
             if advanced is not None:

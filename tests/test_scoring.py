@@ -2,19 +2,22 @@
 
 The contract under test: the profile-backed :class:`ScoringEngine` is a
 drop-in numerical replacement for the scalar Δ implementations in
-:mod:`repro.core.distance` (parity to float rounding), and parallel pool
-construction changes no merge decisions.
+:mod:`repro.core.distance` (parity to float rounding), so the production
+builder and the scalar :class:`~repro.check.oracles.ReferenceBuilder`
+make the same merge decisions.
 """
 
+import heapq
 import random
 import string
 
 import pytest
 
+from repro.check.oracles import ReferenceBuilder, reference_stepper
 from repro.core import build_reference_synopsis, build_xcluster
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.distance import compression_delta, merge_delta
-from repro.core.pool import CandidatePool, build_pool
+from repro.core.pool import CandidatePool, MergeCandidate
 from repro.core.scoring import ScoringEngine, predicate_key
 from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import XClusterSynopsis
@@ -219,56 +222,6 @@ class TestProfiles:
         assert node.node_id not in engine.profiles
 
 
-class TestParallelPoolConstruction:
-    def test_workers_produce_identical_candidate_set(self, imdb_small):
-        synopsis = build_reference_synopsis(
-            imdb_small.tree, imdb_small.value_paths
-        )
-        levels = synopsis.levels()
-
-        def snapshot(workers):
-            engine = ScoringEngine(synopsis, predicate_limit=32)
-            pool = build_pool(
-                synopsis, 5000, 2, levels, 32, 8, engine=engine, workers=workers
-            )
-            return sorted(
-                (c.u_id, c.v_id, c.delta, c.size_saving) for c in pool._heap
-            )
-
-        serial = snapshot(1)
-        parallel = snapshot(3)
-        assert serial == parallel
-
-    def test_workers_change_no_merge_decisions(self, imdb_small):
-        """A full build with workers > 1 applies the same merges."""
-
-        def build(workers):
-            synopsis = build_reference_synopsis(
-                imdb_small.tree, imdb_small.value_paths
-            )
-            config = BuildConfig(
-                structural_budget=structural_size_bytes(synopsis) // 3,
-                value_budget=10**9,
-                pool_max=2000,
-                pool_min=1000,
-                workers=workers,
-            )
-            builder = XClusterBuilder(config)
-            builder.compress(synopsis)
-            return builder.stats, synopsis
-
-        serial_stats, serial_synopsis = build(1)
-        parallel_stats, parallel_synopsis = build(4)
-        assert parallel_stats.merges_applied == serial_stats.merges_applied
-        assert len(parallel_synopsis) == len(serial_synopsis)
-        assert sorted(
-            (n.label, n.value_type, n.count) for n in serial_synopsis
-        ) == sorted((n.label, n.value_type, n.count) for n in parallel_synopsis)
-        assert structural_size_bytes(parallel_synopsis) == structural_size_bytes(
-            serial_synopsis
-        )
-
-
 class TestPoolCapacityPolicy:
     def _pool_with_candidates(self, count, max_size):
         synopsis = XClusterSynopsis()
@@ -276,7 +229,10 @@ class TestPoolCapacityPolicy:
         synopsis.set_root(root)
         pool = CandidatePool(synopsis, max_size, 16, slack=1.5)
         for index in range(count):
-            pool.add_scored(index * 2, index * 2 + 1, float(index), 1)
+            loss = float(index)
+            heapq.heappush(
+                pool._heap, MergeCandidate(loss, index * 2, index * 2 + 1, loss, 1)
+            )
         return pool
 
     def test_overflow_within_slack_not_trimmed(self):
@@ -320,7 +276,9 @@ class TestBuilderIntegration:
         assert config.value_budget == original_value
 
     def test_scalar_and_vectorized_builds_agree(self, imdb_small):
-        def build(scoring):
+        """The production builder and the scalar-Δ ReferenceBuilder."""
+
+        def build(builder_class):
             synopsis = build_reference_synopsis(
                 imdb_small.tree, imdb_small.value_paths
             )
@@ -329,23 +287,18 @@ class TestBuilderIntegration:
                 value_budget=value_size_bytes(synopsis) // 2,
                 pool_max=2000,
                 pool_min=1000,
-                scoring=scoring,
             )
-            builder = XClusterBuilder(config)
+            builder = builder_class(config)
             builder.compress(synopsis)
             return builder.stats, synopsis
 
-        scalar_stats, scalar_synopsis = build("scalar")
-        vector_stats, vector_synopsis = build("vectorized")
+        scalar_stats, scalar_synopsis = build(ReferenceBuilder)
+        vector_stats, vector_synopsis = build(XClusterBuilder)
         assert vector_stats.merges_applied == scalar_stats.merges_applied
         assert len(vector_synopsis) == len(scalar_synopsis)
         assert structural_size_bytes(vector_synopsis) == structural_size_bytes(
             scalar_synopsis
         )
-
-    def test_unknown_scoring_mode_rejected(self):
-        with pytest.raises(ValueError):
-            XClusterBuilder(BuildConfig(scoring="quantum"))
 
     def test_build_stats_profiling_counters(self, imdb_small):
         synopsis = build_reference_synopsis(
@@ -368,7 +321,6 @@ class TestBuilderIntegration:
         assert 0.0 <= stats.selectivity_cache_hit_rate <= 1.0
         assert stats.profile_hits > 0
         assert stats.profile_hit_rate > 0.0
-        assert stats.workers_used == 1
 
 
 class TestCanonicalPredicates:
@@ -463,7 +415,7 @@ class TestTouchedOnlyCompressionDelta:
     def test_equals_full_loop_along_chain_with_rollbacks(self, seeded_rng):
         synopsis, node = self.string_node(seeded_rng)
         engine = ScoringEngine(synopsis, predicate_limit=16)
-        stepper = make_stepper(node.vsumm, "kernel")
+        stepper = make_stepper(node.vsumm)
         applied = rolled_back = nonzero = 0
         while True:
             profile = engine.profile_for(node)
@@ -486,7 +438,7 @@ class TestTouchedOnlyCompressionDelta:
 
     def test_reference_stepper_leaves_summaries_unmarked(self):
         _, node = self.string_node(random.Random(5))
-        assert make_stepper(node.vsumm, "reference").advance(4).pruned is None
+        assert reference_stepper(node.vsumm).advance(4).pruned is None
 
 
 class TestProfileSigmaAudit:

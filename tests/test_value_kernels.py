@@ -2,9 +2,10 @@
 
 Every kernel in :mod:`repro.values.kernels` must reproduce its scalar
 reference *exactly* — same prune/merge/demotion decisions, same counts,
-same float arithmetic — since the builder treats the two engines as
-interchangeable.  These tests pin that equivalence with fixed regression
-cases, hypothesis-generated inputs, and an end-to-end two-engine build.
+same float arithmetic — since the production builder and the
+:class:`~repro.check.oracles.ReferenceBuilder` must make the same
+decisions.  These tests pin that equivalence with fixed regression
+cases, hypothesis-generated inputs, and end-to-end builds on both.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.oracles import ReferenceBuilder, reference_stepper
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.reference import build_reference_synopsis
 from repro.core.sizing import (
@@ -322,8 +324,8 @@ class TestSteppers:
 
     def test_kernel_and_reference_chains_agree(self):
         for summary in self.summaries():
-            kernel = make_stepper(summary, "kernel")
-            reference = make_stepper(summary, "reference")
+            kernel = make_stepper(summary)
+            reference = reference_stepper(summary)
             for _ in range(6):
                 advanced_k = kernel.advance(2)
                 advanced_r = reference.advance(2)
@@ -334,13 +336,9 @@ class TestSteppers:
                 assert kernel.expected is advanced_k
                 assert reference.expected is advanced_r
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            make_stepper(self.summaries()[0], "quantum")
-
     def string_stepper(self):
         summary = self.summaries()[1]
-        return summary, make_stepper(summary, "kernel")
+        return summary, make_stepper(summary)
 
     def test_pst_advance_shares_one_working_trie(self):
         summary, stepper = self.string_stepper()
@@ -422,26 +420,25 @@ class TestHeapSelections:
             assert centroid.top_terms(limit) == full[:limit]
 
 
-# -- end-to-end: two-engine builder parity -------------------------------------
+# -- end-to-end: production vs reference builder --------------------------------
 
 
 class TestBuilderEngineParity:
-    def build(self, dataset, engine):
+    def build(self, dataset, builder_class=XClusterBuilder):
         synopsis = build_reference_synopsis(dataset.tree, dataset.value_paths)
         config = BuildConfig(
             structural_budget=structural_size_bytes(synopsis),  # phase 2 only
             value_budget=value_size_bytes(synopsis) // 3,
-            value_engine=engine,
         )
-        builder = XClusterBuilder(config)
+        builder = builder_class(config)
         builder.compress(synopsis)
         return builder.stats, synopsis
 
     def test_engines_apply_identical_value_steps(self, imdb_small):
-        kernel_stats, kernel_synopsis = self.build(imdb_small, "kernel")
-        reference_stats, reference_synopsis = self.build(imdb_small, "reference")
-        assert kernel_stats.value_engine_used == "kernel"
-        assert reference_stats.value_engine_used == "reference"
+        kernel_stats, kernel_synopsis = self.build(imdb_small)
+        reference_stats, reference_synopsis = self.build(
+            imdb_small, ReferenceBuilder
+        )
         assert (
             kernel_stats.value_steps_applied == reference_stats.value_steps_applied
         )
@@ -466,7 +463,7 @@ class TestBuilderEngineParity:
         steps still hold pending candidates on their shared working tries;
         rollback must leave each node's trie exactly as committed."""
 
-        def build(engine):
+        def build(builder_class):
             synopsis = build_reference_synopsis(
                 xmark_small.tree, xmark_small.value_paths
             )
@@ -478,15 +475,14 @@ class TestBuilderEngineParity:
             config = BuildConfig(
                 structural_budget=structural_size_bytes(synopsis),
                 value_budget=value_size_bytes(synopsis) * 3 // 4,
-                value_engine=engine,
             )
-            builder = XClusterBuilder(config)
+            builder = builder_class(config)
             builder.compress(synopsis)
             assert builder.stats.value_budget_met
             return synopsis, original
 
-        kernel, original = build("kernel")
-        reference, _ = build("reference")
+        kernel, original = build(XClusterBuilder)
+        reference, _ = build(ReferenceBuilder)
         strings = [
             node
             for node in kernel.valued_nodes()
@@ -510,38 +506,28 @@ class TestBuilderEngineParity:
         [("xmark", 32768), ("imdb", 8000)],
     )
     def test_engine_matrix_snapshots_identical(self, dataset, value_budget):
-        """scoring x value_engine: four byte-identical snapshots.  The
-        scalar Δ path reads σ_old through the node's summary, which the
-        kernel PST stepper shares with its working trie."""
+        """Production and reference builders give byte-identical
+        snapshots: vectorized Δ with kernel steppers against scalar Δ
+        with the scalar compression oracles."""
         if dataset == "xmark":
             source = generate_xmark(scale=0.1, seed=7)
             value_paths = None
         else:
             source = generate_imdb(scale=0.05, seed=42)
             value_paths = source.value_paths
-        snapshots = set()
-        for scoring in ("scalar", "vectorized"):
-            for engine in ("kernel", "reference"):
-                synopsis = build_reference_synopsis(source.tree, value_paths)
-                builder = XClusterBuilder(
-                    BuildConfig(
-                        structural_budget=4096,
-                        value_budget=value_budget,
-                        scoring=scoring,
-                        value_engine=engine,
-                    )
-                )
-                builder.compress(synopsis)
-                assert builder.stats.value_steps_applied > 0
-                snapshots.add(snapshot_to_bytes(synopsis))
-        assert len(snapshots) == 1
-
-    def test_unknown_value_engine_rejected(self):
-        with pytest.raises(ValueError):
-            XClusterBuilder(BuildConfig(value_engine="quantum"))
+        snapshots = []
+        for builder_class in (XClusterBuilder, ReferenceBuilder):
+            synopsis = build_reference_synopsis(source.tree, value_paths)
+            builder = builder_class(
+                BuildConfig(structural_budget=4096, value_budget=value_budget)
+            )
+            builder.compress(synopsis)
+            assert builder.stats.value_steps_applied > 0
+            snapshots.append(snapshot_to_bytes(synopsis))
+        assert snapshots[0] == snapshots[1]
 
     def test_phase_timers_populate(self, imdb_small):
-        stats, _ = self.build(imdb_small, "kernel")
+        stats, _ = self.build(imdb_small)
         if stats.value_steps_applied:
             compression_seconds = (
                 stats.hist_cmprs_seconds
