@@ -24,8 +24,9 @@ At asserting scales a ``paper_scale`` entry adds the paper's XMark size
 (:data:`PAPER_SCALE`, ~204k elements) on the end-to-end serve-update
 workload's op stream (records cloned beside their kind, records
 deleted, prices and names rewritten): per-kind median latency, the
-structure entries each splice rewrote, and one rebuild parity check
-after the whole stream.
+structure entries each splice rewrote, the TEXT summaries each splice
+encoded or remapped, and one rebuild parity check after the whole
+stream.
 
 Results land in ``BENCH_updates.json``.
 """
@@ -175,6 +176,7 @@ def _paper_scale_point(seed):
             gc.enable()
     rebuilt = build_reference_synopsis(doc, None, SummaryConfig())
     stats = maintainer.stats
+    splices = stats.inserts + stats.deletes
     return {
         "scale": PAPER_SCALE,
         "elements": len(doc),
@@ -183,9 +185,11 @@ def _paper_scale_point(seed):
             kind: round(1000 * statistics.median(samples), 3)
             for kind, samples in latency.items()
         },
-        "rows_relinked_per_splice": round(
-            stats.rows_relinked / (stats.inserts + stats.deletes), 1
-        ),
+        "rows_relinked_per_splice": round(stats.rows_relinked / splices, 1),
+        # TEXT summaries each splice derived, and how many of those only
+        # had their term ids moved instead of being re-encoded.
+        "text_encodes_per_splice": round(stats.text_encodes / splices, 2),
+        "text_remaps_per_splice": round(stats.text_remaps / splices, 2),
         "class_passes": stats.class_passes,
         "equivalent": synopsis_to_dict(maintainer.synopsis)
         == synopsis_to_dict(rebuilt),

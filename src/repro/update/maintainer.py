@@ -15,8 +15,8 @@ per-class aggregates, and every update takes one of two paths:
 
 * **summary-local** — a same-kind NUMERIC/STRING value change.  Classes
   ignore values, so the partition cannot move: the one cluster holding
-  the element gets a fresh summary from values gathered by a C-level
-  pass over the class column, and nothing else is touched.
+  the element rebuilds its summary from its stored value counts, moved
+  by the old value and the new one, and nothing else is touched.
 * **localized** — inserts, deletes, kind flips and same-kind TEXT
   changes.  An update changes the down ids of the spliced subtree and
   of the splice point's ancestor chain only, so only those rows are
@@ -30,13 +30,14 @@ per-class aggregates, and every update takes one of two paths:
   node ids identical to a rebuild.  Classes moved by delta instead
   patch the live nodes of the changed clusters in place.  Summary work
   is confined to clusters whose member set changed: every other cluster
-  keeps the old summary object.  TEXT summaries — whose term ids are
-  interned across clusters in build order — rewind the shared
-  vocabulary to the first TEXT cluster whose centroid or position
-  moved and re-encode from there, until the vocabulary after a
-  re-encoded cluster is back in its old state at that point: then the
-  old tail is restored and later clusters keep their encodings
-  (``MaintainerStats.text_encodes`` counts the encodes).
+  keeps the old summary object, and a changed one is built from its
+  stored value counts, moved by the rows the update cut or spliced in.
+  TEXT summaries — whose term ids are interned across clusters in build
+  order — rewind the shared vocabulary to the first TEXT cluster whose
+  centroid or position moved and re-encode from there; a later
+  unchanged cluster whose ids merely moved is remapped, and once the
+  vocabulary is back in its old state later clusters keep their
+  encodings (``MaintainerStats.text_encodes``, ``text_remaps``).
 
 No update runs a whole-document refinement: construction runs the only
 down pass (``MaintainerStats.full_recomputes``).
@@ -95,14 +96,13 @@ from repro.values.summary import (
     SummaryConfig,
     TextSummary,
     ValueSummary,
-    build_summary,
+    build_numeric_summary,
 )
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.xmltree.columnar import (
     KIND_NULL,
     KIND_STRING,
     KIND_TEXT,
-    KIND_TO_TYPE,
     ColumnarDocument,
 )
 from repro.xmltree.parser import DEFAULT_TEXT_WORD_THRESHOLD
@@ -167,12 +167,12 @@ class MaintainerStats:
     #: Whole-document up passes: construction's, plus one per
     #: localized update whose classes could not move by delta.
     class_passes: int = 0
-    #: Cluster summaries (TEXT: centroids) computed from values...
+    #: Cluster summaries (TEXT: centroids) built from value counts...
     summaries_built: int = 0
     #: ...and carried over from a cluster's exact image instead.
     summaries_reused: int = 0
-    #: TEXT summaries encoded by updates: changed clusters, plus later
-    #: ones while the shared vocabulary differs from its old state.
+    #: TEXT summaries encoded or remapped by updates: changed clusters,
+    #: plus later ones while the shared vocabulary differs from its old state.
     text_encodes: int = 0
     #: ``size``/``parent_gap`` entries structural ops rewrote outside
     #: the spliced rows: the splice's ancestors and their children past it.
@@ -180,27 +180,21 @@ class MaintainerStats:
     #: STRING summaries re-pruned from stored counts plus the strings
     #: that entered or left the cluster, instead of re-counted.
     string_deltas: int = 0
+    #: TEXT summaries of ``text_encodes`` that only had their ids remapped.
+    text_remaps: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
         return asdict(self)
 
 
-def _members(classes: List[int], key: int) -> List[int]:
-    """Preorder indexes of the members of class ``key``.
-
-    Each ``list.index`` call scans in C up to the next member, so one
-    cluster costs a C-level pass over the column, not a Python one.
-    """
-    members: List[int] = []
-    find = classes.index
-    at = -1
-    while True:
-        try:
-            at = find(key, at + 1)
-        except ValueError:
-            return members
-        members.append(at)
+def _move(counts: Counter, delta: Counter) -> Counter:
+    """``counts`` moved in place by ``delta``, dropping what reaches zero."""
+    counts.update(delta)
+    for item in delta:
+        if not counts[item]:
+            del counts[item]
+    return counts
 
 
 class IncrementalMaintainer:
@@ -240,10 +234,12 @@ class IncrementalMaintainer:
         #: The caller's knobs with a private vocabulary, which localized
         #: updates rewind and extend in place (never the caller's).
         self._config = replace(self.base_config, vocabulary=Vocabulary())
-        #: TEXT clusters in build order with their centroids, and the
-        #: vocabulary size before each one (plus the final size).
-        self._text: List[Tuple[int, TermCentroid]] = []
+        #: TEXT clusters in build order, and the vocabulary size before
+        #: each one (plus the final size).
+        self._text: List[int] = []
         self._vocab_marks: List[int] = [0]
+        #: NUMERIC class id -> value -> count; TEXT: term -> texts holding it.
+        self._counts: Dict[int, Counter] = {}
         #: STRING class id -> the substring counts pruning dropped from
         #: its summary's PST; with the kept ones, the full counts.
         self._dropped: Dict[int, Dict[str, int]] = {}
@@ -323,29 +319,18 @@ class IncrementalMaintainer:
     # -- summaries ---------------------------------------------------------
 
     def _gather(self, classes: List[int], keys: Iterable[int]) -> Dict[int, list]:
-        """Member values of the clusters ``keys``, in preorder.
-
-        One pass serves any number of clusters; :func:`_members` is
-        faster for a single one.
-        """
+        """Member values of the clusters ``keys`` (whole-document paths only)."""
         values: Dict[int, list] = {key: [] for key in keys}
-        if values:
-            value_of = self.doc.value
-            for index in compress(count(), map(values.__contains__, classes)):
-                values[classes[index]].append(value_of(index))
+        value_of = self.doc.value
+        for index in compress(count(), map(values.__contains__, classes)):
+            values[classes[index]].append(value_of(index))
         return values
 
-    def _summary(self, key: int, vtype: ValueType, vals: list) -> ValueSummary:
-        """The NUMERIC/STRING summary a rebuild would attach to ``key``."""
+    def _numeric(self, counts: Counter) -> ValueSummary:
+        """The NUMERIC summary a rebuild would build from ``counts``."""
         self.stats.summaries_built += 1
-        if vtype is ValueType.STRING:
-            return self._prune(
-                key, PrunedSuffixTree.from_strings(vals, self._config.pst_max_depth)
-            )
-        return enforce_summary_budget(
-            build_summary(vtype, vals, self._config),
-            self.max_summary_bytes,
-        )
+        summary = build_numeric_summary(counts, self._config)
+        return enforce_summary_budget(summary, self.max_summary_bytes)
 
     def _prune(self, key: int, tree: PrunedSuffixTree) -> ValueSummary:
         """The STRING summary a rebuild would attach to ``key``, pruned
@@ -380,17 +365,13 @@ class IncrementalMaintainer:
                 tree.remove_string(string, -times)
         return self._prune(key, tree)
 
-    def _encode_text(self, centroid: TermCentroid) -> ValueSummary:
-        """A TEXT summary over the current vocabulary state."""
+    def _encode_text(self, key: int) -> ValueSummary:
+        """``key``'s TEXT summary over the current vocabulary state."""
         self.stats.text_encodes += 1
-        return enforce_summary_budget(
-            TextSummary(
-                EndBiasedTermHistogram.from_centroid(
-                    centroid, self._config.vocabulary
-                )
-            ),
-            self.max_summary_bytes,
-        )
+        texts = self._aggregates[0][key]  # every member holds one text
+        centroid = TermCentroid.from_counts(self._counts[key], texts)
+        ebth = EndBiasedTermHistogram.from_centroid(centroid, self._config.vocabulary)
+        return enforce_summary_budget(TextSummary(ebth), self.max_summary_bytes)
 
     # -- assembly ------------------------------------------------------------
 
@@ -417,10 +398,10 @@ class IncrementalMaintainer:
     ) -> Dict[int, ValueSummary]:
         """Every summarized class's summary, for :meth:`_assemble`.
 
-        Outside ``image``, a STRING cluster with stored counts and a
-        ``deltas`` entry is re-pruned; the others are built from values.
+        A class in ``image`` carries its source's summary and counts, one
+        with ``deltas`` (value -> copies in, negative when out) moves its
+        counts, and the others count gathered values.
         """
-        classes = self._classes
         node_vtypes = self._aggregates[2]
         node_paths = self._class_paths
         wanted = self._wanted
@@ -429,81 +410,124 @@ class IncrementalMaintainer:
             for key, vtype in node_vtypes.items()
             if vtype is not ValueType.NULL and wanted(node_paths[key])
         ]
-        old_dropped = self._dropped
-        self._dropped = dropped = {}
-        deltas = {key: delta for key, delta in deltas.items() if key in old_dropped}
-        values = self._gather(
-            classes,
-            [key for key in summarized if key not in image and key not in deltas],
-        )
+        old_counts, old_dropped = self._counts, self._dropped
+        self._counts, self._dropped = counts, dropped = {}, {}
+        fresh = [key for key in summarized if key not in image and key not in deltas]
+        values = self._gather(self._classes, fresh) if fresh else {}
 
         stats = self.stats
-        vocabulary = self._config.vocabulary
-        old_text = self._text
-        old_centroids = dict(old_text)
-        marks = self._vocab_marks
-        text: List[Tuple[int, TermCentroid]] = []
-        rewound = False
         summaries: Dict[int, ValueSummary] = {}
+        texts: List[int] = []
         for key in summarized:
+            vtype = node_vtypes[key]
             source = image.get(key)
-            if node_vtypes[key] is not ValueType.TEXT:
+            if source is not None and vtype is not ValueType.TEXT:
+                summaries[key] = old_nodes[source].vsumm
+                stats.summaries_reused += 1
+            if vtype is ValueType.STRING:
                 if source is not None:
-                    summaries[key] = old_nodes[source].vsumm
-                    stats.summaries_reused += 1
-                    if source in old_dropped:
-                        dropped[key] = old_dropped[source]
+                    dropped[key] = old_dropped[source]
                 elif key in deltas:
                     summaries[key] = self._reprune(
                         key, old_nodes[key].vsumm, old_dropped[key], deltas[key]
                     )
                 else:
-                    summaries[key] = self._summary(key, node_vtypes[key], values[key])
-                continue
-            position = len(text)
-            if (
-                not rewound
-                and source is not None
-                and position < len(old_text)
-                and old_text[position][0] == source
-            ):
-                # Same centroids so far, in the same order: the
-                # vocabulary state matches, so the old encoding stands.
-                centroid = old_text[position][1]
-                summaries[key] = old_nodes[source].vsumm
-                stats.summaries_reused += 1
-            else:
-                if not rewound:
-                    rewound = synced = True
-                    old_marks, base = marks[:], marks[position]
-                    tail = vocabulary.truncate(base)
-                    del marks[position + 1:]
-                if source is None:
-                    centroid = TermCentroid.from_term_sets(values[key])
                     stats.summaries_built += 1
-                else:
-                    centroid = old_centroids[source]
+                    tree = PrunedSuffixTree.from_strings(values[key], self._config.pst_max_depth)
+                    summaries[key] = self._prune(key, tree)
+                continue
+            text = vtype is ValueType.TEXT
+            if source is not None:
+                counts[key] = old_counts[source]
+            elif key in deltas:
+                counts[key] = _move(old_counts[key], deltas[key])
+            else:
+                members = values[key]
+                counts[key] = Counter(chain.from_iterable(members) if text else members)
+            if text:
+                texts.append(key)
+            elif source is None:
+                summaries[key] = self._numeric(counts[key])
+        summaries.update(self._texts(texts, image, old_nodes))
+        return summaries
+
+    def _texts(
+        self, keys: List[int], image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
+    ) -> Dict[int, ValueSummary]:
+        """The summaries of the TEXT clusters ``keys``, in build order.
+
+        While ``synced``, the rewound vocabulary holds the old terms up to
+        this position's old mark in their old order, less the ``tainted``
+        ones (terms a re-encoded cluster lost; a later one may re-intern
+        them), so an unchanged cluster holding none of them takes its old
+        encoding through ``mapping`` (old id -> new id)."""
+        stats = self.stats
+        vocabulary = self._config.vocabulary
+        old_text = self._text
+        marks = self._vocab_marks
+        rewound = False
+        summaries: Dict[int, ValueSummary] = {}
+        for position, key in enumerate(keys):
+            source = image.get(key)
+            same = position < len(old_text) and old_text[position] == source
+            if not rewound:
+                if same:
+                    # Same clusters so far, in the same order: the
+                    # vocabulary state matches, so the old encoding stands.
+                    summaries[key] = old_nodes[source].vsumm
                     stats.summaries_reused += 1
-                start = len(vocabulary)
-                summaries[key] = self._encode_text(centroid)
-                size = len(vocabulary)
-                marks.append(size)
-                # While ``synced`` the vocabulary is a prefix of the old
-                # one (``tail`` holds its terms from id ``base`` on); at
-                # the old size for the next position it is in its old
-                # state, so restore the tail: later encodings stand again.
-                synced = synced and (
-                    vocabulary.since(start) == tail[start - base:size - base]
-                )
-                if synced and old_marks[position + 1:position + 2] == [size]:
-                    vocabulary.intern_all(tail[size - base:])
-                    marks[position + 2:] = old_marks[position + 2:]
-                    rewound = False
-            text.append((key, centroid))
+                    continue
+                rewound = synced = True
+                old_marks, base = marks[:], marks[position]
+                tail = vocabulary.truncate(base)
+                del marks[position + 1:]
+                mapping = list(range(base))
+                tainted: Set[str] = set()
+            if synced and position < len(old_text):
+                # The terms this position first interned, in order.
+                first, last = old_marks[position] - base, old_marks[position + 1] - base
+                own = tail[first:last]
+            else:
+                synced = False
+            stats.summaries_built += source is None
+            stats.summaries_reused += source is not None
+            start = len(vocabulary)
+            summary = None
+            if synced and same and not any(map(self._counts[key].__contains__, tainted)):
+                # It holds old terms, which keep their order, and ``own``.
+                mapping += range(start, start + len(own))
+                old = old_nodes[source].vsumm.ebth
+                moved = TextSummary(old.remapped(mapping))
+                if not old.bucket_member_count:
+                    # Uncompressed, it is a rebuild's encoding before the budget.
+                    summary = enforce_summary_budget(moved, self.max_summary_bytes)
+                elif moved.ebth.bitmap.run_count == old.bitmap.run_count:
+                    # Compression keeps the bitmap, so at the old size every
+                    # step a rebuild takes matches the old one's.
+                    summary = moved
+                if summary is not None:
+                    stats.text_encodes += 1
+                    stats.text_remaps += 1
+                    vocabulary.intern_all(own)
+            if summary is None:
+                summary = self._encode_text(key)
+            summaries[key] = summary
+            if synced:
+                kept = set(vocabulary.since(start))
+                synced = kept <= tainted.union(own)
+                tainted.update(term for term in own if term not in kept)
+                mapping[old_marks[position]:] = map(vocabulary.get, own)
+            marks.append(len(vocabulary))
+            if synced and not tainted:
+                # The vocabulary is in its old state at the next
+                # position: restore the tail, later encodings stand.
+                vocabulary.intern_all(tail[marks[-1] - base:])
+                marks[position + 2:] = old_marks[position + 2:]
+                rewound = False
         if not rewound:
-            vocabulary.truncate(marks[len(text)])
-            del marks[len(text) + 1:]
-        self._text = text
+            vocabulary.truncate(marks[len(keys)])
+            del marks[len(keys) + 1:]
+        self._text = keys
         return summaries
 
     def _graft(self, fresh: XClusterSynopsis) -> None:
@@ -562,7 +586,7 @@ class IncrementalMaintainer:
         """Move the classes after a splice under ``parent``, then assemble.
 
         Old rows ``[at, at + removed)`` were cut (``cut`` holds their
-        STRING deltas) or new rows ``[at, at + inserted)`` spliced in,
+        value deltas) or new rows ``[at, at + inserted)`` spliced in,
         and the rows' and ancestors' down ids re-keyed.  When the splice
         root's class has a member before
         ``at``, that member's subtree is isomorphic to the splice and
@@ -597,7 +621,7 @@ class IncrementalMaintainer:
         for key in rows:
             counts[key] += sign
             edges[(self._class_key[key][1], key)] += sign
-        self._reassemble(set(rows), self._string_deltas(at, at + inserted, 1, cut))
+        self._reassemble(set(rows), self._value_deltas(at, at + inserted, 1, cut))
 
     def _reclassify(self, at: int, inserted: int, removed: int, touched: int) -> None:
         """Whole-document up pass, image matching, and assembly.
@@ -631,8 +655,8 @@ class IncrementalMaintainer:
         """Patch the live nodes after an update that moved no class.
 
         Every cluster but ``changed`` keeps its summary (TEXT ones up to
-        re-encoding); ``deltas`` holds the STRING values that entered
-        or left changed clusters.  Edges neither appear nor vanish, so the
+        an id shift or re-encoding); ``deltas`` holds the values that
+        entered or left changed clusters.  Edges neither appear nor vanish, so the
         ``changed`` nodes take their new counts, child averages and
         parent edge entries in place, in a rebuild's float arithmetic.
         """
@@ -654,37 +678,37 @@ class IncrementalMaintainer:
         """Rebuild the one summary of the cluster holding ``index``.
 
         Only reachable for same-kind NUMERIC/STRING changes: the
-        partition cannot have moved (classes ignore values), so the
-        dirty region is exactly this cluster's value list.  A STRING
-        cluster with stored counts is re-pruned from them, the old value
-        (``cut``) leaving and the new one entering, reading no others.
+        partition cannot have moved (classes ignore values), so only
+        this cluster's stored counts move, by the old value (``cut``)
+        leaving and the new one entering.
         """
         doc = self.doc
         # All class members share one label path and one kind (the
         # initial partition key), so wantedness is a class property.
         if not self._wanted(doc.path_ids[index]):
             return
-        classes = self._classes
-        key = classes[index]
+        key = self._classes[index]
         node = self.synopsis.nodes[key]
-        delta = self._string_deltas(index, index + 1, 1, cut).get(key)
-        if delta is not None and key in self._dropped:
+        delta = self._value_deltas(index, index + 1, 1, cut)[key]
+        if doc.value_kind[index] == KIND_STRING:
             node.vsumm = self._reprune(key, node.vsumm, self._dropped[key], delta)
-            return
-        vals = list(map(doc.value, _members(classes, key)))
-        node.vsumm = self._summary(key, KIND_TO_TYPE[doc.value_kind[index]], vals)
+        else:
+            node.vsumm = self._numeric(_move(self._counts[key], delta))
 
-    def _string_deltas(
+    def _value_deltas(
         self, start: int, stop: int, sign: int, deltas: Dict[int, Counter]
     ) -> Dict[int, Counter]:
-        """Add ``sign`` for each STRING value of rows ``[start, stop)``
-        to its class's entry in ``deltas`` (class -> string -> copies)."""
+        """Add ``sign`` for each value of rows ``[start, stop)`` (TEXT: for
+        each of its terms) to its class's entry in ``deltas``."""
         doc = self.doc
         kinds = doc.value_kind
+        classes = self._classes
         for row in range(start, stop):
-            if kinds[row] == KIND_STRING:
-                delta = deltas.setdefault(self._classes[row], Counter())
-                delta[doc.value(row)] += sign
+            if kinds[row] != KIND_NULL:
+                delta = deltas.setdefault(classes[row], Counter())
+                value = doc.value(row)
+                for item in value if kinds[row] == KIND_TEXT else (value,):
+                    delta[item] += sign
         return deltas
 
     # -- the update entry point --------------------------------------------
@@ -704,12 +728,12 @@ class IncrementalMaintainer:
             if isinstance(op, DeleteSubtree) and 0 < op.index < size
             else -1
         )
-        # STRING values leaving the document, read before the splice.
+        # Values leaving the document, read before the splice.
         cut: Dict[int, Counter] = {}
         if cut_parent >= 0:
-            self._string_deltas(op.index, op.index + doc.size[op.index], -1, cut)
+            self._value_deltas(op.index, op.index + doc.size[op.index], -1, cut)
         elif isinstance(op, ValueChange) and 0 <= op.index < size:
-            self._string_deltas(op.index, op.index + 1, -1, cut)
+            self._value_deltas(op.index, op.index + 1, -1, cut)
         relinked = doc.rows_relinked
         at, old_kind, new_kind = apply_update(doc, op, self.text_word_threshold)
         stats = self.stats
@@ -737,7 +761,8 @@ class IncrementalMaintainer:
                 self._reclassify(0, 0, 0, op.index)
             elif new_kind == KIND_TEXT:
                 stats.text_reencodes += 1
-                self._reassemble({self._classes[op.index]}, {})
+                changed = self._value_deltas(op.index, op.index + 1, 1, cut)
+                self._reassemble(set(changed), changed)
             elif new_kind == KIND_NULL:
                 # NULL -> NULL: the document is untouched semantically.
                 path = "noop"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from operator import neg
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.values.rle import RunLengthBitmap
 from repro.values.termvector import TermCentroid, Vocabulary
@@ -151,6 +151,15 @@ class EndBiasedTermHistogram:
         check_encoding(exact, bitmap, len(rest), bits)
         return cls.trusted(
             vocabulary, exact, bitmap, average, len(rest), centroid.count
+        )
+
+    def remapped(self, mapping: Sequence[int]) -> "EndBiasedTermHistogram":
+        """This histogram with each term id ``i`` moved to ``mapping[i]``: an increasing
+        map keeps the ``(-frequency, id)`` order of the exact part and of ``tv_cmprs``."""
+        exact = dict(zip(map(mapping.__getitem__, self.exact), self.exact.values()))
+        return self.trusted(
+            self.vocabulary, exact, self.bitmap.remapped(mapping),
+            self.bucket_average, self.bucket_member_count, self.count,
         )
 
     @classmethod

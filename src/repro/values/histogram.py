@@ -20,8 +20,9 @@ splitting during alignment).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Bytes per stored bucket: lo (4) + hi (4) + count (4).
 BUCKET_BYTES = 12
@@ -79,7 +80,12 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values: Iterable[int], max_buckets: int = 64) -> "Histogram":
-        """Build an equi-depth histogram from a collection of integers.
+        """Build an equi-depth histogram from a collection of integers."""
+        return cls.from_counts(Counter(values), max_buckets)
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int], max_buckets: int = 64) -> "Histogram":
+        """Build an equi-depth histogram from value -> positive count.
 
         Bucket boundaries are chosen so each bucket holds roughly the same
         number of values; ties never split a distinct value across buckets,
@@ -88,19 +94,14 @@ class Histogram:
         """
         if max_buckets < 1:
             raise ValueError("max_buckets must be >= 1")
-        ordered = sorted(values)
-        if not ordered:
+        ordered = sorted(counts)  # sorting the pairs would compare tuples
+        distinct = list(zip(ordered, map(counts.__getitem__, ordered)))
+        if not distinct:
             return cls(())
-        distinct: List[Tuple[int, int]] = []
-        for value in ordered:
-            if distinct and distinct[-1][0] == value:
-                distinct[-1] = (value, distinct[-1][1] + 1)
-            else:
-                distinct.append((value, 1))
         if len(distinct) <= max_buckets:
             buckets = [HistogramBucket(v, v, c) for v, c in distinct]
             return cls(buckets)
-        target = len(ordered) / max_buckets
+        target = sum(counts.values()) / max_buckets
         buckets = []
         run_lo = distinct[0][0]
         run_count = 0

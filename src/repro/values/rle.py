@@ -84,6 +84,20 @@ class RunLengthBitmap:
                 result.append((start, end))
         return RunLengthBitmap(result)
 
+    def remapped(self, mapping: Sequence[int]) -> "RunLengthBitmap":
+        """The bitmap with each set position ``i`` moved to ``mapping[i]``, increasing on
+        them: runs it brings together merge, and one it opens gaps in splits."""
+        runs: List[Run] = []
+        for start, end in self._runs:
+            low = mapping[start]
+            if mapping[end] - low != end - start:
+                return RunLengthBitmap.from_ids(map(mapping.__getitem__, self))
+            if runs and low == runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], low + end - start)
+            else:
+                runs.append((low, low + end - start))
+        return RunLengthBitmap(runs)
+
     def invariant_issues(self) -> List[str]:
         """Well-formedness issues of the run encoding (empty = healthy).
 

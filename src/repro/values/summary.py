@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.query.predicates import (
     AtLeastKPredicate,
@@ -573,18 +574,21 @@ def build_summary(
     if value_type is ValueType.NULL:
         return None
     if value_type is ValueType.NUMERIC:
-        if config.numeric_summary == "wavelet":
-            return WaveletSummary.from_values(values, config)
-        if config.numeric_summary != "histogram":
-            raise ValueError(
-                f"unknown numeric_summary {config.numeric_summary!r}"
-            )
-        return HistogramSummary.from_values(values, config)
+        return build_numeric_summary(Counter(values), config)
     if value_type is ValueType.STRING:
         return StringSummary.from_values(values, config)
     if value_type is ValueType.TEXT:
         return TextSummary.from_values(values, config)
     raise ValueError(f"unknown value type {value_type!r}")
+
+
+def build_numeric_summary(counts: Mapping[int, int], config: SummaryConfig) -> ValueSummary:
+    """The NUMERIC summary of values occurring ``counts[v]`` times each."""
+    if config.numeric_summary == "wavelet":
+        return WaveletSummary(HaarWavelet.from_counts(counts, config.wavelet_coefficients))
+    if config.numeric_summary != "histogram":
+        raise ValueError(f"unknown numeric_summary {config.numeric_summary!r}")
+    return HistogramSummary(Histogram.from_counts(counts, config.histogram_buckets))
 
 
 def fuse_summaries(

@@ -15,7 +15,8 @@ rule of Section 4.1.
 from __future__ import annotations
 
 import heapq
-from itertools import count, filterfalse
+from collections import Counter
+from itertools import chain, count, filterfalse
 from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 
@@ -110,16 +111,15 @@ class TermCentroid:
     @classmethod
     def from_term_sets(cls, term_sets: Iterable[FrozenSet[str]]) -> "TermCentroid":
         """Build the centroid of a collection of texts (term sets)."""
-        occurrences: Dict[str, int] = {}
-        count = 0
-        for terms in term_sets:
-            count += 1
-            for term in terms:
-                occurrences[term] = occurrences.get(term, 0) + 1
+        texts = list(term_sets)
+        return cls.from_counts(Counter(chain.from_iterable(texts)), len(texts))
+
+    @classmethod
+    def from_counts(cls, hits: Mapping[str, int], count: int) -> "TermCentroid":
+        """The centroid of ``count`` texts, ``hits[t]`` of which contain ``t``."""
         if count == 0:
             return cls({}, 0)
-        weights = {term: hits / count for term, hits in occurrences.items()}
-        return cls(weights, count)
+        return cls({term: times / count for term, times in hits.items()}, count)
 
     def frequency(self, term: str) -> float:
         """The fractional frequency ``w[t]`` (0.0 for absent terms)."""

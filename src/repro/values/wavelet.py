@@ -16,7 +16,8 @@ fusion.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 #: Bytes per retained coefficient: index (4) + value (4).
 COEFFICIENT_BYTES = 8
@@ -106,16 +107,22 @@ class HaarWavelet:
     def from_values(
         cls, values: Iterable[int], max_coefficients: int = 64
     ) -> "HaarWavelet":
-        ordered = sorted(values)
-        if not ordered:
+        return cls.from_counts(Counter(values), max_coefficients)
+
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[int, int], max_coefficients: int = 64
+    ) -> "HaarWavelet":
+        """Build from value -> positive count (floats sum counts exactly)."""
+        if not counts:
             return cls(0, 1, 1, {}, 0.0)
-        lo, hi = ordered[0], ordered[-1]
+        lo, hi = min(counts), max(counts)
         span = hi - lo + 1
         cell_width = max(1, (span + MAX_GRID - 1) // MAX_GRID)
         length = _next_power_of_two(max(1, (span + cell_width - 1) // cell_width))
         vector = [0.0] * length
-        for value in ordered:
-            vector[(value - lo) // cell_width] += 1.0
+        for value, times in counts.items():
+            vector[(value - lo) // cell_width] += times
         return cls.from_vector(lo, cell_width, vector, max_coefficients)
 
     @classmethod
