@@ -36,7 +36,8 @@ import common
 from repro.core.builder import build_xcluster
 from repro.core.estimation import CompiledEstimator
 from repro.core.serialization import load_synopsis, save_synopsis
-from repro.core.snapshot import load_snapshot, save_snapshot
+from repro.core.sizing import total_size_bytes
+from repro.core.snapshot import load_snapshot, save_snapshot, snapshot_sections
 from repro.datasets import generate_xmark
 from repro.query.jsonast import twig_to_dict
 from repro.serve import ServeClient, ServeEngine, SynopsisServer
@@ -123,6 +124,8 @@ def _sweep_point(scale, xmark_seed, queries_per_class, floor=None):
         save_snapshot(synopsis, snapshot_path)
         json_bytes = os.path.getsize(json_path)
         snapshot_bytes = os.path.getsize(snapshot_path)
+        with open(snapshot_path, "rb") as handle:
+            sections = snapshot_sections(handle.read())
 
         json_seconds, snapshot_seconds = _timed_loads(json_path, snapshot_path)
         retries = POINT_RETRIES if floor is not None else 0
@@ -145,6 +148,9 @@ def _sweep_point(scale, xmark_seed, queries_per_class, floor=None):
         "queries": len(queries),
         "json_bytes": json_bytes,
         "snapshot_bytes": snapshot_bytes,
+        "model_bytes": total_size_bytes(synopsis),
+        "vocabulary_bytes": sections["vocabulary"],
+        "snapshot_sections": sections,
         "json_load_seconds": round(json_seconds, 6),
         "snapshot_load_seconds": round(snapshot_seconds, 6),
         "speedup": round(

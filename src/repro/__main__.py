@@ -83,7 +83,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         f"{args.input}: {len(doc)} elements -> {len(synopsis)} clusters, "
         f"{structural_size_bytes(synopsis)} structural + "
         f"{value_size_bytes(synopsis)} value bytes "
-        f"({total_size_bytes(synopsis)} total) -> {args.output} [{args.format}]"
+        f"({total_size_bytes(synopsis)} total) -> {args.output} [{args.format}], "
+        f"{os.path.getsize(args.output)} file bytes"
     )
     return 0
 

@@ -306,9 +306,7 @@ def load_synopsis(path: str, verify: bool = True) -> XClusterSynopsis:
     """
     from repro.core import snapshot as _snapshot
 
-    with open(path, "rb") as handle:
-        head = handle.read(len(_snapshot.SNAPSHOT_MAGIC))
-    if head == _snapshot.SNAPSHOT_MAGIC:
+    if _snapshot.is_snapshot(path):
         return _snapshot.load_snapshot(path, verify=verify)
     with open(path, "r", encoding="utf-8") as handle:
         try:

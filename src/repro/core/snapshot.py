@@ -4,37 +4,46 @@ JSON (:mod:`repro.core.serialization`) remains the portable interchange
 format, but it is cold-start-bound: every consumer re-parses the whole
 blob and rebuilds the full Python object graph before the first
 estimate.  A *snapshot* is the serving-tier format: a single buffer of
-length-prefixed little-endian sections laid out so a file can be opened
-with ``mmap`` and decoded **lazily per section** —
+little-endian sections laid out so a file can be opened with ``mmap``
+and decoded **lazily per section** —
 
-* the header carries magic bytes (format auto-detection) and a section
-  table of absolute ``(id, offset, length)`` entries, bounds-checked up
-  front so truncation is caught at open time;
-* the node and edge tables are flat fixed-width ``struct`` records,
-  decoded eagerly (the graph must exist to serve anything) in the same
-  canonical order the JSON decoder uses, so a snapshot-loaded synopsis
-  replays every float accumulation bit-for-bit;
-* the label and vocabulary string pools are interned once;
+* the header carries magic bytes (format auto-detection; the last byte
+  is the format version) and a section table of ``(id, length)``
+  entries, bounds-checked up front so truncation is caught at open time;
+* every section and every summary payload stores each field as one
+  *column*: a width byte (1, 2, 4 or 8), then the values at that width,
+  the narrowest that holds the column's extremes, signed only where the
+  field can be negative.  Doubles stay 8 bytes, raw or dictionary-coded
+  (see :func:`_put_doubles`), so every float round-trips bit for bit;
+* the node and edge tables are decoded eagerly (the graph must exist to
+  serve anything) in the same canonical order the JSON decoder uses, so
+  a snapshot-loaded synopsis replays every float accumulation
+  bit-for-bit;
+* the label and vocabulary pools are one UTF-8 blob plus an end-offset
+  column each;
 * per-family value-summary payloads (histogram buckets, PST node
-  arrays, EBTH runs, wavelet coefficients) live in family sections and
-  are **deferred**: each node parks a decode thunk
+  columns, EBTH terms and runs, wavelet coefficients) live in family
+  sections and are **deferred**: each node parks a decode thunk
   (:meth:`~repro.core.synopsis.SynopsisNode.defer_summary`) pointing at
-  its payload offset, and only summaries a workload actually touches
-  are ever decoded.
+  its payload, and only summaries a workload actually touches are ever
+  decoded.  A payload runs to the next payload of its section, so a
+  column count that disagrees with the payload's bytes is caught.
 
 Round-tripping is bit-exact: ``synopsis_to_dict(load(save(s)))``
 equals ``synopsis_to_dict(s)`` for every summary family.  Malformed
-input — bad magic, truncated sections, corrupt payloads — raises
-:class:`~repro.core.serialization.SynopsisFormatError`, never a raw
-``struct.error``, whether the corruption surfaces at open time or at
-first lazy access.
+input — bad magic, another format version, truncated sections, corrupt
+columns — raises :class:`~repro.core.serialization.SynopsisFormatError`,
+whether the corruption surfaces at open time or at first lazy access.
 """
 
 from __future__ import annotations
 
 import mmap
-import struct
-from typing import Callable, Dict, List, Optional, Tuple
+import sys
+from array import array
+from collections import Counter
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.serialization import SynopsisFormatError, _find_vocabulary
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
@@ -54,9 +63,10 @@ from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
 #: Leading bytes of every snapshot; the final byte is the format version.
-SNAPSHOT_MAGIC = b"XCSNAP\x00\x01"
+SNAPSHOT_MAGIC = b"XCSNAP\x00\x02"
 
-# Section ids (the section table maps id -> absolute offset + length).
+# Section ids, in file order.  A summary's kind code is the id of the
+# section holding its payload (0 = no summary).
 _SEC_META = 1
 _SEC_LABELS = 2
 _SEC_VOCAB = 3
@@ -67,57 +77,16 @@ _SEC_WAVELET = 7
 _SEC_PST = 8
 _SEC_EBTH = 9
 
-_REQUIRED_SECTIONS = (
-    _SEC_META,
-    _SEC_LABELS,
-    _SEC_VOCAB,
-    _SEC_NODES,
-    _SEC_EDGES,
-    _SEC_HIST,
-    _SEC_WAVELET,
-    _SEC_PST,
-    _SEC_EBTH,
-)
-
-_SECTION_COUNT = struct.Struct("<I")
-_SECTION_ENTRY = struct.Struct("<IQQ")
-#: root_id (-1 = none), node count, edge count.
-_META = struct.Struct("<qqq")
-#: node_id, label ref, value-type code, summary kind, count, payload offset.
-_NODE = struct.Struct("<qIBBqq")
-#: parent id, child id, average child counter.
-_EDGE = struct.Struct("<qqd")
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
-#: histogram bucket lo, hi, count.
-_BUCKET = struct.Struct("<qqd")
-#: wavelet header: domain_lo, cell_width, length, total.
-_WAVELET_HEAD = struct.Struct("<qqqd")
-#: one wavelet coefficient: index, value.
-_COEFF = struct.Struct("<qd")
-#: PST header: max_depth, string_count, node count.
-_PST_HEAD = struct.Struct("<qqq")
-#: one pre-order PST node: symbol codepoint, child count, count.
-_PST_NODE = struct.Struct("<IIq")
-#: one exact EBTH term: term id, fractional frequency.
-_TERM = struct.Struct("<qd")
-#: one RLE bitmap run: start, end (inclusive).
-_RUN = struct.Struct("<qq")
-#: EBTH tail: bucket average, bucket member count, text count.
-_EBTH_TAIL = struct.Struct("<dqq")
-
-#: Summary-kind codes stored in the node table.
-_KIND_NONE = 0
-_KIND_HIST = 1
-_KIND_WAVELET = 2
-_KIND_PST = 3
-_KIND_EBTH = 4
-
-_KIND_SECTION = {
-    _KIND_HIST: _SEC_HIST,
-    _KIND_WAVELET: _SEC_WAVELET,
-    _KIND_PST: _SEC_PST,
-    _KIND_EBTH: _SEC_EBTH,
+_SECTION_NAMES = {
+    _SEC_META: "meta",
+    _SEC_LABELS: "labels",
+    _SEC_VOCAB: "vocabulary",
+    _SEC_NODES: "nodes",
+    _SEC_EDGES: "edges",
+    _SEC_HIST: "histogram",
+    _SEC_WAVELET: "wavelet",
+    _SEC_PST: "pst",
+    _SEC_EBTH: "ebth",
 }
 
 _VALUE_TYPE_CODES = {
@@ -129,175 +98,195 @@ _VALUE_TYPE_CODES = {
 _VALUE_TYPES_BY_CODE = {code: vt for vt, code in _VALUE_TYPE_CODES.items()}
 
 
+def _typecodes(candidates: str) -> Dict[int, str]:
+    """Column width in bytes -> the first array typecode of that size."""
+    by_width: Dict[int, str] = {}
+    for code in candidates:
+        by_width.setdefault(array(code).itemsize, code)
+    return {width: by_width[width] for width in (1, 2, 4, 8)}
+
+
+_UNSIGNED = _typecodes("BHILQ")
+_SIGNED = _typecodes("bhilq")
+_BIG_ENDIAN = sys.byteorder == "big"
+if array("d").itemsize != 8:
+    raise ImportError("snapshots need 8-byte C doubles")
+
+
+def _little_endian(column: array) -> bytes:
+    if _BIG_ENDIAN:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
 # -- encoding ----------------------------------------------------------------
 
 
-def _pack_string_pool(strings: List[str]) -> bytes:
-    parts = [_U64.pack(len(strings))]
-    for text in strings:
-        data = text.encode("utf-8")
-        parts.append(_U32.pack(len(data)))
-        parts.append(data)
-    return b"".join(parts)
+def _put_ints(out: bytearray, values: Sequence[int], signed: bool = False) -> None:
+    """Append one integer column: its width byte, then ``values``."""
+    low, high = (min(values), max(values)) if values else (0, 0)
+    for width, typecode in (_SIGNED if signed else _UNSIGNED).items():
+        bound = 1 << (8 * width - signed)
+        if (-bound if signed else 0) <= low and high < bound:
+            out.append(width)
+            out += _little_endian(array(typecode, values))
+            return
+    raise SynopsisFormatError(f"value outside snapshot range: [{low}, {high}]")
 
 
-def _encode_histogram(summary: HistogramSummary, out: bytearray) -> int:
-    offset = len(out)
+def _put_doubles(out: bytearray, values: Sequence[float]) -> None:
+    """Append one column of doubles, raw or dictionary-coded, whichever
+    is smaller.  Raw is a zero width byte and the 8-byte values.  Coded
+    is an integer column holding the distinct count then each value's
+    index, followed by the distinct values.  The dictionary is keyed by
+    bit pattern, so ``-0.0`` and NaNs decode exactly as written."""
+    doubles = array("d", values)
+    distinct: Dict[int, int] = {}
+    codes = [distinct.setdefault(bits, len(distinct))
+             for bits in memoryview(doubles).cast("B").cast(_UNSIGNED[8])]
+    coded = bytearray()
+    _put_ints(coded, [len(distinct)] + codes)
+    coded += _little_endian(array(_UNSIGNED[8], distinct))
+    if len(coded) < 1 + 8 * len(codes):
+        out += coded
+    else:
+        out.append(0)
+        out += _little_endian(doubles)
+
+
+def _put_strings(out: bytearray, strings: Sequence[str]) -> None:
+    encoded = [text.encode("utf-8") for text in strings]
+    _put_ints(out, [len(encoded)])
+    _put_ints(out, list(accumulate(map(len, encoded))))
+    out += b"".join(encoded)
+
+
+def _encode_histogram(summary: HistogramSummary, out: bytearray) -> None:
     buckets = summary.histogram.buckets
-    out += _U64.pack(len(buckets))
-    for bucket in buckets:
-        out += _BUCKET.pack(bucket.lo, bucket.hi, bucket.count)
-    return offset
+    _put_ints(out, [len(buckets)])
+    _put_ints(out, [bucket.lo for bucket in buckets], signed=True)
+    _put_ints(out, [bucket.hi for bucket in buckets], signed=True)
+    _put_doubles(out, [bucket.count for bucket in buckets])
 
 
-def _encode_wavelet(summary: WaveletSummary, out: bytearray) -> int:
-    offset = len(out)
+def _encode_wavelet(summary: WaveletSummary, out: bytearray) -> None:
     wavelet = summary.wavelet
-    out += _WAVELET_HEAD.pack(
-        wavelet.domain_lo, wavelet.cell_width, wavelet.length, wavelet.total
-    )
     # Sorted for a canonical layout (mirrors the JSON encoder); the
     # decoder rebuilds the coefficient dict in this order.
     items = sorted(wavelet.coefficients.items())
-    out += _U64.pack(len(items))
-    for index, value in items:
-        out += _COEFF.pack(index, value)
-    return offset
+    _put_ints(
+        out,
+        [wavelet.domain_lo, wavelet.cell_width, wavelet.length, len(items)],
+        signed=True,
+    )
+    _put_ints(out, [index for index, _ in items])
+    _put_doubles(out, [wavelet.total] + [value for _, value in items])
 
 
-def _encode_pst(summary: StringSummary, out: bytearray) -> int:
-    offset = len(out)
+def _encode_pst(summary: StringSummary, out: bytearray) -> None:
     tree = summary.pst
     counts = tree.counts
-    out += _PST_HEAD.pack(tree.max_depth, tree.string_count, len(counts))
-    # Pre-order, each parent's children sorted by symbol, so the bytes
-    # depend on the counts alone.
-    child_lists = tree.child_lists()
-    stack = list(reversed(child_lists.get("", ())))
-    nodes = 0
-    while stack:
-        substring = stack.pop()
-        children = child_lists.get(substring, ())
-        out += _PST_NODE.pack(ord(substring[-1]), len(children), counts[substring])
-        nodes += 1
-        stack.extend(reversed(children))
-    if nodes != len(counts):
+    # The substrings are prefix-closed, so sorted order is pre-order
+    # with each parent's children sorted by symbol: the bytes depend on
+    # the counts alone.
+    order = sorted(counts)
+    fanout = Counter([substring[:-1] for substring in order])
+    orphans = sum(n for parent, n in fanout.items() if parent and parent not in counts)
+    if orphans:
         raise SynopsisFormatError(
-            f"cannot encode PST: {len(counts) - nodes} substrings lack an "
-            "indexed parent"
+            f"cannot encode PST: {orphans} substrings lack an indexed parent"
         )
-    return offset
+    _put_ints(out, [tree.max_depth, tree.string_count, len(order)])
+    _put_ints(out, [ord(substring[-1]) for substring in order])
+    _put_ints(out, [fanout.get(substring, 0) for substring in order])
+    _put_ints(out, list(map(counts.__getitem__, order)))
 
 
-def _encode_ebth(summary: TextSummary, out: bytearray) -> int:
-    offset = len(out)
+def _encode_ebth(summary: TextSummary, out: bytearray) -> None:
     ebth = summary.ebth
     exact = sorted(ebth.exact.items())
-    out += _U64.pack(len(exact))
-    for term_id, frequency in exact:
-        out += _TERM.pack(term_id, frequency)
     runs = ebth.bitmap.runs
-    out += _U64.pack(len(runs))
-    for start, end in runs:
-        out += _RUN.pack(start, end)
-    out += _EBTH_TAIL.pack(
-        ebth.bucket_average, ebth.bucket_member_count, ebth.count
+    _put_ints(out, [len(exact), len(runs), ebth.bucket_member_count, ebth.count])
+    _put_ints(out, [term_id for term_id, _ in exact])
+    _put_doubles(out, [ebth.bucket_average] + [frequency for _, frequency in exact])
+    _put_ints(out, [start for start, _ in runs])
+    _put_ints(out, [end - start + 1 for start, end in runs])
+
+
+#: Summary family -> (kind = payload section id, payload encoder).
+_ENCODERS = (
+    (HistogramSummary, _SEC_HIST, _encode_histogram),
+    (WaveletSummary, _SEC_WAVELET, _encode_wavelet),
+    (StringSummary, _SEC_PST, _encode_pst),
+    (TextSummary, _SEC_EBTH, _encode_ebth),
+)
+
+
+def _encode_summary(
+    summary: Optional[ValueSummary], sections: Dict[int, bytearray]
+) -> Tuple[int, int]:
+    """Append ``summary``'s payload to its family section; return the
+    node table's (kind, payload offset)."""
+    if summary is None:
+        return 0, 0
+    for family, kind, encode in _ENCODERS:
+        if isinstance(summary, family):
+            offset = len(sections[kind])
+            encode(summary, sections[kind])
+            return kind, offset
+    raise SynopsisFormatError(
+        f"cannot encode summary {type(summary).__name__}"
     )
-    return offset
 
 
 def snapshot_to_bytes(synopsis: XClusterSynopsis) -> bytes:
     """Encode a synopsis into one self-contained snapshot buffer."""
     vocabulary = _find_vocabulary(synopsis)
-    labels: List[str] = []
-    label_refs: Dict[str, int] = {}
-    pools: Dict[int, bytearray] = {
-        _SEC_HIST: bytearray(),
-        _SEC_WAVELET: bytearray(),
-        _SEC_PST: bytearray(),
-        _SEC_EBTH: bytearray(),
-    }
-
-    nodes = sorted(synopsis, key=lambda node: node.node_id)
-    node_records = bytearray()
-    edge_records = bytearray()
-    edge_count = 0
+    sections: Dict[int, bytearray] = {sid: bytearray() for sid in _SECTION_NAMES}
+    labels: Dict[str, int] = {}
+    rows: List[tuple] = []
+    edges: List[tuple] = []
     try:
-        for node in nodes:
-            label_ref = label_refs.get(node.label)
-            if label_ref is None:
-                label_ref = len(labels)
-                label_refs[node.label] = label_ref
-                labels.append(node.label)
-            kind, payload_offset = _encode_summary(node.vsumm, pools)
-            node_records += _NODE.pack(
+        for node in sorted(synopsis, key=lambda node: node.node_id):
+            kind, offset = _encode_summary(node.vsumm, sections)
+            rows.append((
                 node.node_id,
-                label_ref,
+                labels.setdefault(node.label, len(labels)),
                 _VALUE_TYPE_CODES[node.value_type],
                 kind,
                 node.count,
-                payload_offset,
-            )
+                offset,
+            ))
             # Canonical child order (sorted, as in the JSON encoder):
             # the decoder's edge insertion order — and therefore every
             # estimate's accumulation order — is then load-path
             # independent.
-            for child_id in sorted(node.children):
-                edge_records += _EDGE.pack(
-                    node.node_id, child_id, node.children[child_id]
-                )
-                edge_count += 1
-    except struct.error as err:
+            edges.extend(
+                (node.node_id, child_id, node.children[child_id])
+                for child_id in sorted(node.children)
+            )
+        root_id = -1 if synopsis.root_id is None else synopsis.root_id
+        _put_ints(sections[_SEC_META], [root_id, len(rows), len(edges)], signed=True)
+        for field in range(6):
+            _put_ints(sections[_SEC_NODES], [row[field] for row in rows])
+        for field in range(2):
+            _put_ints(sections[_SEC_EDGES], [edge[field] for edge in edges])
+        _put_doubles(sections[_SEC_EDGES], [edge[2] for edge in edges])
+    except (TypeError, OverflowError) as err:
         raise SynopsisFormatError(f"value outside snapshot range: {err}") from err
-
-    root_id = -1 if synopsis.root_id is None else synopsis.root_id
-    sections: List[Tuple[int, bytes]] = [
-        (_SEC_META, _META.pack(root_id, len(nodes), edge_count)),
-        (_SEC_LABELS, _pack_string_pool(labels)),
-        (
-            _SEC_VOCAB,
-            _pack_string_pool(
-                list(vocabulary) if vocabulary is not None else []
-            ),
-        ),
-        (_SEC_NODES, bytes(node_records)),
-        (_SEC_EDGES, bytes(edge_records)),
-        (_SEC_HIST, bytes(pools[_SEC_HIST])),
-        (_SEC_WAVELET, bytes(pools[_SEC_WAVELET])),
-        (_SEC_PST, bytes(pools[_SEC_PST])),
-        (_SEC_EBTH, bytes(pools[_SEC_EBTH])),
-    ]
-
-    header_size = (
-        len(SNAPSHOT_MAGIC)
-        + _SECTION_COUNT.size
-        + len(sections) * _SECTION_ENTRY.size
+    _put_strings(sections[_SEC_LABELS], list(labels))
+    _put_strings(
+        sections[_SEC_VOCAB], list(vocabulary) if vocabulary is not None else []
     )
-    parts = [SNAPSHOT_MAGIC, _SECTION_COUNT.pack(len(sections))]
-    offset = header_size
-    for section_id, payload in sections:
-        parts.append(_SECTION_ENTRY.pack(section_id, offset, len(payload)))
-        offset += len(payload)
-    parts.extend(payload for _, payload in sections)
-    return b"".join(parts)
 
-
-def _encode_summary(
-    summary: Optional[ValueSummary], pools: Dict[int, bytearray]
-) -> Tuple[int, int]:
-    if summary is None:
-        return _KIND_NONE, -1
-    if isinstance(summary, HistogramSummary):
-        return _KIND_HIST, _encode_histogram(summary, pools[_SEC_HIST])
-    if isinstance(summary, WaveletSummary):
-        return _KIND_WAVELET, _encode_wavelet(summary, pools[_SEC_WAVELET])
-    if isinstance(summary, StringSummary):
-        return _KIND_PST, _encode_pst(summary, pools[_SEC_PST])
-    if isinstance(summary, TextSummary):
-        return _KIND_EBTH, _encode_ebth(summary, pools[_SEC_EBTH])
-    raise SynopsisFormatError(
-        f"cannot encode summary {type(summary).__name__}"
-    )
+    out = bytearray(SNAPSHOT_MAGIC)
+    _put_ints(out, [len(sections)])
+    _put_ints(out, list(sections))
+    _put_ints(out, [len(payload) for payload in sections.values()])
+    for payload in sections.values():
+        out += payload
+    return bytes(out)
 
 
 def save_snapshot(synopsis: XClusterSynopsis, path: str) -> None:
@@ -324,85 +313,115 @@ class _Section:
     def end(self) -> int:
         return self.offset + self.length
 
-    def unpack(self, fmt: struct.Struct, at: int):
-        """Unpack one record at section-relative offset ``at``."""
-        absolute = self.offset + at
-        if at < 0 or absolute + fmt.size > self.end:
+
+class _Reader:
+    """A cursor over section-relative ``[start, end)`` that reads
+    columns and checks every bound against that window."""
+
+    __slots__ = ("buffer", "at", "end")
+
+    def __init__(self, section: _Section, start: int = 0, end: Optional[int] = None):
+        self.buffer = section.buffer
+        self.at = section.offset + start
+        self.end = section.end if end is None else section.offset + end
+
+    def take(self, size: int) -> bytes:
+        start = self.at
+        if size < 0 or start + size > self.end:
             raise SynopsisFormatError(
-                f"record at {at} overruns its {self.length}-byte section"
+                f"a {size}-byte column overruns its payload at {start}"
             )
-        try:
-            return fmt.unpack_from(self.buffer, absolute)
-        except struct.error as err:  # pragma: no cover - bounds caught above
-            raise SynopsisFormatError(f"corrupt record: {err}") from err
+        self.at = start + size
+        return self.buffer[start:self.at]
+
+    def _column(self, typecode: str, count: int) -> array:
+        column = array(typecode)
+        column.frombytes(self.take(count * column.itemsize))
+        if _BIG_ENDIAN:
+            column.byteswap()
+        return column
+
+    def ints(self, count: int, signed: bool = False) -> array:
+        width = self.take(1)[0]
+        typecode = (_SIGNED if signed else _UNSIGNED).get(width)
+        if typecode is None:
+            raise SynopsisFormatError(f"corrupt column width code {width}")
+        return self._column(typecode, count)
+
+    def doubles(self, count: int) -> Sequence[float]:
+        if self.at < self.end and self.buffer[self.at] == 0:
+            self.at += 1
+            return self._column("d", count)
+        codes = self.ints(count + 1)
+        table = self._column("d", codes[0])
+        if count and max(codes[1:]) >= len(table):
+            raise SynopsisFormatError("double column index outside its dictionary")
+        return [table[code] for code in codes[1:]]
+
+    def done(self) -> None:
+        if self.at != self.end:
+            raise SynopsisFormatError(
+                f"{self.end - self.at} bytes left over after the columns"
+            )
 
 
-def _read_string_pool(section: _Section) -> List[str]:
-    (count,) = section.unpack(_U64, 0)
-    at = _U64.size
+def _read_strings(section: _Section) -> List[str]:
+    reader = _Reader(section)
+    (count,) = reader.ints(1)
+    ends = reader.ints(count)
+    blob = reader.take(ends[-1] if count else 0)
+    reader.done()
     strings: List[str] = []
-    for _ in range(count):
-        (length,) = section.unpack(_U32, at)
-        at += _U32.size
-        if at + length > section.length:
-            raise SynopsisFormatError("string pool overruns its section")
-        raw = bytes(section.buffer[section.offset + at:section.offset + at + length])
-        try:
-            strings.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as err:
-            raise SynopsisFormatError(f"corrupt string pool: {err}") from err
-        at += length
+    start = 0
+    try:
+        for end in ends:
+            if end < start:
+                raise SynopsisFormatError("string pool end offsets decrease")
+            strings.append(str(blob[start:end], "utf-8"))
+            start = end
+    except UnicodeDecodeError as err:
+        raise SynopsisFormatError(f"corrupt string pool: {err}") from err
     return strings
 
 
-def _decode_histogram_payload(section: _Section, at: int) -> HistogramSummary:
-    (count,) = section.unpack(_U64, at)
-    at += _U64.size
-    buckets = []
-    for _ in range(count):
-        lo, hi, bucket_count = section.unpack(_BUCKET, at)
-        at += _BUCKET.size
-        buckets.append(HistogramBucket(lo, hi, bucket_count))
-    try:
-        return HistogramSummary(Histogram(buckets))
-    except ValueError as err:
-        raise SynopsisFormatError(f"corrupt histogram payload: {err}") from err
+def _decode_histogram_payload(reader: _Reader) -> HistogramSummary:
+    (count,) = reader.ints(1)
+    buckets = zip(
+        reader.ints(count, signed=True),
+        reader.ints(count, signed=True),
+        reader.doubles(count),
+    )
+    reader.done()
+    return HistogramSummary(Histogram([HistogramBucket(*b) for b in buckets]))
 
 
-def _decode_wavelet_payload(section: _Section, at: int) -> WaveletSummary:
-    domain_lo, cell_width, length, total = section.unpack(_WAVELET_HEAD, at)
-    at += _WAVELET_HEAD.size
-    (coefficient_count,) = section.unpack(_U64, at)
-    at += _U64.size
-    coefficients: Dict[int, float] = {}
-    for _ in range(coefficient_count):
-        index, value = section.unpack(_COEFF, at)
-        at += _COEFF.size
-        coefficients[index] = value
-    try:
-        return WaveletSummary(
-            HaarWavelet(domain_lo, cell_width, length, coefficients, total)
+def _decode_wavelet_payload(reader: _Reader) -> WaveletSummary:
+    domain_lo, cell_width, length, count = reader.ints(4, signed=True)
+    indexes = reader.ints(count)
+    values = reader.doubles(count + 1)
+    reader.done()
+    return WaveletSummary(
+        HaarWavelet(
+            domain_lo, cell_width, length, dict(zip(indexes, values[1:])), values[0]
         )
-    except ValueError as err:
-        raise SynopsisFormatError(f"corrupt wavelet payload: {err}") from err
+    )
 
 
-def _decode_pst_payload(section: _Section, at: int) -> StringSummary:
-    max_depth, string_count, node_count = section.unpack(_PST_HEAD, at)
-    at += _PST_HEAD.size
-    if max_depth < 1 or node_count < 0:
-        raise SynopsisFormatError(
-            f"corrupt PST header (max_depth={max_depth}, nodes={node_count})"
-        )
+def _decode_pst_payload(reader: _Reader) -> StringSummary:
+    max_depth, string_count, node_count = reader.ints(3)
+    nodes = zip(
+        reader.ints(node_count), reader.ints(node_count), reader.ints(node_count)
+    )
+    reader.done()
+    if max_depth < 1:
+        raise SynopsisFormatError(f"corrupt PST header (max_depth={max_depth})")
     tree = PrunedSuffixTree(max_depth)
     tree.string_count = string_count
     counts = tree.counts
     # Pre-order reconstruction: the stack tracks how many children each
     # open node still expects.
-    stack: List[Tuple[str, int]] = [("", node_count and 2**63)]
-    for _ in range(node_count):
-        codepoint, child_count, count = section.unpack(_PST_NODE, at)
-        at += _PST_NODE.size
+    stack = [("", node_count and 2**63)]
+    for codepoint, child_count, count in nodes:
         while stack and stack[-1][1] == 0:
             stack.pop()
         if not stack:
@@ -427,30 +446,27 @@ def _decode_pst_payload(section: _Section, at: int) -> StringSummary:
     return StringSummary(tree)
 
 
-def _decode_ebth_payload(
-    section: _Section, at: int, vocabulary: Vocabulary
-) -> TextSummary:
-    (exact_count,) = section.unpack(_U64, at)
-    at += _U64.size
-    exact: Dict[int, float] = {}
-    for _ in range(exact_count):
-        term_id, frequency = section.unpack(_TERM, at)
-        at += _TERM.size
-        exact[term_id] = frequency
-    (run_count,) = section.unpack(_U64, at)
-    at += _U64.size
-    runs = []
-    for _ in range(run_count):
-        runs.append(section.unpack(_RUN, at))
-        at += _RUN.size
-    bucket_average, bucket_member_count, count = section.unpack(_EBTH_TAIL, at)
+def _decode_ebth_payload(reader: _Reader, vocabulary: Vocabulary) -> TextSummary:
+    exact_count, run_count, bucket_member_count, count = reader.ints(4)
+    term_ids = reader.ints(exact_count)
+    frequencies = reader.doubles(exact_count + 1)
+    starts = reader.ints(run_count)
+    lengths = reader.ints(run_count)
+    reader.done()
     try:
-        bitmap = RunLengthBitmap(runs)
+        bitmap = RunLengthBitmap(
+            [(start, start + length - 1) for start, length in zip(starts, lengths)]
+        )
     except ValueError as err:
         raise SynopsisFormatError(f"corrupt EBTH bitmap: {err}") from err
     return TextSummary(
         EndBiasedTermHistogram(
-            vocabulary, exact, bitmap, bucket_average, bucket_member_count, count
+            vocabulary,
+            dict(zip(term_ids, frequencies[1:])),
+            bitmap,
+            frequencies[0],
+            bucket_member_count,
+            count,
         )
     )
 
@@ -473,41 +489,35 @@ class _VocabularyCell:
     def load(self) -> Vocabulary:
         if self._vocabulary is None:
             vocabulary = Vocabulary()
-            for term in _read_string_pool(self._section):
-                vocabulary.intern(term)
+            vocabulary.intern_all(_read_strings(self._section))
             self._vocabulary = vocabulary
         return self._vocabulary
 
 
-def _summary_thunk(
-    kind: int,
-    sections: Dict[int, _Section],
-    payload_offset: int,
-    vocab_cell: _VocabularyCell,
-) -> Callable[[], ValueSummary]:
-    section = sections[_KIND_SECTION[kind]]
-    if kind == _KIND_HIST:
-        decode = lambda: _decode_histogram_payload(section, payload_offset)
-    elif kind == _KIND_WAVELET:
-        decode = lambda: _decode_wavelet_payload(section, payload_offset)
-    elif kind == _KIND_PST:
-        decode = lambda: _decode_pst_payload(section, payload_offset)
-    else:
-        decode = lambda: _decode_ebth_payload(
-            section, payload_offset, vocab_cell.load()
-        )
+_DECODERS = {
+    _SEC_HIST: _decode_histogram_payload,
+    _SEC_WAVELET: _decode_wavelet_payload,
+    _SEC_PST: _decode_pst_payload,
+}
 
+
+def _summary_thunk(
+    kind: int, section: _Section, start: int, end: int, vocab_cell: _VocabularyCell
+) -> Callable[[], ValueSummary]:
     def guarded() -> ValueSummary:
         # Corrupt payload values surface from summary constructors as
         # assorted ValueErrors/KeyErrors; callers (lazy access, eager
         # loads, the invariant auditor) are promised a format error.
+        reader = _Reader(section, start, end)
         try:
-            return decode()
+            if kind == _SEC_EBTH:
+                return _decode_ebth_payload(reader, vocab_cell.load())
+            return _DECODERS[kind](reader)
         except SynopsisFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise SynopsisFormatError(
-                f"corrupt summary payload at offset {payload_offset}: {err}"
+                f"corrupt summary payload at offset {start}: {err}"
             ) from err
 
     return guarded
@@ -530,23 +540,34 @@ def synopsis_from_snapshot(
             payload eagerly, surfacing any payload corruption here.
     """
     sections = _section_table(buffer)
-    root_id, node_count, edge_count = sections[_SEC_META].unpack(_META, 0)
+    meta = _Reader(sections[_SEC_META])
+    root_id, node_count, edge_count = meta.ints(3, signed=True)
+    meta.done()
+    table = _Reader(sections[_SEC_NODES])
+    ids, label_refs, type_codes, kinds, counts, offsets = (
+        table.ints(node_count) for _ in range(6)
+    )
+    table.done()
+    table = _Reader(sections[_SEC_EDGES])
+    parents, children, averages = (
+        table.ints(edge_count), table.ints(edge_count), table.doubles(edge_count)
+    )
+    table.done()
 
-    labels = _read_string_pool(sections[_SEC_LABELS])
+    labels = _read_strings(sections[_SEC_LABELS])
     vocab_cell = _VocabularyCell(sections[_SEC_VOCAB])
+    # Payloads are written back to back, so each runs to the next
+    # start in its section.
+    ends: Dict[int, Dict[int, int]] = {}
+    for _, kind, _ in _ENCODERS:
+        starts = sorted({at for k, at in zip(kinds, offsets) if k == kind})
+        ends[kind] = dict(zip(starts, starts[1:] + [sections[kind].length]))
 
-    node_section = sections[_SEC_NODES]
-    if node_section.length != node_count * _NODE.size:
-        raise SynopsisFormatError(
-            f"node table holds {node_section.length} bytes, expected "
-            f"{node_count} records"
-        )
     synopsis = XClusterSynopsis()
     nodes_by_id: Dict[int, SynopsisNode] = synopsis.nodes
-    for record in range(node_count):
-        node_id, label_ref, type_code, kind, count, payload_offset = (
-            node_section.unpack(_NODE, record * _NODE.size)
-        )
+    for node_id, label_ref, type_code, kind, count, offset in zip(
+        ids, label_refs, type_codes, kinds, counts, offsets
+    ):
         if label_ref >= len(labels):
             raise SynopsisFormatError(
                 f"node {node_id} references missing label {label_ref}"
@@ -557,31 +578,24 @@ def synopsis_from_snapshot(
                 f"node {node_id} carries unknown value type {type_code}"
             )
         node = SynopsisNode(node_id, labels[label_ref], value_type, count)
-        if node.node_id in nodes_by_id:
-            raise SynopsisFormatError(f"duplicate node id {node.node_id}")
-        if kind != _KIND_NONE:
-            if kind not in _KIND_SECTION:
+        if node_id in nodes_by_id:
+            raise SynopsisFormatError(f"duplicate node id {node_id}")
+        if kind:
+            if kind not in ends:
                 raise SynopsisFormatError(
                     f"node {node_id} carries unknown summary kind {kind}"
                 )
-            thunk = _summary_thunk(kind, sections, payload_offset, vocab_cell)
+            thunk = _summary_thunk(
+                kind, sections[kind], offset, ends[kind][offset], vocab_cell
+            )
             if lazy:
                 node.defer_summary(thunk)
             else:
                 node.vsumm = thunk()
-        nodes_by_id[node.node_id] = node
+        nodes_by_id[node_id] = node
     synopsis._next_id = max(nodes_by_id, default=-1) + 1
 
-    edge_section = sections[_SEC_EDGES]
-    if edge_section.length != edge_count * _EDGE.size:
-        raise SynopsisFormatError(
-            f"edge table holds {edge_section.length} bytes, expected "
-            f"{edge_count} records"
-        )
-    for record in range(edge_count):
-        parent_id, child_id, average = edge_section.unpack(
-            _EDGE, record * _EDGE.size
-        )
+    for parent_id, child_id, average in zip(parents, children, averages):
         parent = nodes_by_id.get(parent_id)
         child = nodes_by_id.get(child_id)
         if parent is None or child is None:
@@ -606,22 +620,22 @@ def synopsis_from_snapshot(
 
 def _section_table(buffer) -> Dict[int, _Section]:
     size = len(buffer)
-    magic_len = len(SNAPSHOT_MAGIC)
-    if size < magic_len or bytes(buffer[:magic_len]) != SNAPSHOT_MAGIC:
+    stem = len(SNAPSHOT_MAGIC) - 1
+    if size <= stem or bytes(buffer[:stem]) != SNAPSHOT_MAGIC[:stem]:
         raise SynopsisFormatError("not a synopsis snapshot (bad magic bytes)")
-    if size < magic_len + _SECTION_COUNT.size:
-        raise SynopsisFormatError("snapshot truncated inside its header")
-    (section_count,) = _SECTION_COUNT.unpack_from(buffer, magic_len)
-    table_at = magic_len + _SECTION_COUNT.size
-    table_end = table_at + section_count * _SECTION_ENTRY.size
-    if table_end > size:
-        raise SynopsisFormatError("snapshot truncated inside its section table")
-    sections: Dict[int, _Section] = {}
-    for index in range(section_count):
-        section_id, offset, length = _SECTION_ENTRY.unpack_from(
-            buffer, table_at + index * _SECTION_ENTRY.size
+    if buffer[stem] != SNAPSHOT_MAGIC[stem]:
+        raise SynopsisFormatError(
+            f"snapshot format version {buffer[stem]} is not supported "
+            f"(this build reads version {SNAPSHOT_MAGIC[stem]})"
         )
-        if offset < table_end or offset + length > size:
+    header = _Reader(_Section(buffer, 0, size), stem + 1)
+    (count,) = header.ints(1)
+    ids = header.ints(count)
+    lengths = header.ints(count)
+    sections: Dict[int, _Section] = {}
+    offset = header.at
+    for section_id, length in zip(ids, lengths):
+        if offset + length > size:
             raise SynopsisFormatError(
                 f"section {section_id} [{offset}, {offset + length}) lies "
                 f"outside the {size}-byte snapshot"
@@ -629,10 +643,23 @@ def _section_table(buffer) -> Dict[int, _Section]:
         if section_id in sections:
             raise SynopsisFormatError(f"duplicate section id {section_id}")
         sections[section_id] = _Section(buffer, offset, length)
-    missing = [sid for sid in _REQUIRED_SECTIONS if sid not in sections]
+        offset += length
+    if offset != size:
+        raise SynopsisFormatError(f"{size - offset} stray bytes after the sections")
+    missing = [sid for sid in _SECTION_NAMES if sid not in sections]
     if missing:
         raise SynopsisFormatError(f"snapshot is missing sections {missing}")
     return sections
+
+
+def snapshot_sections(buffer) -> Dict[str, int]:
+    """Bytes per named section of a snapshot buffer (``"pst"``,
+    ``"ebth"``, ``"vocabulary"``, ...), for size reports."""
+    return {
+        _SECTION_NAMES[sid]: section.length
+        for sid, section in _section_table(buffer).items()
+        if sid in _SECTION_NAMES
+    }
 
 
 def load_snapshot(
@@ -662,9 +689,11 @@ def load_snapshot(
 
 
 def is_snapshot(path: str) -> bool:
-    """Whether ``path`` starts with the snapshot magic bytes."""
+    """Whether ``path`` starts with the snapshot magic bytes, of any
+    format version (the loader names a version it cannot read)."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
+            head = handle.read(len(SNAPSHOT_MAGIC))
     except OSError:
         return False
+    return len(head) == len(SNAPSHOT_MAGIC) and head[:-1] == SNAPSHOT_MAGIC[:-1]

@@ -30,6 +30,17 @@ class RunLengthBitmap:
             if previous_end is not None and start <= previous_end + 1:
                 raise ValueError("runs must be sorted, disjoint, and non-adjacent")
             previous_end = end
+        self._fill(runs)
+
+    @classmethod
+    def trusted(cls, runs: Sequence[Run]) -> "RunLengthBitmap":
+        """A bitmap over ``runs`` as given, not validated.  For callers
+        that keep runs sorted, disjoint and non-adjacent by construction."""
+        bitmap = cls.__new__(cls)
+        bitmap._fill(runs)
+        return bitmap
+
+    def _fill(self, runs: Sequence[Run]) -> None:
         self._runs: Tuple[Run, ...] = tuple(runs)
         self._starts: List[int] = [start for start, _ in self._runs]
         self._cardinality = sum(end - start + 1 for start, end in self._runs)
@@ -44,7 +55,7 @@ class RunLengthBitmap:
                 runs[-1] = (runs[-1][0], position)
             else:
                 runs.append((position, position))
-        return cls(runs)
+        return cls.trusted(runs)
 
     @classmethod
     def empty(cls) -> "RunLengthBitmap":
@@ -82,11 +93,13 @@ class RunLengthBitmap:
                 result[-1] = (result[-1][0], max(result[-1][1], end))
             else:
                 result.append((start, end))
-        return RunLengthBitmap(result)
+        return RunLengthBitmap.trusted(result)
 
     def remapped(self, mapping: Sequence[int]) -> "RunLengthBitmap":
         """The bitmap with each set position ``i`` moved to ``mapping[i]``, increasing on
-        them: runs it brings together merge, and one it opens gaps in splits."""
+        them: runs it brings together merge, and one it opens gaps in splits.
+        An increasing map keeps runs sorted and disjoint, and the merge
+        keeps them non-adjacent, so the result skips validation."""
         runs: List[Run] = []
         for start, end in self._runs:
             low = mapping[start]
@@ -96,7 +109,7 @@ class RunLengthBitmap:
                 runs[-1] = (runs[-1][0], low + end - start)
             else:
                 runs.append((low, low + end - start))
-        return RunLengthBitmap(runs)
+        return RunLengthBitmap.trusted(runs)
 
     def invariant_issues(self) -> List[str]:
         """Well-formedness issues of the run encoding (empty = healthy).

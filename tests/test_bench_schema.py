@@ -257,6 +257,13 @@ class TestCheckedInReports:
                     f"sweep point at scale {point['scale']} fell below "
                     f"the recorded snapshot-load floor"
                 )
+            # The binary snapshot ships fewer bytes than JSON, and the
+            # report says where they go.
+            assert point["snapshot_bytes"] < point["json_bytes"]
+            assert point["model_bytes"] > 0
+            sections = point["snapshot_sections"]
+            assert point["vocabulary_bytes"] == sections["vocabulary"]
+            assert sum(sections.values()) < point["snapshot_bytes"]
 
     def test_ingest_report_sweep_points_hold_the_floors(self):
         """Every ingest sweep point is equivalent and above the floor."""

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
-from repro.core import build_xcluster, save_snapshot
+from repro.core import build_xcluster, load_synopsis, save_snapshot, total_size_bytes
 from repro.datasets import bibliography_tree, generate_xmark
 from repro.xmltree import XMLParseError, parse_document, serialize
 
@@ -86,6 +86,20 @@ class TestCli:
         assert main(["estimate", snap_path, "//paper"]) == 0
         from_snap = float(capsys.readouterr().out.strip())
         assert from_snap == from_json
+
+    def test_summarize_reports_file_bytes_beside_model_bytes(
+        self, xml_file, tmp_path, capsys
+    ):
+        snap_path = tmp_path / "syn.snap"
+        assert main(
+            ["summarize", xml_file, "-o", str(snap_path), "--format", "snapshot"]
+        ) == 0
+        output = capsys.readouterr().out
+        model = load_synopsis(str(snap_path))
+        assert f"({total_size_bytes(model)} total)" in output
+        assert output.rstrip().endswith(
+            f"[snapshot], {snap_path.stat().st_size} file bytes"
+        )
 
     def test_convert_roundtrip_is_stable(self, xml_file, tmp_path, capsys):
         json_path = str(tmp_path / "syn.json")

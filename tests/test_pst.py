@@ -10,11 +10,11 @@ from repro.check.oracles import greedy_estimate_count
 from repro.core import build_xcluster
 from repro.core.serialization import synopsis_from_dict, synopsis_to_dict
 from repro.core.snapshot import (
-    _PST_HEAD,
-    _PST_NODE,
     SynopsisFormatError,
     _decode_pst_payload,
     _encode_pst,
+    _put_ints,
+    _Reader,
     _Section,
     snapshot_to_bytes,
     synopsis_from_snapshot,
@@ -359,12 +359,12 @@ def test_built_synopsis_string_counts_are_untracked(xmark_small):
 class TestSnapshotDecoding:
     @staticmethod
     def decode(nodes, node_count=None):
-        payload = bytearray(
-            _PST_HEAD.pack(3, 2, len(nodes) if node_count is None else node_count)
-        )
-        for codepoint, children, count in nodes:
-            payload += _PST_NODE.pack(codepoint, children, count)
-        return _decode_pst_payload(_Section(bytes(payload), 0, len(payload)), 0)
+        payload = bytearray()
+        _put_ints(payload, [3, 2, len(nodes) if node_count is None else node_count])
+        for column in zip(*nodes):
+            _put_ints(payload, list(column))
+        section = _Section(bytes(payload), 0, len(payload))
+        return _decode_pst_payload(_Reader(section))
 
     def test_well_formed(self):
         summary = self.decode([(ord("a"), 1, 2), (ord("b"), 0, 1), (ord("b"), 0, 1)])

@@ -1,5 +1,7 @@
 """Unit and property tests for the run-length bitmap."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,3 +89,22 @@ def test_runs_are_canonical(ids):
         if previous_end is not None:
             assert start > previous_end + 1
         previous_end = end
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=300), max_size=120),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=301, max_size=301),
+)
+def test_remapped_matches_rebuild_from_mapped_ids(ids, steps):
+    # A map increasing on the set bits: each set position moves past the
+    # last by 1 (runs stay together) or more (runs split); an unset one
+    # may take no step, so the gap it was closes (runs merge), as when a
+    # term leaves the vocabulary.
+    mapping = list(accumulate(
+        max(step, 1) if position in ids else step
+        for position, step in enumerate(steps)
+    ))
+    bitmap = RunLengthBitmap.from_ids(ids)
+    remapped = bitmap.remapped(mapping)
+    assert remapped == RunLengthBitmap.from_ids(map(mapping.__getitem__, bitmap))
+    assert remapped.invariant_issues() == []

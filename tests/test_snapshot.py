@@ -30,9 +30,17 @@ from repro.core.snapshot import (
     load_snapshot,
     save_snapshot,
     snapshot_to_bytes,
+    snapshot_sections,
     synopsis_from_snapshot,
+    _put_doubles,
+    _put_ints,
+    _Reader,
+    _Section,
     _section_table,
+    _SEC_EBTH,
     _SEC_HIST,
+    _SEC_META,
+    _SEC_PST,
 )
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_twig
@@ -315,3 +323,231 @@ class TestCorruption:
         node.count = 2**70
         with pytest.raises(SynopsisFormatError):
             snapshot_to_bytes(oversized)
+
+
+# -- the v2 columnar codec ------------------------------------------------------
+
+
+def _family_model_bytes(synopsis, family):
+    return sum(
+        node.vsumm.size_bytes()
+        for node in synopsis.valued_nodes()
+        if isinstance(node.vsumm, family)
+    )
+
+
+class TestSectionSizes:
+    """The shipped bytes track the budgeted model bytes."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.datasets import generate_xmark
+
+        dataset = generate_xmark(scale=1.0, seed=7)
+        return build_xcluster(
+            dataset.tree, 16384, 65536, value_paths=dataset.value_paths
+        )
+
+    def test_value_sections_within_model_bytes(self, served):
+        sections = snapshot_sections(snapshot_to_bytes(served))
+        for name, family in (("pst", StringSummary), ("ebth", TextSummary)):
+            model = _family_model_bytes(served, family)
+            assert model > 0, name
+            assert sections[name] <= 1.1 * model, (name, sections[name], model)
+
+    def test_section_report_covers_the_file(self, families):
+        blob = snapshot_to_bytes(families)
+        sections = snapshot_sections(blob)
+        assert set(sections) == {
+            "meta", "labels", "vocabulary", "nodes", "edges",
+            "histogram", "wavelet", "pst", "ebth",
+        }
+        assert sum(sections.values()) < len(blob)
+
+
+def _first_payload(blob: bytes, section_id: int) -> int:
+    """Absolute offset of the first payload (lowest node id) in a section."""
+    return _section_table(blob)[section_id].offset
+
+
+def _first_deferred(restored, original, family):
+    return next(
+        node
+        for node in restored
+        if node.summary_deferred
+        and isinstance(original.nodes[node.node_id].vsumm, family)
+    )
+
+
+class TestCodec:
+    def test_version_one_rejected_by_name(self, families, tmp_path):
+        blob = bytearray(snapshot_to_bytes(families))
+        blob[len(SNAPSHOT_MAGIC) - 1] = 1
+        with pytest.raises(SynopsisFormatError, match="version 1"):
+            synopsis_from_snapshot(bytes(blob))
+        path = tmp_path / "v1.snap"
+        path.write_bytes(bytes(blob))
+        assert is_snapshot(str(path))
+        with pytest.raises(SynopsisFormatError, match="version 1"):
+            load_synopsis(str(path))
+
+    @pytest.mark.parametrize("section_id", [_SEC_PST, _SEC_EBTH, _SEC_HIST])
+    def test_corrupt_width_code(self, families, section_id):
+        blob = bytearray(snapshot_to_bytes(families))
+        blob[_first_payload(bytes(blob), section_id)] = 3
+        with pytest.raises(SynopsisFormatError, match="width code 3"):
+            synopsis_from_snapshot(bytes(blob), lazy=False)
+        restored = synopsis_from_snapshot(bytes(blob))
+        family = {_SEC_PST: StringSummary, _SEC_EBTH: TextSummary,
+                  _SEC_HIST: HistogramSummary}[section_id]
+        node = _first_deferred(restored, families, family)
+        with pytest.raises(SynopsisFormatError, match="width code 3"):
+            node.vsumm
+
+    @pytest.mark.parametrize("section_id", [_SEC_PST, _SEC_EBTH, _SEC_HIST])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_column_count_disagreeing_with_payload(self, families, section_id, delta):
+        # The first header value of every payload here is a column
+        # count (PST's is max_depth, so use its node count, the third).
+        blob = bytearray(snapshot_to_bytes(families))
+        at = _first_payload(bytes(blob), section_id)
+        width = blob[at]
+        assert width == 1
+        index = at + 1 + (2 if section_id == _SEC_PST else 0)
+        blob[index] += delta
+        with pytest.raises(SynopsisFormatError):
+            synopsis_from_snapshot(bytes(blob), lazy=False)
+        restored = synopsis_from_snapshot(bytes(blob))
+        family = {_SEC_PST: StringSummary, _SEC_EBTH: TextSummary,
+                  _SEC_HIST: HistogramSummary}[section_id]
+        node = _first_deferred(restored, families, family)
+        with pytest.raises(SynopsisFormatError):
+            node.vsumm
+
+    def test_bytes_left_after_the_columns_rejected(self, families):
+        from repro.core.snapshot import _decode_pst_payload, _encode_pst
+
+        summary = next(
+            node.vsumm for node in families if isinstance(node.vsumm, StringSummary)
+        )
+        payload = bytearray()
+        _encode_pst(summary, payload)
+        payload.append(1)
+        with pytest.raises(SynopsisFormatError, match="left over"):
+            _decode_pst_payload(_Reader(_Section(bytes(payload), 0, len(payload))))
+
+    def test_node_count_disagreeing_with_node_table(self, families):
+        blob = bytearray(snapshot_to_bytes(families))
+        meta = _section_table(bytes(blob))[_SEC_META]
+        assert blob[meta.offset] == 1  # one-byte signed meta column
+        blob[meta.offset + 2] += 1  # node count: root id, then this
+        with pytest.raises(SynopsisFormatError):
+            synopsis_from_snapshot(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "values,signed,width",
+        [
+            ([255], False, 1), ([256], False, 2),
+            ([65535], False, 2), ([65536], False, 4),
+            ([2**32 - 1], False, 4), ([2**32], False, 8),
+            ([2**64 - 1], False, 8),
+            ([-128, 127], True, 1), ([-129], True, 2), ([128], True, 2),
+            ([-32769], True, 4), ([-(2**63), 2**63 - 1], True, 8),
+            ([], False, 1),
+        ],
+    )
+    def test_int_columns_take_the_narrowest_width(self, values, signed, width):
+        out = bytearray()
+        _put_ints(out, values, signed=signed)
+        assert out[0] == width
+        assert len(out) == 1 + width * len(values)
+        reader = _Reader(_Section(bytes(out), 0, len(out)))
+        assert list(reader.ints(len(values), signed=signed)) == values
+        reader.done()
+
+    @pytest.mark.parametrize(
+        "values,signed", [([2**64], False), ([-1], False), ([2**63], True)]
+    )
+    def test_int_outside_every_width_rejected(self, values, signed):
+        with pytest.raises(SynopsisFormatError):
+            _put_ints(bytearray(), values, signed=signed)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.5],
+            [-0.0, 0.0, float("inf"), -float("inf"), 5e-324, float("nan")],
+            [0.25] * 40 + [-0.0] * 3,  # dictionary-coded
+            [float(i) / 7 for i in range(300)],  # raw
+        ],
+    )
+    def test_double_columns_are_bit_exact(self, values):
+        out = bytearray()
+        _put_doubles(out, values)
+        reader = _Reader(_Section(bytes(out), 0, len(out)))
+        decoded = reader.doubles(len(values))
+        reader.done()
+        assert struct.pack(f"<{len(values)}d", *decoded) == struct.pack(
+            f"<{len(values)}d", *values
+        )
+
+    def test_repeated_doubles_are_dictionary_coded(self):
+        out = bytearray()
+        _put_doubles(out, [0.25] * 40)
+        assert out[0] != 0 and len(out) < 8 * 40
+
+    def test_width_boundaries_round_trip(self):
+        config = SummaryConfig(histogram_buckets=8, wavelet_coefficients=8)
+        synopsis = XClusterSynopsis()
+        root = synopsis.add_node("root", ValueType.NULL, 1)
+        synopsis.root_id = root.node_id
+        children = [
+            synopsis.add_node(
+                "bounds",
+                ValueType.NUMERIC,
+                65536,
+                HistogramSummary.from_values(
+                    [-70000, -32769, -129, -1, 0, 255, 256, 65535, 65536], config
+                ),
+            ),
+            synopsis.add_node(
+                "signal",
+                ValueType.NUMERIC,
+                65535,
+                WaveletSummary.from_values([-300, -3, 0, 7, 256, 256], config),
+            ),
+            synopsis.add_node(
+                "clef",
+                ValueType.STRING,
+                256,
+                StringSummary.from_values(
+                    ["a\U0001d11eb"] * 256 + ["\U0001f600é"] * 255 + ["zz"],
+                    config,
+                ),
+            ),
+            synopsis.add_node("wide", ValueType.NULL, 255),
+        ]
+        for child in children:
+            synopsis.add_edge(root, child, 65536.5)
+        synopsis.validate()
+        blob = snapshot_to_bytes(synopsis)
+        assert snapshot_sections(blob)["vocabulary"] <= 4  # an empty pool
+        for lazy in (True, False):
+            restored = synopsis_from_snapshot(blob, lazy=lazy)
+            assert synopsis_to_dict(restored) == synopsis_to_dict(synopsis)
+        counts = children[2].vsumm.pst.counts
+        assert {counts["\U0001d11e"], counts["\U0001f600"]} == {256, 255}
+
+    def test_wide_term_ids_round_trip(self):
+        config = SummaryConfig()
+        synopsis = XClusterSynopsis()
+        root = synopsis.add_node("root", ValueType.NULL, 1)
+        synopsis.root_id = root.node_id
+        texts = [frozenset(f"t{i}" for i in range(0, 300, step)) for step in (1, 2, 7)]
+        text = synopsis.add_node(
+            "body", ValueType.TEXT, 3, TextSummary.from_values(texts, config)
+        )
+        synopsis.add_edge(root, text, 1.0)
+        restored = synopsis_from_snapshot(snapshot_to_bytes(synopsis), lazy=False)
+        assert synopsis_to_dict(restored) == synopsis_to_dict(synopsis)
