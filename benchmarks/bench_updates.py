@@ -25,8 +25,8 @@ At asserting scales a ``paper_scale`` entry adds the paper's XMark size
 workload's op stream (records cloned beside their kind, records
 deleted, prices and names rewritten): per-kind median latency, the
 structure entries each splice rewrote, the TEXT summaries each splice
-encoded or remapped, and one rebuild parity check after the whole
-stream.
+encoded or remapped, the cluster summaries each splice visited, and one
+rebuild parity check after the whole stream.
 
 Results land in ``BENCH_updates.json``.
 """
@@ -190,6 +190,9 @@ def _paper_scale_point(seed):
         # had their term ids moved instead of being re-encoded.
         "text_encodes_per_splice": round(stats.text_encodes / splices, 2),
         "text_remaps_per_splice": round(stats.text_remaps / splices, 2),
+        # Cluster summaries the delta path examined per splice: the
+        # clusters whose values moved plus the TEXT clusters after them.
+        "clusters_visited_per_splice": round(stats.clusters_visited / splices, 2),
         "class_passes": stats.class_passes,
         "equivalent": synopsis_to_dict(maintainer.synopsis)
         == synopsis_to_dict(rebuilt),

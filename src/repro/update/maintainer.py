@@ -16,7 +16,8 @@ per-class aggregates, and every update takes one of two paths:
 * **summary-local** — a same-kind NUMERIC/STRING value change.  Classes
   ignore values, so the partition cannot move: the one cluster holding
   the element rebuilds its summary from its stored value counts, moved
-  by the old value and the new one, and nothing else is touched.
+  by the old value and the new one (NUMERIC: bucketed from a sorted
+  value list kept beside them), and nothing else is touched.
 * **localized** — inserts, deletes, kind flips and same-kind TEXT
   changes.  An update changes the down ids of the spliced subtree and
   of the splice point's ancestor chain only, so only those rows are
@@ -28,16 +29,16 @@ per-class aggregates, and every update takes one of two paths:
   pass re-derives them (``MaintainerStats.class_passes``) and the
   assembly runs in a rebuild's order, which keeps class numbering and
   node ids identical to a rebuild.  Classes moved by delta instead
-  patch the live nodes of the changed clusters in place.  Summary work
-  is confined to clusters whose member set changed: every other cluster
-  keeps the old summary object, and a changed one is built from its
-  stored value counts, moved by the rows the update cut or spliced in.
-  TEXT summaries — whose term ids are interned across clusters in build
-  order — rewind the shared vocabulary to the first TEXT cluster whose
-  centroid or position moved and re-encode from there; a later
-  unchanged cluster whose ids merely moved is remapped, and once the
-  vocabulary is back in its old state later clusters keep their
-  encodings (``MaintainerStats.text_encodes``, ``text_remaps``).
+  patch the live nodes of the changed clusters in place, visiting only
+  the clusters whose values moved (``MaintainerStats.clusters_visited``):
+  each is built from its stored value counts, moved by the rows the
+  update cut or spliced in, and every other keeps its summary object.
+  TEXT term ids are interned across clusters in build order.  A changed
+  TEXT cluster that kept its terms kept their ids, so it re-encodes over
+  its old bitmap; otherwise the shared vocabulary rewinds to it and
+  re-encodes from there, a later unchanged cluster whose ids merely
+  shifted is remapped, and once the vocabulary is back in its old state
+  later clusters keep their encodings (``text_encodes``, ``text_remaps``).
 
 No update runs a whole-document refinement: construction runs the only
 down pass (``MaintainerStats.full_recomputes``).
@@ -58,9 +59,11 @@ compression engine without re-running phase 2 globally.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, compress, count, islice
+from functools import partial
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from typing import (
     Any,
     Dict,
@@ -90,6 +93,7 @@ from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.kernels.pst import PSTPruneKernel
 from repro.values.kernels.queue import make_stepper
 from repro.values.pst import PrunedSuffixTree
+from repro.values.rle import RunLengthBitmap
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
@@ -101,7 +105,6 @@ from repro.values.summary import (
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.xmltree.columnar import (
     KIND_NULL,
-    KIND_STRING,
     KIND_TEXT,
     ColumnarDocument,
 )
@@ -182,19 +185,34 @@ class MaintainerStats:
     string_deltas: int = 0
     #: TEXT summaries of ``text_encodes`` that only had their ids remapped.
     text_remaps: int = 0
+    #: Cluster summaries the delta path examined: clusters whose values
+    #: moved, plus the TEXT clusters after them whose ids moved.
+    clusters_visited: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """Counters as a plain dict (the ``/stats`` maintenance section)."""
         return asdict(self)
 
 
-def _move(counts: Counter, delta: Counter) -> Counter:
-    """``counts`` moved in place by ``delta``, dropping what reaches zero."""
-    counts.update(delta)
-    for item in delta:
-        if not counts[item]:
+def _move(counts: Counter, delta: Counter, ordered: Optional[List] = None) -> bool:
+    """Move ``counts`` in place by ``delta``, dropping what reaches zero,
+    with ``ordered`` (its sorted keys) in step; True when no key entered
+    or left."""
+    same = True
+    for item, times in delta.items():
+        before = counts.get(item, 0)
+        after = before + times
+        if after:
+            counts[item] = after
+        elif before:
             del counts[item]
-    return counts
+        if bool(before) != bool(after):
+            same = False
+            if ordered is not None and after:
+                insort(ordered, item)
+            elif ordered is not None:
+                del ordered[bisect_left(ordered, item)]
+    return same
 
 
 class IncrementalMaintainer:
@@ -240,6 +258,8 @@ class IncrementalMaintainer:
         self._vocab_marks: List[int] = [0]
         #: NUMERIC class id -> value -> count; TEXT: term -> texts holding it.
         self._counts: Dict[int, Counter] = {}
+        #: NUMERIC class id -> its sorted values, once a value change moved them.
+        self._ordered: Dict[int, List[int]] = {}
         #: STRING class id -> the substring counts pruning dropped from
         #: its summary's PST; with the kept ones, the full counts.
         self._dropped: Dict[int, Dict[str, int]] = {}
@@ -326,10 +346,11 @@ class IncrementalMaintainer:
             values[classes[index]].append(value_of(index))
         return values
 
-    def _numeric(self, counts: Counter) -> ValueSummary:
-        """The NUMERIC summary a rebuild would build from ``counts``."""
+    def _numeric(self, counts: Counter, ordered: Optional[List[int]] = None) -> ValueSummary:
+        """The NUMERIC summary a rebuild would build from ``counts``
+        (``ordered``: its sorted values, when kept)."""
         self.stats.summaries_built += 1
-        summary = build_numeric_summary(counts, self._config)
+        summary = build_numeric_summary(counts, self._config, ordered)
         return enforce_summary_budget(summary, self.max_summary_bytes)
 
     def _prune(self, key: int, tree: PrunedSuffixTree) -> ValueSummary:
@@ -365,12 +386,15 @@ class IncrementalMaintainer:
                 tree.remove_string(string, -times)
         return self._prune(key, tree)
 
-    def _encode_text(self, key: int) -> ValueSummary:
-        """``key``'s TEXT summary over the current vocabulary state."""
+    def _encode_text(self, key: int, bitmap: Optional[RunLengthBitmap] = None) -> ValueSummary:
+        """``key``'s TEXT summary over the current vocabulary state (over
+        ``bitmap``, its term ids' bitmap, when those did not move)."""
         self.stats.text_encodes += 1
+        self.stats.summaries_built += 1
         texts = self._aggregates[0][key]  # every member holds one text
         centroid = TermCentroid.from_counts(self._counts[key], texts)
-        ebth = EndBiasedTermHistogram.from_centroid(centroid, self._config.vocabulary)
+        encode = partial(EndBiasedTermHistogram.from_centroid, centroid, self._config.vocabulary)
+        ebth = encode() if bitmap is None else encode(bitmap=bitmap)
         return enforce_summary_budget(TextSummary(ebth), self.max_summary_bytes)
 
     # -- assembly ------------------------------------------------------------
@@ -387,20 +411,16 @@ class IncrementalMaintainer:
         summary from ``old_nodes`` (the pre-update node table).
         """
         return materialize_synopsis(
-            self._aggregates, self._summaries(image, old_nodes, {}), self._classes[0]
+            self._aggregates, self._summaries(image, old_nodes), self._classes[0]
         )
 
     def _summaries(
-        self,
-        image: Dict[int, int],
-        old_nodes: Dict[int, SynopsisNode],
-        deltas: Dict[int, Counter],
+        self, image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
     ) -> Dict[int, ValueSummary]:
         """Every summarized class's summary, for :meth:`_assemble`.
 
-        A class in ``image`` carries its source's summary and counts, one
-        with ``deltas`` (value -> copies in, negative when out) moves its
-        counts, and the others count gathered values.
+        A class in ``image`` carries its source's summary and counts
+        (TEXT: unless its term ids move), the others count gathered values.
         """
         node_vtypes = self._aggregates[2]
         node_paths = self._class_paths
@@ -412,7 +432,8 @@ class IncrementalMaintainer:
         ]
         old_counts, old_dropped = self._counts, self._dropped
         self._counts, self._dropped = counts, dropped = {}, {}
-        fresh = [key for key in summarized if key not in image and key not in deltas]
+        self._ordered = {}
+        fresh = [key for key in summarized if key not in image]
         values = self._gather(self._classes, fresh) if fresh else {}
 
         stats = self.stats
@@ -421,61 +442,67 @@ class IncrementalMaintainer:
         for key in summarized:
             vtype = node_vtypes[key]
             source = image.get(key)
-            if source is not None and vtype is not ValueType.TEXT:
+            string = vtype is ValueType.STRING
+            if source is not None:
                 summaries[key] = old_nodes[source].vsumm
                 stats.summaries_reused += 1
-            if vtype is ValueType.STRING:
-                if source is not None:
+                if string:
                     dropped[key] = old_dropped[source]
-                elif key in deltas:
-                    summaries[key] = self._reprune(
-                        key, old_nodes[key].vsumm, old_dropped[key], deltas[key]
-                    )
                 else:
-                    stats.summaries_built += 1
-                    tree = PrunedSuffixTree.from_strings(values[key], self._config.pst_max_depth)
-                    summaries[key] = self._prune(key, tree)
-                continue
-            text = vtype is ValueType.TEXT
-            if source is not None:
-                counts[key] = old_counts[source]
-            elif key in deltas:
-                counts[key] = _move(old_counts[key], deltas[key])
+                    counts[key] = old_counts[source]
+            elif string:
+                stats.summaries_built += 1
+                tree = PrunedSuffixTree.from_strings(values[key], self._config.pst_max_depth)
+                summaries[key] = self._prune(key, tree)
+            elif vtype is ValueType.TEXT:
+                counts[key] = Counter(chain.from_iterable(values[key]))
             else:
-                members = values[key]
-                counts[key] = Counter(chain.from_iterable(members) if text else members)
-            if text:
-                texts.append(key)
-            elif source is None:
+                counts[key] = Counter(values[key])
                 summaries[key] = self._numeric(counts[key])
+            if vtype is ValueType.TEXT:
+                texts.append(key)
         summaries.update(self._texts(texts, image, old_nodes))
         return summaries
 
     def _texts(
-        self, keys: List[int], image: Dict[int, int], old_nodes: Dict[int, SynopsisNode]
+        self,
+        keys: List[int],
+        image: Dict[int, int],
+        old_nodes: Dict[int, SynopsisNode],
+        stable: Set[int] = frozenset(),
     ) -> Dict[int, ValueSummary]:
-        """The summaries of the TEXT clusters ``keys``, in build order.
+        """New summaries of the TEXT clusters ``keys`` (build order) not
+        at their ``image``'s (old cluster with the same texts) position,
+        and of every later one while the vocabulary differs from its old state.
 
-        While ``synced``, the rewound vocabulary holds the old terms up to
-        this position's old mark in their old order, less the ``tainted``
-        ones (terms a re-encoded cluster lost; a later one may re-intern
-        them), so an unchanged cluster holding none of them takes its old
-        encoding through ``mapping`` (old id -> new id)."""
+        One in ``stable`` kept its terms, so while the vocabulary is in
+        its old state their ids too: it re-encodes over its old bitmap.
+        Otherwise the vocabulary rewinds to its mark.  While ``synced``,
+        the rewound vocabulary holds the old terms up to this position's
+        old mark in their old order, less the ``tainted`` ones (terms a
+        re-encoded cluster lost; a later one may re-intern them), so an
+        unchanged cluster holding none of them takes its old encoding
+        through ``mapping`` (old id -> new id, the identity below ``base``)."""
         stats = self.stats
         vocabulary = self._config.vocabulary
         old_text = self._text
         marks = self._vocab_marks
+        todo = {
+            position
+            for position, key in enumerate(keys)
+            if position >= len(old_text) or old_text[position] != image.get(key)
+        }
         rewound = False
         summaries: Dict[int, ValueSummary] = {}
-        for position, key in enumerate(keys):
+        for position in range(min(todo, default=len(keys)), len(keys)):
+            same = position not in todo
+            if same and not rewound:
+                continue  # same clusters so far, in the same order
+            key = keys[position]
             source = image.get(key)
-            same = position < len(old_text) and old_text[position] == source
             if not rewound:
-                if same:
-                    # Same clusters so far, in the same order: the
-                    # vocabulary state matches, so the old encoding stands.
-                    summaries[key] = old_nodes[source].vsumm
-                    stats.summaries_reused += 1
+                if key in stable:
+                    summaries[key] = self._encode_text(key, old_nodes[key].vsumm.ebth.bitmap)
                     continue
                 rewound = synced = True
                 old_marks, base = marks[:], marks[position]
@@ -485,19 +512,16 @@ class IncrementalMaintainer:
                 tainted: Set[str] = set()
             if synced and position < len(old_text):
                 # The terms this position first interned, in order.
-                first, last = old_marks[position] - base, old_marks[position + 1] - base
-                own = tail[first:last]
+                own = tail[old_marks[position] - base:old_marks[position + 1] - base]
             else:
                 synced = False
-            stats.summaries_built += source is None
-            stats.summaries_reused += source is not None
             start = len(vocabulary)
             summary = None
             if synced and same and not any(map(self._counts[key].__contains__, tainted)):
                 # It holds old terms, which keep their order, and ``own``.
                 mapping += range(start, start + len(own))
                 old = old_nodes[source].vsumm.ebth
-                moved = TextSummary(old.remapped(mapping))
+                moved = TextSummary(old.remapped(mapping, base))
                 if not old.bucket_member_count:
                     # Uncompressed, it is a rebuild's encoding before the budget.
                     summary = enforce_summary_budget(moved, self.max_summary_bytes)
@@ -508,20 +532,21 @@ class IncrementalMaintainer:
                 if summary is not None:
                     stats.text_encodes += 1
                     stats.text_remaps += 1
-                    vocabulary.intern_all(own)
+                    vocabulary.extend(own)
             if summary is None:
                 summary = self._encode_text(key)
+                if synced:
+                    # While synced, none of ``own`` was interned before.
+                    fresh = dict(zip(vocabulary.since(start), count(start)))
+                    synced = fresh.keys() <= tainted.union(own)
+                    tainted.update(filterfalse(fresh.__contains__, own))
+                    mapping[old_marks[position]:] = map(fresh.get, own, repeat(-1))
             summaries[key] = summary
-            if synced:
-                kept = set(vocabulary.since(start))
-                synced = kept <= tainted.union(own)
-                tainted.update(term for term in own if term not in kept)
-                mapping[old_marks[position]:] = map(vocabulary.get, own)
             marks.append(len(vocabulary))
             if synced and not tainted:
                 # The vocabulary is in its old state at the next
                 # position: restore the tail, later encodings stand.
-                vocabulary.intern_all(tail[marks[-1] - base:])
+                vocabulary.extend(tail[marks[-1] - base:])
                 marks[position + 2:] = old_marks[position + 2:]
                 rewound = False
         if not rewound:
@@ -654,16 +679,40 @@ class IncrementalMaintainer:
     def _reassemble(self, changed: Set[int], deltas: Dict[int, Counter]) -> None:
         """Patch the live nodes after an update that moved no class.
 
-        Every cluster but ``changed`` keeps its summary (TEXT ones up to
-        an id shift or re-encoding); ``deltas`` holds the values that
-        entered or left changed clusters.  Edges neither appear nor vanish, so the
-        ``changed`` nodes take their new counts, child averages and
-        parent edge entries in place, in a rebuild's float arithmetic.
+        ``deltas`` holds the values that entered or left clusters; only
+        the summarized ones whose values moved (or, TEXT, whose member
+        count did) are visited, plus the TEXT clusters after them whose
+        ids move.  Every other cluster keeps its summary object.  Edges
+        neither appear nor vanish, so the ``changed`` nodes take their
+        new counts, child averages and parent edge entries in place, in
+        a rebuild's float arithmetic.
         """
-        counts, _, _, edges = self._aggregates
+        counts, _, vtypes, edges = self._aggregates
         nodes = self.synopsis.nodes
-        image = {key: key for key in counts if key not in changed}
-        for key, summary in self._summaries(image, nodes, deltas).items():
+        stats = self.stats
+        image, stable = dict(zip(self._text, self._text)), set()
+        for key, delta in deltas.items():
+            if key not in changed and not any(delta.values()):
+                continue  # a same-value change (a splice moves a centroid's text count)
+            if key not in self._counts and key not in self._dropped:
+                continue  # not summarized
+            vtype = vtypes[key]
+            if vtype is ValueType.TEXT:
+                del image[key]
+                if _move(self._counts[key], delta):
+                    stable.add(key)
+                continue
+            stats.clusters_visited += 1
+            node = nodes[key]
+            if vtype is ValueType.STRING:
+                node.vsumm = self._reprune(key, node.vsumm, self._dropped[key], delta)
+            else:
+                ordered = self._ordered.get(key) or sorted(self._counts[key])
+                _move(self._counts[key], delta, ordered)
+                self._ordered[key] = ordered
+                node.vsumm = self._numeric(self._counts[key], ordered)
+        for key, summary in self._texts(self._text, image, nodes, stable).items():
+            stats.clusters_visited += 1
             nodes[key].vsumm = summary
         for key in changed:
             node = nodes[key]
@@ -673,27 +722,6 @@ class IncrementalMaintainer:
             if key != self._classes[0]:
                 parent = self._class_key[key][1]
                 nodes[parent].children[key] = edges[(parent, key)] / counts[parent]
-
-    def _refresh_cluster(self, index: int, cut: Dict[int, Counter]) -> None:
-        """Rebuild the one summary of the cluster holding ``index``.
-
-        Only reachable for same-kind NUMERIC/STRING changes: the
-        partition cannot have moved (classes ignore values), so only
-        this cluster's stored counts move, by the old value (``cut``)
-        leaving and the new one entering.
-        """
-        doc = self.doc
-        # All class members share one label path and one kind (the
-        # initial partition key), so wantedness is a class property.
-        if not self._wanted(doc.path_ids[index]):
-            return
-        key = self._classes[index]
-        node = self.synopsis.nodes[key]
-        delta = self._value_deltas(index, index + 1, 1, cut)[key]
-        if doc.value_kind[index] == KIND_STRING:
-            node.vsumm = self._reprune(key, node.vsumm, self._dropped[key], delta)
-        else:
-            node.vsumm = self._numeric(_move(self._counts[key], delta))
 
     def _value_deltas(
         self, start: int, stop: int, sign: int, deltas: Dict[int, Counter]
@@ -759,17 +787,18 @@ class IncrementalMaintainer:
             if old_kind != new_kind:
                 self._rekey(self._ancestors(op.index))
                 self._reclassify(0, 0, 0, op.index)
-            elif new_kind == KIND_TEXT:
-                stats.text_reencodes += 1
-                changed = self._value_deltas(op.index, op.index + 1, 1, cut)
-                self._reassemble(set(changed), changed)
             elif new_kind == KIND_NULL:
                 # NULL -> NULL: the document is untouched semantically.
                 path = "noop"
             else:
-                path = "summary-local"
-                self._refresh_cluster(op.index, cut)
-                stats.fast_path_updates += 1
+                # Classes ignore values, so the partition cannot move:
+                # only the element's cluster summary does.
+                self._reassemble(set(), self._value_deltas(op.index, op.index + 1, 1, cut))
+                if new_kind == KIND_TEXT:
+                    stats.text_reencodes += 1
+                else:
+                    path = "summary-local"
+                    stats.fast_path_updates += 1
         if path == "localized":
             stats.localized_updates += 1
         # Every applied update bumps the version, so estimation caches

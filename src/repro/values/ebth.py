@@ -23,8 +23,7 @@ indexed terms into the uniform bucket, re-averaging its frequency.
 from __future__ import annotations
 
 import heapq
-from operator import neg
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.values.rle import RunLengthBitmap
 from repro.values.termvector import TermCentroid, Vocabulary
@@ -36,19 +35,11 @@ FIXED_BYTES = 8
 
 
 def check_encoding(
-    exact: Mapping[int, float],
-    bitmap: RunLengthBitmap,
-    bucket_member_count: int,
-    bits: Optional[AbstractSet[int]] = None,
+    exact: Mapping[int, float], bitmap: RunLengthBitmap, bucket_member_count: int
 ) -> None:
     """Raise ``ValueError`` unless every exact term has its bitmap bit set
-    and the bucket covers exactly the remaining set bits (one set test
-    against ``bits``, the bitmap's set bits, when the caller has them)."""
-    if not (
-        all(term_id in bitmap for term_id in exact)
-        if bits is None
-        else exact.keys() <= bits
-    ):
+    and the bucket covers exactly the remaining set bits."""
+    if not all(term_id in bitmap for term_id in exact):
         raise ValueError("every exactly-indexed term must have its bitmap bit set")
     if bucket_member_count < 0:
         raise ValueError("bucket_member_count must be non-negative")
@@ -123,6 +114,7 @@ class EndBiasedTermHistogram:
         centroid: TermCentroid,
         vocabulary: Vocabulary,
         exact_terms: Optional[int] = None,
+        bitmap: Optional[RunLengthBitmap] = None,
     ) -> "EndBiasedTermHistogram":
         """Build from an exact centroid.
 
@@ -131,34 +123,34 @@ class EndBiasedTermHistogram:
             vocabulary: the shared term-id space (terms are interned).
             exact_terms: how many top frequencies to retain exactly;
                 ``None`` retains all (the detailed reference form).
+            bitmap: the bitmap of the centroid's term ids, when the
+                caller holds it (its terms kept their ids).
         """
         weights = centroid.weights
         # New terms take ids in sorted order, never in ``weights`` order,
-        # which follows set iteration and so the hash seed; the second
-        # call only reads the ids back, in ``weights`` order.
-        vocabulary.intern_all(sorted(weights))
-        ids = vocabulary.intern_all(weights)
-        # (-weight, id) pairs sort without a key function; negation is
-        # exact, and so is a sum of negated weights.
-        ranked = sorted(zip(map(neg, weights.values()), ids))
-        if exact_terms is None:
-            exact_terms = len(ranked)
-        exact = {term_id: -weight for weight, term_id in ranked[:exact_terms]}
-        rest = ranked[exact_terms:]
-        bits = set(ids)
-        bitmap = RunLengthBitmap.from_ids(bits)
-        average = -sum(weight for weight, _ in rest) / len(rest) if rest else 0.0
-        check_encoding(exact, bitmap, len(rest), bits)
-        return cls.trusted(
-            vocabulary, exact, bitmap, average, len(rest), centroid.count
-        )
+        # which follows set iteration and so the hash seed.
+        by_id = dict(zip(vocabulary.intern_all(weights, sort_fresh=True), weights.values()))
+        order = sorted(by_id)
+        # Stable, so ties keep ascending ids: the order of sorted
+        # (-weight, id) pairs.
+        ranked = sorted(order, key=by_id.__getitem__, reverse=True)
+        top = ranked[:exact_terms]
+        exact = dict(zip(top, map(by_id.__getitem__, top)))
+        rest = ranked[len(top):]
+        average = sum(map(by_id.__getitem__, rest)) / len(rest) if rest else 0.0
+        if bitmap is None:
+            bitmap = RunLengthBitmap.from_ids(order)
+        elif len(bitmap) != len(order):
+            raise ValueError("the given bitmap does not hold the centroid's terms")
+        return cls.trusted(vocabulary, exact, bitmap, average, len(rest), centroid.count)
 
-    def remapped(self, mapping: Sequence[int]) -> "EndBiasedTermHistogram":
-        """This histogram with each term id ``i`` moved to ``mapping[i]``: an increasing
-        map keeps the ``(-frequency, id)`` order of the exact part and of ``tv_cmprs``."""
+    def remapped(self, mapping: Sequence[int], cut: int = 0) -> "EndBiasedTermHistogram":
+        """This histogram with each term id ``i`` moved to ``mapping[i]``, the identity
+        below ``cut``: an increasing map keeps the ``(-frequency, id)`` order of the
+        exact part and of ``tv_cmprs``, and the bitmap rewrites only its runs past ``cut``."""
         exact = dict(zip(map(mapping.__getitem__, self.exact), self.exact.values()))
         return self.trusted(
-            self.vocabulary, exact, self.bitmap.remapped(mapping),
+            self.vocabulary, exact, self.bitmap.remapped(mapping, cut),
             self.bucket_average, self.bucket_member_count, self.count,
         )
 

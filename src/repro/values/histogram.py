@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
+from math import ceil
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -84,43 +86,41 @@ class Histogram:
         return cls.from_counts(Counter(values), max_buckets)
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, int], max_buckets: int = 64) -> "Histogram":
+    def from_counts(
+        cls,
+        counts: Mapping[int, int],
+        max_buckets: int = 64,
+        ordered: Optional[Sequence[int]] = None,
+    ) -> "Histogram":
         """Build an equi-depth histogram from value -> positive count.
 
         Bucket boundaries are chosen so each bucket holds roughly the same
         number of values; ties never split a distinct value across buckets,
         so heavily skewed distributions get singleton buckets for their
-        heavy hitters.
+        heavy hitters.  ``ordered`` is ``sorted(counts)`` when the caller
+        keeps it.
         """
         if max_buckets < 1:
             raise ValueError("max_buckets must be >= 1")
-        ordered = sorted(counts)  # sorting the pairs would compare tuples
-        distinct = list(zip(ordered, map(counts.__getitem__, ordered)))
-        if not distinct:
-            return cls(())
-        if len(distinct) <= max_buckets:
-            buckets = [HistogramBucket(v, v, c) for v, c in distinct]
-            return cls(buckets)
-        target = sum(counts.values()) / max_buckets
-        buckets = []
-        run_lo = distinct[0][0]
-        run_count = 0
-        remaining_groups = len(distinct)
-        for index, (value, count) in enumerate(distinct):
-            run_count += count
-            remaining_groups -= 1
-            remaining_buckets = max_buckets - len(buckets) - 1
-            # Close the bucket once it reaches the target depth, but never
-            # leave fewer distinct groups than buckets still to fill.
-            if (run_count >= target and remaining_buckets > 0) or (
-                remaining_groups <= remaining_buckets
-            ):
-                buckets.append(HistogramBucket(run_lo, value, run_count))
-                if index + 1 < len(distinct):
-                    run_lo = distinct[index + 1][0]
-                run_count = 0
-        if run_count > 0:
-            buckets.append(HistogramBucket(run_lo, distinct[-1][0], run_count))
+        if ordered is None:
+            ordered = sorted(counts)
+        if len(ordered) <= max_buckets:
+            return cls([HistogramBucket(v, v, counts[v]) for v in ordered])
+        running = list(accumulate(map(counts.__getitem__, ordered)))
+        # A bucket closes at the first value where it reaches the target
+        # depth (an integer count, so its ceiling), but never leaves fewer
+        # distinct values than buckets still to fill; the last one takes
+        # the rest.
+        depth = ceil(running[-1] / max_buckets)
+        buckets: List[HistogramBucket] = []
+        start, below, last = 0, 0, len(ordered) - 1
+        while start <= last:
+            remaining = max_buckets - len(buckets) - 1
+            end = max(start, last - remaining)
+            if remaining > 0:
+                end = min(end, bisect_left(running, below + depth, start))
+            buckets.append(HistogramBucket(ordered[start], ordered[end], running[end] - below))
+            start, below = end + 1, running[end]
         return cls(buckets)
 
     # -- estimation ----------------------------------------------------------

@@ -11,6 +11,8 @@ is the number of runs.
 from __future__ import annotations
 
 import bisect
+from itertools import chain, compress, count, islice, repeat
+from operator import add, gt, itemgetter, ne, sub
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 #: An inclusive interval of consecutive set bits.
@@ -18,9 +20,10 @@ Run = Tuple[int, int]
 
 
 class RunLengthBitmap:
-    """An immutable bitmap stored as sorted runs of set bits."""
+    """An immutable bitmap stored as sorted runs of set bits: the runs'
+    starts and (inclusive) ends, one list each."""
 
-    __slots__ = ("_runs", "_starts", "_cardinality")
+    __slots__ = ("_starts", "_ends", "_cardinality")
 
     def __init__(self, runs: Sequence[Run]) -> None:
         previous_end = None
@@ -30,32 +33,30 @@ class RunLengthBitmap:
             if previous_end is not None and start <= previous_end + 1:
                 raise ValueError("runs must be sorted, disjoint, and non-adjacent")
             previous_end = end
-        self._fill(runs)
+        self._starts = list(map(itemgetter(0), runs))
+        self._ends = list(map(itemgetter(1), runs))
+        self._cardinality = len(runs) + sum(map(sub, self._ends, self._starts))
 
     @classmethod
-    def trusted(cls, runs: Sequence[Run]) -> "RunLengthBitmap":
-        """A bitmap over ``runs`` as given, not validated.  For callers
-        that keep runs sorted, disjoint and non-adjacent by construction."""
+    def trusted(cls, starts: List[int], ends: List[int], cardinality: int) -> "RunLengthBitmap":
+        """A bitmap over the runs ``zip(starts, ends)``, holding
+        ``cardinality`` bits, as given, not validated.  For callers that
+        keep runs sorted, disjoint and non-adjacent by construction."""
         bitmap = cls.__new__(cls)
-        bitmap._fill(runs)
+        bitmap._starts, bitmap._ends, bitmap._cardinality = starts, ends, cardinality
         return bitmap
-
-    def _fill(self, runs: Sequence[Run]) -> None:
-        self._runs: Tuple[Run, ...] = tuple(runs)
-        self._starts: List[int] = [start for start, _ in self._runs]
-        self._cardinality = sum(end - start + 1 for start, end in self._runs)
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "RunLengthBitmap":
         """Build from an arbitrary iterable of set-bit positions."""
-        ordered = sorted(set(ids))
-        runs: List[Run] = []
-        for position in ordered:
-            if runs and position == runs[-1][1] + 1:
-                runs[-1] = (runs[-1][0], position)
-            else:
-                runs.append((position, position))
-        return cls.trusted(runs)
+        ordered = sorted(ids)
+        # A run starts at each position more than one past its
+        # predecessor; a repeated one (a step of 0) joins its run.
+        steps = list(map(sub, islice(ordered, 1, None), ordered))
+        cuts = list(compress(count(1), map(gt, steps, repeat(1))))
+        starts = ordered[:1] + list(map(ordered.__getitem__, cuts))
+        ends = list(map(ordered.__getitem__, map(sub, cuts, repeat(1)))) + ordered[-1:]
+        return cls.trusted(starts, ends, len(ordered) - steps.count(0))
 
     @classmethod
     def empty(cls) -> "RunLengthBitmap":
@@ -63,53 +64,53 @@ class RunLengthBitmap:
 
     def __contains__(self, position: int) -> bool:
         index = bisect.bisect_right(self._starts, position) - 1
-        if index < 0:
-            return False
-        start, end = self._runs[index]
-        return start <= position <= end
+        return index >= 0 and position <= self._ends[index]
 
     def __len__(self) -> int:
         """The number of set bits."""
         return self._cardinality
 
     def __iter__(self) -> Iterator[int]:
-        for start, end in self._runs:
-            yield from range(start, end + 1)
+        return chain.from_iterable(map(range, self._starts, map(add, self._ends, repeat(1))))
 
     @property
     def runs(self) -> Tuple[Run, ...]:
-        return self._runs
+        return tuple(zip(self._starts, self._ends))
 
     @property
     def run_count(self) -> int:
-        return len(self._runs)
+        return len(self._starts)
 
     def union(self, other: "RunLengthBitmap") -> "RunLengthBitmap":
         """The bitwise OR of two bitmaps."""
-        merged = sorted(self._runs + other._runs)
-        result: List[Run] = []
-        for start, end in merged:
-            if result and start <= result[-1][1] + 1:
-                result[-1] = (result[-1][0], max(result[-1][1], end))
+        starts: List[int] = []
+        ends: List[int] = []
+        for start, end in sorted(zip(self._starts + other._starts, self._ends + other._ends)):
+            if ends and start <= ends[-1] + 1:
+                ends[-1] = max(ends[-1], end)
             else:
-                result.append((start, end))
-        return RunLengthBitmap.trusted(result)
+                starts.append(start)
+                ends.append(end)
+        return RunLengthBitmap.trusted(starts, ends, len(starts) + sum(map(sub, ends, starts)))
 
-    def remapped(self, mapping: Sequence[int]) -> "RunLengthBitmap":
+    def remapped(self, mapping: Sequence[int], cut: int = 0) -> "RunLengthBitmap":
         """The bitmap with each set position ``i`` moved to ``mapping[i]``, increasing on
-        them: runs it brings together merge, and one it opens gaps in splits.
-        An increasing map keeps runs sorted and disjoint, and the merge
-        keeps them non-adjacent, so the result skips validation."""
-        runs: List[Run] = []
-        for start, end in self._runs:
-            low = mapping[start]
-            if mapping[end] - low != end - start:
-                return RunLengthBitmap.from_ids(map(mapping.__getitem__, self))
-            if runs and low == runs[-1][1] + 1:
-                runs[-1] = (runs[-1][0], low + end - start)
-            else:
-                runs.append((low, low + end - start))
-        return RunLengthBitmap.trusted(runs)
+        them and the identity below ``cut``: the runs before the one ``cut``
+        falls after stay as they are.  When every later run moves whole
+        (a shift), runs the map brings together merge; otherwise the bits
+        are re-run.  An increasing map keeps the bit count."""
+        first = max(bisect.bisect_left(self._starts, cut) - 1, 0)
+        starts, ends = self._starts[first:], self._ends[first:]
+        lows = list(map(mapping.__getitem__, starts))
+        highs = list(map(mapping.__getitem__, ends))
+        if any(map(ne, map(sub, highs, ends), map(sub, lows, starts))):
+            return RunLengthBitmap.from_ids(map(mapping.__getitem__, self))
+        opens = [True, *map(ne, islice(lows, 1, None), map(add, highs, repeat(1)))]
+        return RunLengthBitmap.trusted(
+            self._starts[:first] + list(compress(lows, opens)),
+            self._ends[:first] + list(compress(highs, opens[1:] + [True])),
+            self._cardinality,
+        )
 
     def invariant_issues(self) -> List[str]:
         """Well-formedness issues of the run encoding (empty = healthy).
@@ -117,11 +118,11 @@ class RunLengthBitmap:
         The constructor enforces these for freshly built bitmaps; the
         hook re-derives them from the stored state so the invariant
         auditor can catch corruption introduced after construction
-        (deserialization bugs, direct mutation of ``_runs``).
+        (deserialization bugs, direct mutation of the run lists).
         """
         issues: List[str] = []
         previous_end = None
-        for start, end in self._runs:
+        for start, end in zip(self._starts, self._ends):
             if start > end:
                 issues.append(f"bitmap run ({start}, {end}) is inverted")
             if previous_end is not None and start <= previous_end + 1:
@@ -130,24 +131,28 @@ class RunLengthBitmap:
                     f"previous run ending at {previous_end}"
                 )
             previous_end = max(end, previous_end) if previous_end is not None else end
-        actual = sum(end - start + 1 for start, end in self._runs if start <= end)
+        actual = sum(end - start + 1 for start, end in self.runs if start <= end)
         if actual != self._cardinality:
             issues.append(
                 f"bitmap cardinality {self._cardinality} != {actual} set bits"
             )
-        if self._starts != [start for start, _ in self._runs]:
-            issues.append("bitmap start index diverged from its runs")
+        if len(self._starts) != len(self._ends):
+            issues.append("bitmap run starts and ends differ in number")
         return issues
 
     def size_bytes(self) -> int:
         """Storage footprint: 4 bytes per run (start + length packed)."""
-        return 4 * len(self._runs)
+        return 4 * len(self._starts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RunLengthBitmap) and self._runs == other._runs
+        return (
+            isinstance(other, RunLengthBitmap)
+            and self._starts == other._starts
+            and self._ends == other._ends
+        )
 
     def __hash__(self) -> int:
-        return hash(self._runs)
+        return hash(self.runs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RunLengthBitmap(runs={len(self._runs)}, bits={self._cardinality})"
+        return f"RunLengthBitmap(runs={len(self._starts)}, bits={self._cardinality})"

@@ -582,13 +582,18 @@ def build_summary(
     raise ValueError(f"unknown value type {value_type!r}")
 
 
-def build_numeric_summary(counts: Mapping[int, int], config: SummaryConfig) -> ValueSummary:
-    """The NUMERIC summary of values occurring ``counts[v]`` times each."""
+def build_numeric_summary(
+    counts: Mapping[int, int],
+    config: SummaryConfig,
+    ordered: Optional[Sequence[int]] = None,
+) -> ValueSummary:
+    """The NUMERIC summary of values occurring ``counts[v]`` times each
+    (``ordered``: ``sorted(counts)``, when the caller keeps it)."""
     if config.numeric_summary == "wavelet":
         return WaveletSummary(HaarWavelet.from_counts(counts, config.wavelet_coefficients))
     if config.numeric_summary != "histogram":
         raise ValueError(f"unknown numeric_summary {config.numeric_summary!r}")
-    return HistogramSummary(Histogram.from_counts(counts, config.histogram_buckets))
+    return HistogramSummary(Histogram.from_counts(counts, config.histogram_buckets, ordered))
 
 
 def fuse_summaries(

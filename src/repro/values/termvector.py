@@ -37,14 +37,19 @@ class Vocabulary:
         self._id_to_term.append(term)
         return new_id
 
-    def intern_all(self, terms: Collection[str]) -> List[int]:
-        """:meth:`intern` of each of ``terms``, as C-level passes."""
+    def intern_all(self, terms: Collection[str], sort_fresh: bool = False) -> List[int]:
+        """:meth:`intern` of each of ``terms``, as C-level passes; with
+        ``sort_fresh`` (distinct ``terms``) the new ones take ids in
+        sorted order instead of in ``terms`` order."""
         index = self._term_to_id
-        fresh = dict.fromkeys(filterfalse(index.__contains__, terms))
-        if fresh:
-            index.update(zip(fresh, count(len(self._id_to_term))))
-            self._id_to_term.extend(fresh)
+        fresh = filterfalse(index.__contains__, terms)
+        self.extend(sorted(fresh) if sort_fresh else list(dict.fromkeys(fresh)))
         return list(map(index.__getitem__, terms))
+
+    def extend(self, terms: List[str]) -> None:
+        """Intern ``terms``, distinct and none of them known, in order."""
+        self._term_to_id.update(zip(terms, count(len(self._id_to_term))))
+        self._id_to_term.extend(terms)
 
     def since(self, size: int) -> List[str]:
         """The terms with ids ``>= size``, in id order."""
@@ -119,7 +124,11 @@ class TermCentroid:
         """The centroid of ``count`` texts, ``hits[t]`` of which contain ``t``."""
         if count == 0:
             return cls({}, 0)
-        return cls({term: times / count for term, times in hits.items()}, count)
+        # ``0 < times <= count`` keeps every weight in (0, 1]: no check.
+        centroid = cls.__new__(cls)
+        centroid.weights = {term: times / count for term, times in hits.items()}
+        centroid.count = count
+        return centroid
 
     def frequency(self, term: str) -> float:
         """The fractional frequency ``w[t]`` (0.0 for absent terms)."""
