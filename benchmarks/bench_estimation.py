@@ -15,8 +15,8 @@ results land in ``BENCH_estimation.json`` (same report shape as
 from time import perf_counter
 
 import common
+from repro.check.oracles import XClusterEstimator
 from repro.core.estimation import WorkloadEstimator
-from repro.core.estimator import XClusterEstimator
 from repro.core.sizing import structural_size_bytes
 
 #: The single-process speedup the compiled engine must deliver on the

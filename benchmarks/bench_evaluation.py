@@ -2,7 +2,7 @@
 
 Both engines answer the same workload over the same stored document and
 must return bit-identical selectivity counts (paper Section 2 path
-multiplicity).  The tree-walk oracle (:mod:`repro.query.evaluator`)
+multiplicity).  The tree-walk oracle (:mod:`repro.check.oracles`)
 chases ``XMLElement`` children pointer by pointer; the interval engine
 (:mod:`repro.query.interval`) runs pre/post interval-containment merges
 over the columnar store's sorted per-label position arrays.
@@ -31,8 +31,8 @@ import gc
 from time import perf_counter
 
 import common
+from repro.check.oracles import TreeWalkEvaluator
 from repro.datasets import generate_xmark
-from repro.query.evaluator import TreeWalkEvaluator
 from repro.query.interval import IntervalEvaluator
 from repro.workload.generator import generate_workload
 from repro.xmltree.columnar import freeze

@@ -21,9 +21,8 @@ must deliver at least a 2x speedup on the combined ``st_cmprs`` +
 """
 
 import common
-from repro.check.oracles import ReferenceBuilder
+from repro.check.oracles import ReferenceBuilder, XClusterEstimator
 from repro.core.builder import BuildConfig, XClusterBuilder
-from repro.core.estimator import XClusterEstimator
 from repro.core.sizing import (
     structural_size_bytes,
     value_size_bytes,

@@ -28,7 +28,6 @@ from repro.core import (
     CompiledEstimator,
     WorkloadEstimator,
     XClusterBuilder,
-    XClusterEstimator,
     XClusterSynopsis,
     build_reference_synopsis,
     build_tag_synopsis,
@@ -64,7 +63,6 @@ __all__ = [
     "CompiledEstimator",
     "WorkloadEstimator",
     "XClusterBuilder",
-    "XClusterEstimator",
     "XClusterSynopsis",
     "build_reference_synopsis",
     "build_tag_synopsis",

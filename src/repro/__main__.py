@@ -8,8 +8,7 @@ Subcommands::
     python -m repro convert synopsis.json synopsis.bin --format snapshot
     python -m repro serve (synopsis.bin | --document INPUT.xml) \
         [--host H] [--port P]
-    python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title" \
-        [--engine interval|treewalk]
+    python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title"
     python -m repro experiments [--scale 0.25] [--queries 15]
     python -m repro check [--rounds 3] [--seed S] [--synopsis FILE] \
         [--evaluator] [--updates [--updates-per-round N]] [--collection]
@@ -27,17 +26,24 @@ binary mmap snapshot format;
 magic bytes) and prints the estimated selectivity of a twig query;
 ``convert`` re-encodes a saved synopsis between the two formats;
 ``serve`` runs the always-on estimation daemon of :mod:`repro.serve`;
-``evaluate`` prints the exact selectivity against the raw document;
+``evaluate`` stream-parses the document and prints the exact
+selectivity;
 ``experiments`` regenerates every table and figure of the paper's
 evaluation section; ``check`` runs the differential verification
 subsystem — the invariant auditor over a fresh (or saved) synopsis plus
 the seeded engine-parity fuzzer — and exits non-zero on any violation
 (see docs/TESTING.md); ``ingest`` stream-parses a document into the
-columnar store and reports its shape, optionally comparing against the
-object-tree parse; ``collection`` manages a directory-of-snapshots
-collection store — parallel dedup build, workload-driven budget
-rebalance from an observed query log, stats, and edge-model CSV export
-— which ``serve --collection`` then serves with per-document routing.
+columnar store and reports its shape, optionally checking that the
+object-tree parser front end yields the same document; ``collection``
+manages a directory-of-snapshots collection store — parallel dedup
+build, workload-driven budget rebalance from an observed query log,
+stats, and edge-model CSV export — which ``serve --collection`` then
+serves with per-document routing.
+
+Bad input — an unreadable file, malformed XML, a bad XPath or JSON
+query, a file that is not a synopsis, a bad update stream or collection
+manifest — exits with status 2 and one ``repro: error: <message>`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ from repro.core import (
     total_size_bytes,
     value_size_bytes,
 )
+from repro.errors import InputError
 from repro.query import evaluate_selectivity, parse_twig
-from repro.xmltree import parse_document
+from repro.xmltree import ingest_file
 from repro.xmltree.events import DEFAULT_CHUNK_SIZE
 
 
@@ -70,8 +77,6 @@ def _save_in_format(synopsis, path: str, format_name: str) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    from repro.xmltree import ingest_file
-
     doc = ingest_file(args.input)
     synopsis = build_xcluster(
         doc,
@@ -138,7 +143,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     elif args.document is not None:
         from repro.update import IncrementalMaintainer
-        from repro.xmltree import ingest_file
 
         doc = ingest_file(args.document)
         maintainer = IncrementalMaintainer(doc)
@@ -178,9 +182,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    tree = parse_document(args.input)
+    doc = ingest_file(args.input)
     query = parse_twig(args.query)
-    print(evaluate_selectivity(tree, query, engine=args.engine))
+    print(evaluate_selectivity(doc, query))
     return 0
 
 
@@ -336,8 +340,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from time import perf_counter
 
-    from repro.xmltree import ingest_file
-
     source_bytes = os.path.getsize(args.input)
     started = perf_counter()
     doc = ingest_file(args.input, chunk_size=args.chunk_size)
@@ -359,24 +361,23 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     from repro.core import build_reference_synopsis
     from repro.core.serialization import synopsis_to_dict
+    from repro.xmltree import parse_document
     from repro.xmltree.columnar import freeze
     from repro.xmltree.stats import collect_statistics
 
     started = perf_counter()
     tree = parse_document(args.input)
     parse_seconds = perf_counter() - started
-    value_paths = doc.value_paths()
-    object_synopsis = build_reference_synopsis(
-        tree, value_paths, with_summaries=False
-    )
-    columnar_synopsis = build_reference_synopsis(
-        doc, value_paths, with_summaries=False
-    )
-    synopses_match = synopsis_to_dict(object_synopsis) == synopsis_to_dict(
-        columnar_synopsis
-    )
-    stats_match = collect_statistics(tree) == collect_statistics(doc)
     frozen = freeze(tree)
+    # Front-end parity: the object parser's document, frozen, must give
+    # the stream ingest's synopsis, statistics and structure columns.
+    value_paths = doc.value_paths()
+    synopses_match = synopsis_to_dict(
+        build_reference_synopsis(frozen, value_paths, with_summaries=False)
+    ) == synopsis_to_dict(
+        build_reference_synopsis(doc, value_paths, with_summaries=False)
+    )
+    stats_match = collect_statistics(frozen) == collect_statistics(doc)
     columns_match = all(
         getattr(doc, name) == getattr(frozen, name)
         for name in ("parent", "first_child", "next_sibling", "post", "level")
@@ -392,25 +393,31 @@ def _read_query_log(path: str):
     """An observed query log: JSON lines of ``{"doc": ..., "query": ...}``.
 
     A JSON array of the same objects is accepted too (the serve tier
-    and tests emit either).  Returns ``[(doc_id, TwigQuery), ...]``.
+    and tests emit either).  Returns ``[(doc_id, TwigQuery), ...]``;
+    a log that is not such JSON raises :class:`QueryFormatError`.
     """
     import json as json_module
+
+    from repro.query import QueryFormatError
 
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stripped = text.lstrip()
-    if stripped.startswith("["):
-        rows = json_module.loads(stripped)
-    else:
-        rows = [
-            json_module.loads(line)
-            for line in text.splitlines()
-            if line.strip()
-        ]
+    try:
+        if stripped.startswith("["):
+            rows = json_module.loads(stripped)
+        else:
+            rows = [
+                json_module.loads(line)
+                for line in text.splitlines()
+                if line.strip()
+            ]
+    except json_module.JSONDecodeError as error:
+        raise QueryFormatError(f"{path} is not a JSON query log: {error}")
     log = []
     for row in rows:
         if not isinstance(row, dict) or "doc" not in row or "query" not in row:
-            raise ValueError(
+            raise QueryFormatError(
                 "each log entry must be an object with 'doc' and 'query'"
             )
         log.append((row["doc"], parse_twig(row["query"])))
@@ -619,12 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser("evaluate", help="exact selectivity on a document")
     evaluate.add_argument("input", help="XML document")
     evaluate.add_argument("query", help="twig query")
-    evaluate.add_argument(
-        "--engine",
-        choices=("interval", "treewalk"),
-        default="interval",
-        help="exact-evaluation engine (default %(default)s)",
-    )
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     experiments = commands.add_parser(
@@ -667,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--evaluator",
         action="store_true",
         help="run evaluator-only fuzz rounds (interval-join engine vs "
-        "tree-walk oracle on workload + mutated twigs)",
+        "the tree-walk oracle on workload + mutated twigs)",
     )
     check.add_argument(
         "--updates",
@@ -706,8 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--compare",
         action="store_true",
-        help="also parse the object tree and verify phase-1 and "
-        "structure-column parity (exits non-zero on divergence)",
+        help="also parse with the object-tree front end and verify "
+        "reference-synopsis, statistics and structure-column parity "
+        "(exits non-zero on divergence)",
     )
     ingest.set_defaults(handler=_cmd_ingest)
 
@@ -798,7 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (InputError, OSError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

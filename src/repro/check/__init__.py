@@ -9,9 +9,10 @@ The correctness tooling behind ``python -m repro check``:
   seeded fuzzer running reference-vs-production builds and scalar-vs-
   compiled estimation side by side on generated documents;
 * :mod:`repro.check.oracles` — slow reference implementations kept off
-  the production call path (the fixpoint partition oracle, the PST
-  estimation oracle and the scalar
-  :class:`~repro.check.oracles.ReferenceBuilder`);
+  the production call path (the fixpoint partition and object-tree
+  assembly oracles, the PST estimation oracle, the scalar
+  :class:`~repro.check.oracles.ReferenceBuilder`, the scalar
+  ``XClusterEstimator`` and the tree-walk exact evaluator);
 * :mod:`repro.check.shrink` — delta-debugging minimization of failing
   documents and queries;
 * :mod:`repro.check.report` — :class:`CheckReport` aggregation.

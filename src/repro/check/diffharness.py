@@ -9,7 +9,9 @@ exercises them on *arbitrary* documents, generated from a seed:
 
 1. generate a random document, require its two-pass reference
    partition to equal the fixpoint oracle's
-   (:mod:`repro.check.oracles`), and derive its reference synopsis;
+   (:mod:`repro.check.oracles`), derive its reference synopsis, and
+   require it to equal the object-tree assembly oracle's
+   (``synopsis_to_dict``);
 2. **audit** the reference with the :class:`InvariantAuditor`;
 3. build the budgeted synopsis twice — with the production builder and
    the reference builder — and require identical shapes (node multiset
@@ -22,7 +24,7 @@ exercises them on *arbitrary* documents, generated from a seed:
 7. serialize the document and feed the identical bytes to the
    object-tree parser and the event-stream columnar ingestor: the
    reference synopses and the budgeted builds must be bit-identical
-   across substrates, and the columnar build must reproduce the
+   across front ends, and the ingested build must reproduce the
    round's baseline estimates;
 8. grade the round's workload — plus ``//``-heavy and wildcard mutated
    variants of every query — with both exact evaluators: the tree-walk
@@ -66,7 +68,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.invariants import InvariantAuditor
-from repro.check.oracles import ReferenceBuilder, fixpoint_reference_classes
+from repro.check.oracles import (
+    ReferenceBuilder,
+    TreeWalkEvaluator,
+    XClusterEstimator,
+    fixpoint_reference_classes,
+    object_reference_synopsis,
+)
 from repro.check.report import CheckReport, Failure
 from repro.check.shrink import (
     copy_query,
@@ -77,7 +85,6 @@ from repro.check.shrink import (
 )
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.estimation import CompiledEstimator
-from repro.core.estimator import XClusterEstimator
 from repro.core.reference import build_reference_synopsis, reference_classes
 from repro.core.serialization import synopsis_from_dict, synopsis_to_dict
 from repro.core.snapshot import snapshot_to_bytes, synopsis_from_snapshot
@@ -85,7 +92,6 @@ from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import XClusterSynopsis
 from repro.datasets.dataset import Dataset
 from repro.query.ast import WILDCARD, AxisStep, EdgePath, TwigQuery
-from repro.query.evaluator import TreeWalkEvaluator
 from repro.query.interval import IntervalEvaluator
 from repro.update.maintainer import IncrementalMaintainer
 from repro.update.ops import (
@@ -358,6 +364,18 @@ class DifferentialHarness:
                 )
             )
         reference = build_reference_synopsis(document, dataset.value_paths)
+        if synopsis_to_dict(reference) != synopsis_to_dict(
+            object_reference_synopsis(document, dataset.value_paths)
+        ):
+            report.failures.append(
+                Failure(
+                    kind="assembly-divergence",
+                    seed=seed,
+                    message="columnar reference synopsis differs from "
+                    "the object-tree assembly oracle",
+                    document_size=len(document),
+                )
+            )
         self._audit(reference, seed, "reference synopsis", document, report)
 
         synopsis, divergence = self._build_pair(document, dataset.value_paths)

@@ -3,6 +3,11 @@
 :func:`fixpoint_reference_classes` is the partition oracle for
 :func:`repro.core.reference.reference_classes`: the paper-literal
 both-ways refinement, iterated until the class count stops growing.
+:func:`object_reference_synopsis` is the assembly oracle for
+:func:`repro.core.reference.build_reference_synopsis`: the same
+two-pass partition, keyed by label-path tuples over ``XMLElement``
+objects and aggregated by one per-element loop instead of column
+passes.
 :func:`greedy_estimate_count` is the PST estimation oracle for
 :meth:`repro.values.pst.PrunedSuffixTree.estimate_count`: the greedy
 maximal-overlap chaining, re-walking and re-looking-up every piece.
@@ -10,13 +15,19 @@ maximal-overlap chaining, re-walking and re-looking-up every piece.
 :class:`repro.core.builder.XClusterBuilder`: the same greedy loop, scored
 by the scalar Δ of :mod:`repro.core.distance` and compressed by the
 scalar ``compress`` methods re-run from scratch per step.
+:class:`XClusterEstimator` is the estimation oracle for
+:class:`repro.core.estimation.CompiledEstimator`: a direct transcription
+of the paper's sum-product with no precomputed indexes.
+:class:`TreeWalkEvaluator` is the exact-evaluation oracle for
+:class:`repro.query.evaluator.ExactEvaluator`: dynamic programming over
+``XMLElement`` objects with per-step weighted frontiers.
 Only the differential harness, the tests and the layer benchmarks
 import this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.builder import XClusterBuilder
 from repro.core.distance import (
@@ -24,26 +35,34 @@ from repro.core.distance import (
     compression_baseline,
     compression_delta,
     merge_delta,
+    node_selectivity,
 )
+from repro.core.estimation import VIRTUAL_ROOT, variable_order
 from repro.core.reference import (
-    Document,
-    _document_order,
     _intern_column,
-    _object_initial_keys,
+    _summaries,
     columnar_initial_keys,
+    down_pass,
+    materialize_synopsis,
+    up_pass,
 )
 from repro.core.scoring import ScoringEngine
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
+from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
 from repro.values.kernels.pst import prune_leaves_reference
 from repro.values.kernels.queue import GenericStepper, SummaryStepper
 from repro.values.pst import PrunedSuffixTree
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
+    SummaryConfig,
     TextSummary,
     ValueSummary,
 )
-from repro.xmltree.columnar import ColumnarDocument
+from repro.xmltree.columnar import Document, as_columnar
+from repro.xmltree.paths import LabelPath, matches_any
+from repro.xmltree.tree import XMLElement, XMLTree
+from repro.xmltree.types import ValueType
 
 #: Safety cap on refinement iterations (convergence is far faster).
 MAX_REFINEMENT_ROUNDS = 200
@@ -94,13 +113,118 @@ def refine_to_fixpoint(
 
 def fixpoint_reference_classes(document: Document) -> List[int]:
     """The reference partition of ``document`` by fixpoint iteration."""
-    if isinstance(document, ColumnarDocument):
-        parents: Sequence[int] = document.parent
-        initial = _intern_column(columnar_initial_keys(document))
-    else:
-        elements, parents, paths = _document_order(document)
-        initial = _object_initial_keys(elements, paths)
-    return refine_to_fixpoint(len(initial), parents, initial)
+    doc = as_columnar(document)
+    initial = _intern_column(columnar_initial_keys(doc))
+    return refine_to_fixpoint(len(initial), doc.parent, initial)
+
+
+# -- object-tree reference assembly ------------------------------------------
+
+
+def _document_order(tree: XMLTree) -> Tuple[List[XMLElement], List[int], List[LabelPath]]:
+    """Pre-order element list with parallel parent-index and path arrays."""
+    elements: List[XMLElement] = []
+    parents: List[int] = []
+    paths: List[LabelPath] = []
+    stack: List[Tuple[XMLElement, int, LabelPath]] = [
+        (tree.root, -1, (tree.root.label,))
+    ]
+    while stack:
+        element, parent_index, path = stack.pop()
+        index = len(elements)
+        elements.append(element)
+        parents.append(parent_index)
+        paths.append(path)
+        for child in reversed(element.children):
+            stack.append((child, index, path + (child.label,)))
+    return elements, parents, paths
+
+
+def _object_initial_keys(
+    elements: List[XMLElement], paths: List[LabelPath]
+) -> List[int]:
+    """Initial partition keys over the object tree, interned to ints."""
+    interned: Dict[Tuple, int] = {}
+    return [
+        interned.setdefault((path, element.value_type), len(interned))
+        for element, path in zip(elements, paths)
+    ]
+
+
+def _assemble_synopsis(
+    elements: List[XMLElement],
+    parents: Sequence[int],
+    paths: Sequence[LabelPath],
+    classes: List[int],
+    value_paths: Optional[Sequence[LabelPath]],
+    config: Optional[SummaryConfig] = None,
+    with_summaries: bool = True,
+) -> XClusterSynopsis:
+    """Materialize a synopsis from a per-element class column, one
+    element at a time (the column passes' order: nodes by class, edges
+    by first occurrence)."""
+    config = config if config is not None else SummaryConfig()
+    summarize_all = value_paths is None
+    exact_paths: Set[LabelPath] = {
+        path for path in (value_paths or ()) if "*" not in path
+    }
+    wildcard_paths: List[LabelPath] = [
+        path for path in (value_paths or ()) if "*" in path
+    ]
+
+    def path_wanted(path: LabelPath) -> bool:
+        return (
+            summarize_all
+            or path in exact_paths
+            or matches_any(path, wildcard_paths)
+        )
+
+    counts: Dict[int, int] = {}
+    node_labels: Dict[int, str] = {}
+    node_vtypes: Dict[int, ValueType] = {}
+    values: Dict[int, list] = {}
+    edge_totals: Dict[Tuple[int, int], int] = {}
+
+    for index, element in enumerate(elements):
+        key = classes[index]
+        counts[key] = counts.get(key, 0) + 1
+        node_labels[key] = element.label
+        vtype = element.value_type
+        node_vtypes[key] = vtype
+        if (
+            with_summaries
+            and vtype is not ValueType.NULL
+            and path_wanted(paths[index])
+        ):
+            values.setdefault(key, []).append(element.value)
+        parent_index = parents[index]
+        if parent_index >= 0:
+            edge = (classes[parent_index], key)
+            edge_totals[edge] = edge_totals.get(edge, 0) + 1
+
+    aggregates = (counts, node_labels, node_vtypes, edge_totals)
+    return materialize_synopsis(
+        aggregates, _summaries(aggregates, values, config), classes[0]
+    )
+
+
+def object_reference_synopsis(
+    tree: XMLTree,
+    value_paths: Optional[Sequence[LabelPath]] = None,
+    config: Optional[SummaryConfig] = None,
+    with_summaries: bool = True,
+) -> XClusterSynopsis:
+    """The reference synopsis of an object tree, built without columns.
+
+    Must equal ``build_reference_synopsis(tree, ...)`` under
+    ``synopsis_to_dict``.
+    """
+    elements, parents, paths = _document_order(tree)
+    raw = _object_initial_keys(elements, paths)
+    classes = up_pass(down_pass(parents, raw), parents)
+    return _assemble_synopsis(
+        elements, parents, paths, classes, value_paths, config, with_summaries
+    )
 
 
 def _longest_match(tree: PrunedSuffixTree, text: str, start: int) -> int:
@@ -254,6 +378,238 @@ class ReferenceBuilder(XClusterBuilder):
         return reference_stepper(summary)
 
 
+# -- estimation and exact-evaluation oracles ----------------------------------
+
+
+class XClusterEstimator:
+    """Estimates twig selectivities over one synopsis.
+
+    The scalar estimation oracle: a direct transcription of the paper's
+    sum-product with no precomputed indexes.  The compiled engine in
+    :mod:`repro.core.estimation` must match it to 1e-9 on every query.
+    The estimator is read-only and caches descendant path counts and
+    predicate selectivities, so reuse it across a workload; rebuild it
+    after the synopsis changes.
+    """
+
+    def __init__(
+        self,
+        synopsis: XClusterSynopsis,
+        max_path_length: int = 40,
+        selectivity_cache: Optional[SelectivityCache] = None,
+    ) -> None:
+        if max_path_length < 1:
+            raise ValueError("max_path_length must be >= 1")
+        self.synopsis = synopsis
+        self.max_path_length = max_path_length
+        self._descendant_cache: Dict[int, Dict[int, float]] = {}
+        #: (value summary, predicate) -> σ, shared across every query this
+        #: estimator serves (and with any caller that passed its own).
+        self.selectivity_cache: SelectivityCache = (
+            selectivity_cache if selectivity_cache is not None else {}
+        )
+
+    # -- structural path counts ---------------------------------------------
+
+    def _descendants(self, node_id: int) -> Dict[int, float]:
+        """Expected number of descendant *paths* per element of ``node_id``,
+        keyed by target synopsis node (all labels, length >= 1)."""
+        cached = self._descendant_cache.get(node_id)
+        if cached is not None:
+            return cached
+        totals: Dict[int, float] = {}
+        frontier: Dict[int, float] = {node_id: 1.0}
+        for _ in range(self.max_path_length):
+            next_frontier: Dict[int, float] = {}
+            for source_id, weight in frontier.items():
+                for child_id, avg in self.synopsis.node(source_id).children.items():
+                    next_frontier[child_id] = (
+                        next_frontier.get(child_id, 0.0) + weight * avg
+                    )
+            if not next_frontier:
+                break
+            for target_id, weight in next_frontier.items():
+                totals[target_id] = totals.get(target_id, 0.0) + weight
+            frontier = next_frontier
+        self._descendant_cache[node_id] = totals
+        return totals
+
+    def _expand_step(
+        self, frontier: Dict[int, float], step: AxisStep
+    ) -> Dict[int, float]:
+        """Advance a weighted synopsis frontier through one axis step."""
+        result: Dict[int, float] = {}
+        for source_id, weight in frontier.items():
+            if step.axis == "child":
+                if source_id == VIRTUAL_ROOT:
+                    root = self.synopsis.root
+                    if step.matches_label(root.label):
+                        result[root.node_id] = result.get(root.node_id, 0.0) + weight
+                    continue
+                for child_id, avg in self.synopsis.node(source_id).children.items():
+                    if step.matches_label(self.synopsis.node(child_id).label):
+                        result[child_id] = result.get(child_id, 0.0) + weight * avg
+            else:  # descendant axis
+                if source_id == VIRTUAL_ROOT:
+                    root = self.synopsis.root
+                    reachable = dict(self._descendants(root.node_id))
+                    reachable[root.node_id] = reachable.get(root.node_id, 0.0) + 1.0
+                else:
+                    reachable = self._descendants(source_id)
+                for target_id, count in reachable.items():
+                    if step.matches_label(self.synopsis.node(target_id).label):
+                        result[target_id] = (
+                            result.get(target_id, 0.0) + weight * count
+                        )
+        return result
+
+    def reach(self, source_id: int, edge) -> Dict[int, float]:
+        """Average number of elements (paths) reached per source element,
+        keyed by target synopsis node, for a whole edge path."""
+        frontier = {source_id: 1.0}
+        for step in edge.steps:
+            frontier = self._expand_step(frontier, step)
+            if not frontier:
+                break
+        return frontier
+
+    # -- estimation --------------------------------------------------------------
+
+    def estimate(self, query: TwigQuery) -> float:
+        """The estimated number of binding tuples of ``query``."""
+        memo: Dict[Tuple[int, int], float] = {}
+        return self._tuples(query.root, VIRTUAL_ROOT, memo, variable_order(query))
+
+    def _tuples(
+        self,
+        variable: QueryNode,
+        node_id: int,
+        memo: Dict[Tuple[int, int], float],
+        order: Dict[QueryNode, int],
+    ) -> float:
+        """Expected binding tuples of the subtree at ``variable`` per
+        element of synopsis node ``node_id`` bound to it."""
+        key = (order[variable], node_id)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        total = 1.0
+        for child in variable.children:
+            branch = 0.0
+            for target_id, count in self.reach(node_id, child.edge).items():
+                target = self.synopsis.node(target_id)
+                sigma = node_selectivity(
+                    target, child.predicate, self.selectivity_cache
+                )
+                if sigma <= 0.0 or count <= 0.0:
+                    continue
+                branch += count * sigma * self._tuples(
+                    child, target_id, memo, order
+                )
+            total *= branch
+            if total == 0.0:
+                break
+        memo[key] = total
+        return total
+
+
+def _expand_elements(
+    frontier: Dict[int, Tuple[XMLElement, int]], step: AxisStep
+) -> Dict[int, Tuple[XMLElement, int]]:
+    """Advance a weighted element frontier through one axis step.
+
+    The frontier maps ``id(element) -> (element, multiplicity)`` where the
+    multiplicity is the number of distinct paths that reached the element.
+    """
+    result: Dict[int, Tuple[XMLElement, int]] = {}
+    for element, multiplicity in frontier.values():
+        if step.axis == "child":
+            candidates: Iterable[XMLElement] = element.children
+        else:
+            candidates = element.descendants()
+        for candidate in candidates:
+            if step.matches_label(candidate.label):
+                key = id(candidate)
+                if key in result:
+                    result[key] = (candidate, result[key][1] + multiplicity)
+                else:
+                    result[key] = (candidate, multiplicity)
+    return result
+
+
+def match_elements(
+    context: XMLElement, edge: EdgePath
+) -> List[Tuple[XMLElement, int]]:
+    """Elements reached from ``context`` via ``edge``, with path multiplicity."""
+    frontier = {id(context): (context, 1)}
+    for step in edge.steps:
+        frontier = _expand_elements(frontier, step)
+        if not frontier:
+            return []
+    return list(frontier.values())
+
+
+class _VirtualRoot(XMLElement):
+    """The document node sitting above the root element.
+
+    Its only child is the document's root element, so a leading ``/site``
+    step selects the root element and ``//item`` reaches any element.
+    """
+
+    def __init__(self, document_root: XMLElement) -> None:
+        super().__init__("#document")
+        # Bypass append_child: the document root keeps parent == None so
+        # the tree itself remains valid and reusable.
+        self.children = [document_root]
+
+
+class TreeWalkEvaluator:
+    """The exact-evaluation oracle: counts binding tuples by walking objects.
+
+    The evaluator memoizes per (query-variable, element) sub-results, so
+    evaluating many queries against the same tree is efficient.
+    """
+
+    def __init__(self, tree: XMLTree) -> None:
+        self.tree = tree
+        self._virtual_root = _VirtualRoot(tree.root)
+
+    def selectivity(self, query: TwigQuery) -> int:
+        """The exact number of binding tuples of ``query``."""
+        memo: Dict[Tuple[int, int], int] = {}
+        return self._tuples(query.root, self._virtual_root, memo)
+
+    def _tuples(
+        self,
+        variable: QueryNode,
+        element: XMLElement,
+        memo: Dict[Tuple[int, int], int],
+    ) -> int:
+        """Binding tuples of the subtree rooted at ``variable`` given that
+        ``variable`` is bound to ``element``."""
+        key = (id(variable), id(element))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        total = 1
+        for child in variable.children:
+            branch_total = 0
+            for matched, multiplicity in match_elements(element, child.edge):
+                if not child.predicate.matches(matched.value):
+                    continue
+                branch_total += multiplicity * self._tuples(child, matched, memo)
+            if branch_total == 0:
+                total = 0
+                break
+            total *= branch_total
+        memo[key] = total
+        return total
+
+    def matches(self, query: TwigQuery) -> bool:
+        """Whether the query has at least one binding tuple."""
+        return self.selectivity(query) > 0
+
+
 __all__ = [
     "MAX_REFINEMENT_ROUNDS",
     "ReferenceBuilder",
@@ -261,8 +617,12 @@ __all__ = [
     "ReferenceHistogramStepper",
     "ReferencePSTStepper",
     "ScalarScoringEngine",
+    "TreeWalkEvaluator",
+    "XClusterEstimator",
     "fixpoint_reference_classes",
     "greedy_estimate_count",
+    "match_elements",
+    "object_reference_synopsis",
     "reference_stepper",
     "refine_to_fixpoint",
 ]

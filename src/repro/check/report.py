@@ -21,7 +21,7 @@ class Failure:
 
     Attributes:
         kind: failure class (``"partition-divergence"``,
-            ``"build-divergence"``, ``"estimate-divergence"``, ``"audit"``,
+            ``"assembly-divergence"``, ``"build-divergence"``, ``"estimate-divergence"``, ``"audit"``,
             ``"serialization-divergence"``, ``"columnar-divergence"``,
             ``"evaluator-divergence"``, ``"tokenizer-divergence"``,
             ``"update-divergence"``, ``"crash"``).  For

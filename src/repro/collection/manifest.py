@@ -27,6 +27,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.errors import InputError
+
 #: Bump when a manifest field is added, removed, or retyped.
 MANIFEST_FORMAT = 1
 
@@ -36,7 +38,7 @@ REFS_DIRNAME = "refs"
 ROLLUP_FILENAME = "rollup.snap"
 
 
-class CollectionFormatError(ValueError):
+class CollectionFormatError(InputError):
     """A collection directory is malformed, torn, or inconsistent."""
 
 

@@ -14,13 +14,12 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.builder` — the two-phase XCLUSTERBUILD algorithm
   (structure-value merge with a marginal-loss candidate pool, then
   value-summary compression; Figures 5 and 6);
-* :mod:`repro.core.estimator` — embedding-based twig selectivity
-  estimation under generalized Path-Value Independence (Section 5; the
-  scalar reference oracle);
-* :mod:`repro.core.estimation` — the compiled twig-plan estimation
-  engine: synopsis-level transition/reach indexes with cross-query
-  caching, batched workload serving, and the ``EstimatorStats``
-  observability layer;
+* :mod:`repro.core.estimation` — embedding-based twig selectivity
+  estimation under generalized Path-Value Independence (Section 5),
+  compiled into twig plans over synopsis-level transition/reach indexes
+  with cross-query caching, batched workload serving, and the
+  ``EstimatorStats`` observability layer;
+* :mod:`repro.core.explain` — per-embedding breakdowns of an estimate;
 * :mod:`repro.core.sizing` — byte-accurate storage accounting;
 * :mod:`repro.core.baselines` — tag-only and structure-only summaries
   plus naive merge policies used by the ablation benchmarks.
@@ -37,7 +36,6 @@ from repro.core.autobudget import (
     allocate_budget,
     build_xcluster_auto,
 )
-from repro.core.estimator import XClusterEstimator, estimate_selectivity
 from repro.core.estimation import (
     CompiledEstimator,
     CompiledPlan,
@@ -45,6 +43,7 @@ from repro.core.estimation import (
     SynopsisIndex,
     WorkloadEstimator,
     estimate_many,
+    estimate_selectivity,
 )
 from repro.core.explain import EstimateExplanation, explain
 from repro.core.serialization import (
@@ -77,7 +76,6 @@ __all__ = [
     "BuildStats",
     "XClusterBuilder",
     "build_xcluster",
-    "XClusterEstimator",
     "estimate_selectivity",
     "CompiledEstimator",
     "CompiledPlan",

@@ -20,7 +20,7 @@ from repro.core.estimation import WorkloadEstimator
 from repro.core.reference import LabelPath, build_reference_synopsis
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import TwigQuery
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.columnar import Document
 
 #: A sample workload: (query, exact selectivity) pairs.
 SamplePair = Tuple[TwigQuery, int]
@@ -147,7 +147,7 @@ def allocate_budget(
 
 
 def build_xcluster_auto(
-    tree: XMLTree,
+    document: Document,
     total_budget: int,
     sample: Sequence[SamplePair],
     value_paths: Optional[Sequence[LabelPath]] = None,
@@ -155,5 +155,5 @@ def build_xcluster_auto(
 ) -> AutoBudgetResult:
     """One-call automatic construction from a unified budget."""
     config = config if config is not None else BuildConfig()
-    reference = build_reference_synopsis(tree, value_paths, config.summary)
+    reference = build_reference_synopsis(document, value_paths, config.summary)
     return allocate_budget(reference, total_budget, sample, config)

@@ -18,9 +18,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.reference import LabelPath, build_reference_synopsis
 from repro.core.sizing import structural_size_bytes
-from repro.core.synopsis import SynopsisNode, XClusterSynopsis
+from repro.core.synopsis import XClusterSynopsis
 from repro.values.pst import PrunedSuffixTree
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.columnar import Document
 
 #: A policy receives the merge-compatible groups and returns a pair of
 #: node ids to merge, or ``None`` when it declines.
@@ -92,11 +92,11 @@ def compress_with_policy(
 
 
 def build_structure_only_synopsis(
-    tree: XMLTree,
+    document: Document,
     value_paths: Optional[Sequence[LabelPath]] = None,
 ) -> XClusterSynopsis:
     """A TreeSketch-style reference synopsis without value summaries."""
-    return build_reference_synopsis(tree, value_paths, with_summaries=False)
+    return build_reference_synopsis(document, value_paths, with_summaries=False)
 
 
 def naive_prune_pst(pst: PrunedSuffixTree, count: int) -> int:

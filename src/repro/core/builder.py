@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pool import CandidatePool, build_pool
 from repro.core.scoring import ScoringEngine
-from repro.core.reference import Document, LabelPath, build_reference_synopsis
+from repro.core.reference import LabelPath, build_reference_synopsis
 from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.kernels.queue import SummaryStepper, make_stepper
@@ -40,6 +40,7 @@ from repro.values.summary import (
     TextSummary,
     ValueSummary,
 )
+from repro.xmltree.columnar import Document
 
 
 def _profile_violation(message: str):
@@ -192,9 +193,8 @@ class XClusterBuilder:
     ) -> XClusterSynopsis:
         """Construct a budgeted synopsis directly from a document.
 
-        ``document`` is either an object :class:`XMLTree` or a
-        :class:`~repro.xmltree.columnar.ColumnarDocument`; the two
-        substrates produce bit-identical synopses.
+        ``document`` is a :class:`~repro.xmltree.columnar.ColumnarDocument`
+        or an object tree, which is frozen first.
         """
         reference = build_reference_synopsis(
             document, value_paths, self.config.summary
@@ -490,8 +490,8 @@ def build_xcluster(
     """One-call construction of a budgeted XCluster synopsis.
 
     Args:
-        document: the document to summarize — an object
-            :class:`XMLTree` or a columnar document.
+        document: the document to summarize — a columnar document,
+            or an object tree, which is frozen first.
         structural_budget: ``B_str`` in bytes.
         value_budget: ``B_val`` in bytes.
         value_paths: label paths under which value summaries are kept.

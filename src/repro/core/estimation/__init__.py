@@ -1,9 +1,18 @@
 """Compiled twig-plan estimation: query serving at workload scale.
 
-The scalar :class:`~repro.core.estimator.XClusterEstimator` walks the
-synopsis afresh for every query.  This package splits estimation into a
-query-side compile step and a synopsis-side lookup layer so a workload
-is served from tables:
+Estimation enumerates *query embeddings* — assignments of query
+variables to synopsis nodes satisfying the structural and value
+constraints — and sums their selectivities (paper Section 5), folded
+into a memoized sum-product: for each query variable bound to a synopsis
+node, the expected number of binding tuples multiplies across branches
+and sums across the synopsis nodes each branch can embed into.  The
+generalized **Path-Value Independence** assumption approximates the
+selectivity of a path ``u[p]/c`` as ``|u| · σ_p(u) · count(u, c)``.
+Descendant-axis counts are path-count sums over the synopsis graph,
+capped at ``max_path_length`` because merges can introduce cycles.
+
+This package splits that estimation into a query-side compile step and
+a synopsis-side lookup layer so a workload is served from tables:
 
 * :mod:`repro.core.estimation.plan` — :class:`CompiledPlan`: stable
   variable indexes, canonical edge keys, cross-query plan signatures;
@@ -11,24 +20,27 @@ is served from tables:
   shared label index, per-(source, axis, label-test) transition rows,
   descendant closures, memoized reach frontiers, and the selectivity
   cache, with version-checked invalidation on synopsis mutation;
-* :mod:`repro.core.estimation.engine` — :class:`CompiledEstimator` and
-  the :class:`EstimatorStats` observability layer (compile/execute
-  timers, cache hit rates, frontier telemetry);
+* :mod:`repro.core.estimation.engine` — :class:`CompiledEstimator`,
+  the one-shot :func:`estimate_selectivity`, and the
+  :class:`EstimatorStats` observability layer (compile/execute timers,
+  cache hit rates, frontier telemetry);
 * :mod:`repro.core.estimation.serving` — :func:`estimate_many` and
   :class:`WorkloadEstimator`: batched in-process serving through warm
   shared caches, and compile-once retargeting across synopses.
 
-The compiled path is a bit-exact replay of the scalar sum-product (the
-scalar estimator stays as the reference oracle; parity is pinned at
-1e-9 by ``tests/test_estimation.py``).
+The compiled path is a bit-exact replay of the scalar sum-product of
+the oracle :class:`repro.check.oracles.XClusterEstimator` (parity is
+pinned by ``tests/test_estimation.py`` and the differential harness).
 """
 
 from repro.core.estimation.engine import (
     CompiledEstimator,
     EstimatorStats,
     PlanCache,
+    estimate_selectivity,
 )
 from repro.core.estimation.indexes import (
+    VIRTUAL_ROOT,
     EdgeKey,
     SynopsisIndex,
     TransitionRow,
@@ -41,6 +53,7 @@ from repro.core.estimation.plan import (
     compile_query,
     edge_key_of,
     twig_of,
+    variable_order,
 )
 from repro.core.estimation.serving import WorkloadEstimator, estimate_many
 
@@ -54,10 +67,13 @@ __all__ = [
     "PlanVariable",
     "SynopsisIndex",
     "TransitionRow",
+    "VIRTUAL_ROOT",
     "WorkloadEstimator",
     "compile_query",
     "edge_key_of",
     "estimate_many",
+    "estimate_selectivity",
     "shared_index",
     "twig_of",
+    "variable_order",
 ]

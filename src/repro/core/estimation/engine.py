@@ -3,10 +3,9 @@
 :class:`CompiledEstimator` executes :class:`~repro.core.estimation.plan.
 CompiledPlan` objects against the shared per-synopsis caches of
 :class:`~repro.core.estimation.indexes.SynopsisIndex`.  The sum-product
-is the same as the scalar :class:`~repro.core.estimator.XClusterEstimator`
-— every float is accumulated in the identical order, so the compiled
-estimate matches the scalar oracle bit for bit — but the structural
-work is served from tables:
+is the paper's (Section 5) — every float is accumulated in the order of
+the scalar oracle :class:`repro.check.oracles.XClusterEstimator`, so the
+two agree bit for bit — but the structural work is served from tables:
 
 * axis steps replay precomputed transition rows instead of re-scanning
   and re-matching labels per frontier node,
@@ -25,16 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.estimation.indexes import (
+    VIRTUAL_ROOT,
     EdgeKey,
     SynopsisIndex,
     TransitionRow,
     shared_index,
 )
 from repro.core.estimation.plan import CompiledPlan, PlanSignature, compile_query
-from repro.core.estimator import VIRTUAL_ROOT
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import WILDCARD, TwigQuery
 from repro.query.predicates import Predicate, TruePredicate
@@ -105,8 +104,9 @@ class EstimatorStats:
 class CompiledEstimator:
     """Plan-compiling, cache-backed twig selectivity estimator.
 
-    Drop-in faster equivalent of the scalar ``XClusterEstimator`` (the
-    parity tests pin the two to 1e-9 on full workloads).  Instances
+    The production estimator behind ``estimate_selectivity``,
+    ``explain`` and serving; the parity tests pin it to the scalar
+    oracle on full workloads.  Instances
     bound to the same synopsis object share one
     :class:`~repro.core.estimation.indexes.SynopsisIndex`; mutating the
     synopsis between queries is detected by version and invalidates the
@@ -282,8 +282,9 @@ class CompiledEstimator:
 
     # -- the sum-product ---------------------------------------------------
 
-    def _selectivity(self, node, predicate: Predicate) -> float:
-        """σ_p(u) with the exact semantics of ``node_selectivity``."""
+    def selectivity(self, node, predicate: Predicate) -> float:
+        """σ_p(u) with the exact semantics of ``node_selectivity``,
+        served from the shared selectivity cache."""
         if isinstance(predicate, TruePredicate):
             return 1.0
         vsumm = node.vsumm
@@ -323,7 +324,7 @@ class CompiledEstimator:
             child = variables[child_index]
             branch = 0.0
             for target_id, count in self.reach(node_id, child.edge_key).items():
-                sigma = self._selectivity(nodes[target_id], child.predicate)
+                sigma = self.selectivity(nodes[target_id], child.predicate)
                 if sigma <= 0.0 or count <= 0.0:
                     continue
                 branch += count * sigma * self._tuples(
@@ -334,3 +335,12 @@ class CompiledEstimator:
                 break
         memo[key] = total
         return total
+
+
+def estimate_selectivity(
+    synopsis: XClusterSynopsis,
+    query: TwigQuery,
+    max_path_length: int = 40,
+) -> float:
+    """One-shot estimate (see :class:`CompiledEstimator`)."""
+    return CompiledEstimator(synopsis, max_path_length).estimate(query)

@@ -44,6 +44,9 @@ TransitionRow = Tuple[Tuple[int, float], ...]
 #: Canonical edge-path key: one ``(axis, label)`` pair per step.
 EdgeKey = Tuple[Tuple[str, str], ...]
 
+#: Sentinel id for the virtual document node above the synopsis root.
+VIRTUAL_ROOT = -1
+
 
 class SynopsisIndex:
     """Derived estimation tables for one synopsis, shared by estimators.
@@ -102,10 +105,6 @@ class SynopsisIndex:
         after serving a workload to assert the version-checked
         invalidation protocol held.
         """
-        # Imported here: indexes.py must not import the engine module
-        # (engine imports indexes).
-        from repro.core.estimator import VIRTUAL_ROOT
-
         issues = []
         if self._version != self.synopsis.version:
             issues.append(

@@ -14,7 +14,7 @@ signature` (memo keys use the per-plan variable index, never ``id()``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.estimation.indexes import EdgeKey
 from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
@@ -24,6 +24,17 @@ from repro.query.predicates import Predicate
 #: predicate)`` triple per pre-order variable.  Variable names are
 #: excluded — they never affect the estimate.
 PlanSignature = Tuple[Tuple[int, Optional[EdgeKey], Predicate], ...]
+
+
+def variable_order(query: TwigQuery) -> Dict[QueryNode, int]:
+    """Stable per-query variable indexes (pre-order, root = 0).
+
+    The same indexes :func:`compile_query` assigns.  Memo keys use them
+    instead of ``id(variable)``: indexes survive plan caching across
+    queries, whereas ``id()`` keys would alias once a query object is
+    garbage-collected and its addresses recycled.
+    """
+    return {variable: index for index, variable in enumerate(query.root.iter())}
 
 
 def edge_key_of(edge: EdgePath) -> EdgeKey:

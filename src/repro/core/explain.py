@@ -14,8 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.distance import node_selectivity
-from repro.core.estimator import VIRTUAL_ROOT, XClusterEstimator, variable_order
+from repro.core.estimation import (
+    VIRTUAL_ROOT,
+    CompiledEstimator,
+    edge_key_of,
+    variable_order,
+)
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import QueryNode, TwigQuery
 
@@ -78,7 +82,8 @@ def explain(
     max_path_length: int = 40,
 ) -> EstimateExplanation:
     """Estimate ``query`` and record every embedding contribution."""
-    estimator = XClusterEstimator(synopsis, max_path_length)
+    estimator = CompiledEstimator(synopsis, max_path_length)
+    estimator.index.ensure_current()
     explanation = EstimateExplanation(query.to_xpath(), 0.0)
     memo: Dict[Tuple[int, int], float] = {}
     order = variable_order(query)
@@ -92,11 +97,10 @@ def explain(
         total = 1.0
         for child in variable.children:
             branch_sum = 0.0
-            for target_id, reach in estimator.reach(node_id, child.edge).items():
+            frontier = estimator.reach(node_id, edge_key_of(child.edge))
+            for target_id, reach in frontier.items():
                 target = synopsis.node(target_id)
-                sigma = node_selectivity(
-                    target, child.predicate, estimator.selectivity_cache
-                )
+                sigma = estimator.selectivity(target, child.predicate)
                 subtree = tuples(child, target_id)
                 explanation.branches.append(
                     BranchContribution(

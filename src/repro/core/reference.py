@@ -37,58 +37,24 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.summary import SummaryConfig, ValueSummary, build_summary
-from repro.xmltree.columnar import KIND_TO_TYPE, ColumnarDocument
+from repro.xmltree.columnar import (
+    KIND_TO_TYPE,
+    ColumnarDocument,
+    Document,
+    as_columnar,
+)
 from repro.xmltree.paths import LabelPath, matches_any
-from repro.xmltree.tree import XMLElement, XMLTree
 from repro.xmltree.types import ValueType
-
-#: Either document substrate: the object tree or the columnar store.
-#: Construction is substrate-generic — both feed the same partition
-#: and assembly code through flat per-index columns, so the resulting
-#: synopses are bit-identical (pinned by tests and the differential
-#: harness's columnar round).
-Document = Union[XMLTree, ColumnarDocument]
 
 #: Per-class aggregates of a class column, each keyed in class order:
 #: element counts, labels, value types, and parent -> child edge totals.
 Aggregates = Tuple[
     Dict[int, int], Dict[int, str], Dict[int, ValueType], Dict[Tuple[int, int], int]
 ]
-
-
-def _document_order(tree: XMLTree) -> Tuple[List[XMLElement], List[int], List[LabelPath]]:
-    """Pre-order element list with parallel parent-index and path arrays."""
-    elements: List[XMLElement] = []
-    parents: List[int] = []
-    paths: List[LabelPath] = []
-    index_of: Dict[int, int] = {}
-    stack: List[Tuple[XMLElement, int, LabelPath]] = [
-        (tree.root, -1, (tree.root.label,))
-    ]
-    while stack:
-        element, parent_index, path = stack.pop()
-        index = len(elements)
-        elements.append(element)
-        parents.append(parent_index)
-        paths.append(path)
-        index_of[id(element)] = index
-        for child in reversed(element.children):
-            stack.append((child, index, path + (child.label,)))
-    return elements, parents, paths
 
 
 def subtree_key(raw: Hashable, child_ids: List[int]) -> Hashable:
@@ -170,95 +136,6 @@ def up_pass(
     return classes
 
 
-def _assemble_synopsis(
-    size: int,
-    parents: Sequence[int],
-    labels: Sequence[str],
-    vtypes: Sequence[ValueType],
-    value_of: Callable[[int], object],
-    path_of: Callable[[int], LabelPath],
-    classes: List[int],
-    value_paths: Optional[Sequence[LabelPath]],
-    config: Optional[SummaryConfig] = None,
-    with_summaries: bool = True,
-) -> XClusterSynopsis:
-    """Materialize a synopsis from per-index columns and a class column.
-
-    The substrate-neutral core of every construction path: the object
-    tree and the columnar store both flatten into (labels, vtypes,
-    parents) columns plus value/path accessors, so class aggregation,
-    node creation, and edge creation run in one shared order — making
-    the two substrates' synopses bit-identical.
-    """
-    config = config if config is not None else SummaryConfig()
-    summarize_all = value_paths is None
-    exact_paths: Set[LabelPath] = {
-        path for path in (value_paths or ()) if "*" not in path
-    }
-    wildcard_paths: List[LabelPath] = [
-        path for path in (value_paths or ()) if "*" in path
-    ]
-
-    def path_wanted(path: LabelPath) -> bool:
-        return (
-            summarize_all
-            or path in exact_paths
-            or matches_any(path, wildcard_paths)
-        )
-
-    counts: Dict[int, int] = {}
-    node_labels: Dict[int, str] = {}
-    node_vtypes: Dict[int, ValueType] = {}
-    values: Dict[int, list] = {}
-    edge_totals: Dict[Tuple[int, int], int] = {}
-
-    for index in range(size):
-        key = classes[index]
-        counts[key] = counts.get(key, 0) + 1
-        node_labels[key] = labels[index]
-        vtype = vtypes[index]
-        node_vtypes[key] = vtype
-        if (
-            with_summaries
-            and vtype is not ValueType.NULL
-            and path_wanted(path_of(index))
-        ):
-            values.setdefault(key, []).append(value_of(index))
-        parent_index = parents[index]
-        if parent_index >= 0:
-            edge = (classes[parent_index], key)
-            edge_totals[edge] = edge_totals.get(edge, 0) + 1
-
-    aggregates = (counts, node_labels, node_vtypes, edge_totals)
-    return materialize_synopsis(
-        aggregates, _summaries(aggregates, values, config), classes[0]
-    )
-
-
-def build_synopsis_from_classes(
-    elements: List[XMLElement],
-    parents: List[int],
-    paths: List[LabelPath],
-    classes: List[int],
-    value_paths: Optional[Sequence[LabelPath]],
-    config: Optional[SummaryConfig] = None,
-    with_summaries: bool = True,
-) -> XClusterSynopsis:
-    """Materialize a synopsis from a per-element class assignment."""
-    return _assemble_synopsis(
-        len(elements),
-        parents,
-        [element.label for element in elements],
-        [element.value_type for element in elements],
-        lambda index: elements[index].value,
-        paths.__getitem__,
-        classes,
-        value_paths,
-        config,
-        with_summaries,
-    )
-
-
 def _intern_column(keys: List[int]) -> List[int]:
     """Dense class ids for a key column, in first-occurrence order.
 
@@ -279,29 +156,11 @@ def columnar_initial_keys(doc: ColumnarDocument) -> List[int]:
     return [(pid << 2) | kind for pid, kind in zip(doc.path_ids, doc.value_kind)]
 
 
-def _object_initial_keys(
-    elements: List[XMLElement], paths: List[LabelPath]
-) -> List[int]:
-    """Initial partition keys over the object tree, interned to ints."""
-    interned: Dict[Tuple, int] = {}
-    return [
-        interned.setdefault((path, element.value_type), len(interned))
-        for element, path in zip(elements, paths)
-    ]
-
-
 def reference_classes(document: Document) -> List[int]:
-    """The reference partition as a preorder class column.
-
-    Both substrates yield the same column for the same document.
-    """
-    if isinstance(document, ColumnarDocument):
-        parents: Sequence[int] = document.parent
-        raw = columnar_initial_keys(document)
-    else:
-        elements, parents, paths = _document_order(document)
-        raw = _object_initial_keys(elements, paths)
-    return up_pass(down_pass(parents, raw), parents)
+    """The reference partition as a preorder class column."""
+    doc = as_columnar(document)
+    parents = doc.parent
+    return up_pass(down_pass(parents, columnar_initial_keys(doc)), parents)
 
 
 def columnar_aggregates(doc: ColumnarDocument, classes: List[int]) -> Aggregates:
@@ -309,8 +168,8 @@ def columnar_aggregates(doc: ColumnarDocument, classes: List[int]) -> Aggregates
 
     ``Counter`` and ``dict(zip(...))`` keep first-occurrence insertion
     order (and last-write-wins label/type values, which are
-    class-constant anyway), exactly as :func:`_assemble_synopsis`'s
-    per-index loop builds them.
+    class-constant anyway), so nodes come out in class order and edges
+    in first-occurrence order.
     """
     edge_totals = Counter(
         zip(
@@ -372,10 +231,10 @@ def _assemble_columnar(
 ) -> XClusterSynopsis:
     """Whole-column synopsis assembly over the columnar store.
 
-    Produces exactly what :func:`_assemble_synopsis` produces for the
-    same class column, but every aggregate runs as a C-level column
-    pass.  Value gathering consults a per-path-id wanted bitmap instead
-    of building a label-path tuple per element.
+    Every aggregate runs as a C-level column pass; value gathering
+    consults a per-path-id wanted bitmap instead of building a
+    label-path tuple per element.  The object-tree assembly in
+    :mod:`repro.check.oracles` is the independent check on it.
     """
     config = config if config is not None else SummaryConfig()
     aggregates = columnar_aggregates(doc, classes)
@@ -413,50 +272,26 @@ def build_reference_synopsis(
 ) -> XClusterSynopsis:
     """The detailed reference synopsis: count-stable, one path per cluster.
 
-    ``document`` may be an object :class:`XMLTree` or a
-    :class:`~repro.xmltree.columnar.ColumnarDocument`; the columnar path
-    partitions directly over the interned id columns (no per-element
-    objects, no path tuples except for summarized nodes) and produces a
-    bit-identical synopsis.
+    Partitions directly over the interned id columns (no per-element
+    objects, no path tuples except for summarized nodes); an object
+    :class:`~repro.xmltree.tree.XMLTree` is frozen first.
     """
-    if isinstance(document, ColumnarDocument):
-        return _assemble_columnar(
-            document,
-            reference_classes(document),
-            value_paths,
-            config,
-            with_summaries,
-        )
-    elements, parents, paths = _document_order(document)
-    raw = _object_initial_keys(elements, paths)
-    classes = up_pass(down_pass(parents, raw), parents)
-    return build_synopsis_from_classes(
-        elements, parents, paths, classes, value_paths, config, with_summaries
+    doc = as_columnar(document)
+    return _assemble_columnar(
+        doc, reference_classes(doc), value_paths, config, with_summaries
     )
 
 
 def _build_with_classifier(
     document: Document,
-    classify: Callable[[XMLElement, LabelPath], Hashable],
     columnar_keys: Callable[[ColumnarDocument], List[int]],
     value_paths: Optional[Sequence[LabelPath]],
     config: Optional[SummaryConfig],
     with_summaries: bool,
 ) -> XClusterSynopsis:
-    if isinstance(document, ColumnarDocument):
-        classes = _intern_column(columnar_keys(document))
-        return _assemble_columnar(
-            document, classes, value_paths, config, with_summaries
-        )
-    elements, parents, paths = _document_order(document)
-    interned: Dict[Hashable, int] = {}
-    classes = [
-        interned.setdefault(classify(elements[i], paths[i]), len(interned))
-        for i in range(len(elements))
-    ]
-    return build_synopsis_from_classes(
-        elements, parents, paths, classes, value_paths, config, with_summaries
-    )
+    doc = as_columnar(document)
+    classes = _intern_column(columnar_keys(doc))
+    return _assemble_columnar(doc, classes, value_paths, config, with_summaries)
 
 
 def build_path_synopsis(
@@ -472,7 +307,6 @@ def build_path_synopsis(
     """
     return _build_with_classifier(
         document,
-        lambda element, path: (path, element.value_type),
         columnar_initial_keys,
         value_paths,
         config,
@@ -493,7 +327,6 @@ def build_tag_synopsis(
     """
     return _build_with_classifier(
         document,
-        lambda element, path: (element.label, element.value_type),
         lambda doc: [
             (label_id << 2) | kind
             for label_id, kind in zip(doc.labels, doc.value_kind)

@@ -18,6 +18,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
+from repro.errors import InputError
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram, HistogramBucket
 from repro.values.pst import PrunedSuffixTree
@@ -36,7 +37,7 @@ from repro.xmltree.types import ValueType
 FORMAT_VERSION = 1
 
 
-class SynopsisFormatError(ValueError):
+class SynopsisFormatError(InputError):
     """Raised when loading malformed or incompatible synopsis data."""
 
 

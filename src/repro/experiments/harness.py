@@ -16,7 +16,7 @@ workloads so the per-figure benches do not recompute shared inputs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.builder import BuildConfig, XClusterBuilder
@@ -59,9 +59,6 @@ class ExperimentConfig:
     value_fraction: float = 0.45
     pool_max: int = 10000
     pool_min: int = 5000
-    #: Exact-evaluation engine grading workload queries ("interval" or
-    #: "treewalk"); interval joins keep large-scale sweeps tractable.
-    evaluation_engine: str = "interval"
 
 
 @dataclass
@@ -124,7 +121,6 @@ class ExperimentContext:
                 self.dataset(name),
                 self.config.queries_per_class,
                 self.config.workload_seed,
-                engine=self.config.evaluation_engine,
             )
             self._workloads[name] = cached
         return cached

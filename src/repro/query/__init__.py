@@ -27,7 +27,7 @@ from repro.query.jsonast import (
     twig_from_dict,
     twig_to_dict,
 )
-from repro.query.evaluator import evaluate_selectivity, match_elements
+from repro.query.evaluator import evaluate_selectivity
 
 __all__ = [
     "Predicate",
@@ -49,5 +49,4 @@ __all__ = [
     "predicate_to_dict",
     "predicate_from_dict",
     "evaluate_selectivity",
-    "match_elements",
 ]

@@ -1,9 +1,10 @@
 """Interval-join exact twig evaluation over a columnar document.
 
-This is the optimized twin of the tree-walk evaluator
-(:mod:`repro.query.evaluator`): it computes the same binding-tuple
-count ``s(Q)`` (paper Section 2) without touching a single
-``XMLElement``.  The document is a :class:`ColumnarDocument`, whose
+This is the engine behind :class:`repro.query.evaluator.ExactEvaluator`
+and the optimized twin of the tree-walk oracle
+(:class:`repro.check.oracles.TreeWalkEvaluator`): it computes the same
+binding-tuple count ``s(Q)`` (paper Section 2) without touching a
+single ``XMLElement``.  The document is a :class:`ColumnarDocument`, whose
 implicit preorder index plus ``post``/``level`` (``post`` derived from
 the stored subtree sizes) form an XPath accelerator-style pre/post/level
 encoding: ``d`` is a descendant of
@@ -40,7 +41,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
-from repro.query.ast import EdgePath, QueryNode, TwigQuery, WILDCARD
+from repro.query.ast import QueryNode, TwigQuery, WILDCARD
 from repro.query.predicates import (
     AtLeastKPredicate,
     KeywordPredicate,
@@ -373,8 +374,3 @@ class IntervalEvaluator:
             high = bisect_left(targets, count if e < 0 else ends[e], low)
             pulled.append(prefix[high] - prefix[low])
         return contexts, pulled
-
-
-def evaluate_columnar(doc: ColumnarDocument, query: TwigQuery) -> int:
-    """One-shot exact selectivity over a columnar document."""
-    return IntervalEvaluator(doc).selectivity(query)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.errors import InputError
 from repro.query.ast import MAX_TWIG_DEPTH, AxisStep, EdgePath, QueryNode, TwigQuery
 from repro.query.predicates import (
     AtLeastKPredicate,
@@ -36,7 +37,7 @@ from repro.query.predicates import (
 )
 
 
-class QueryFormatError(ValueError):
+class QueryFormatError(InputError):
     """Raised when decoding a malformed JSON twig AST."""
 
 

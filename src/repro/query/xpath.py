@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.errors import InputError
 from repro.query.ast import (
     MAX_TWIG_DEPTH, WILDCARD, AxisStep, EdgePath, QueryNode, TwigQuery
 )
@@ -36,7 +37,7 @@ from repro.query.predicates import (
 )
 
 
-class XPathSyntaxError(ValueError):
+class XPathSyntaxError(InputError):
     """Raised on malformed twig/XPath syntax."""
 
     def __init__(self, message: str, position: int) -> None:

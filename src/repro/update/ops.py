@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.errors import InputError
 from repro.xmltree.columnar import ColumnarDocument, from_events
 from repro.xmltree.events import XMLParseError, iter_events
 from repro.xmltree.parser import (
@@ -42,7 +43,7 @@ from repro.xmltree.parser import (
 from repro.xmltree.tree import XMLElement, XMLTree
 
 
-class UpdateFormatError(ValueError):
+class UpdateFormatError(InputError):
     """A malformed update payload (bad op name, fields, or fragment)."""
 
 

@@ -186,23 +186,21 @@ class TwigWorkloadGenerator:
         seed: int = 1234,
         config: Optional[WorkloadConfig] = None,
         evaluator: Optional[ExactEvaluator] = None,
-        engine: str = "interval",
     ) -> None:
         self.dataset = dataset
         self.rng = random.Random(seed)
         self.config = config if config is not None else WorkloadConfig()
-        # Grading thousands of candidate twigs dominates generation, so
-        # the evaluator engine is a knob; a shared evaluator (e.g. the
-        # experiments harness's) skips rebuilding the interval indexes.
+        # Grading thousands of candidate twigs dominates generation; a
+        # shared evaluator skips rebuilding the interval indexes.
         self.evaluator = (
-            evaluator
-            if evaluator is not None
-            else ExactEvaluator(dataset.tree, engine=engine)
+            evaluator if evaluator is not None else ExactEvaluator(dataset.tree)
         )
         self._elements: List[XMLElement] = list(dataset.tree)
 
         self._valued_by_type: Dict[ValueType, List[XMLElement]] = {}
-        by_path: Dict[LabelPath, List[XMLElement]] = {}
+        # Pools are per (path, type): documents merged from several
+        # sources can carry one label path with values of two types.
+        by_path: Dict[Tuple[LabelPath, ValueType], List[XMLElement]] = {}
         for element in self._elements:
             if element.value_type is ValueType.NULL:
                 continue
@@ -210,10 +208,10 @@ class TwigWorkloadGenerator:
             if not matches_any(path, dataset.value_paths):
                 continue
             self._valued_by_type.setdefault(element.value_type, []).append(element)
-            by_path.setdefault(path, []).append(element)
-        self._pools: Dict[LabelPath, _PathValuePool] = {
-            path: _PathValuePool(members[0].value_type, members, self.config)
-            for path, members in by_path.items()
+            by_path.setdefault((path, element.value_type), []).append(element)
+        self._pools: Dict[Tuple[LabelPath, ValueType], _PathValuePool] = {
+            key: _PathValuePool(key[1], members, self.config)
+            for key, members in by_path.items()
         }
         self._numeric_domain = self._compute_numeric_domain()
 
@@ -245,7 +243,7 @@ class TwigWorkloadGenerator:
         return RangePredicate(high=value + self.rng.randint(0, width))
 
     def _string_predicate(self, element: XMLElement) -> Predicate:
-        pool = self._pools.get(element.label_path())
+        pool = self._pools.get((element.label_path(), element.value_type))
         if (
             pool is not None
             and pool.frequent_substrings
@@ -276,7 +274,7 @@ class TwigWorkloadGenerator:
         wanted = 1
         if self.rng.random() < self.config.second_keyword_probability:
             wanted = 2
-        pool = self._pools.get(element.label_path())
+        pool = self._pools.get((element.label_path(), element.value_type))
         if (
             pool is not None
             and pool.frequent_terms
@@ -496,8 +494,7 @@ def generate_workload(
     dataset: Dataset,
     queries_per_class: int = 25,
     seed: int = 1234,
-    engine: str = "interval",
 ) -> Workload:
     """Convenience wrapper around :class:`TwigWorkloadGenerator`."""
     config = WorkloadConfig(queries_per_class=queries_per_class)
-    return TwigWorkloadGenerator(dataset, seed, config, engine=engine).generate()
+    return TwigWorkloadGenerator(dataset, seed, config).generate()

@@ -29,7 +29,6 @@ from repro.query.predicates import (
 )
 from repro.workload.generator import QueryClass, Workload, WorkloadQuery
 from repro.xmltree.stats import collect_statistics
-from repro.xmltree.types import ValueType
 
 #: A substring character guaranteed absent from generated datasets.
 _IMPOSSIBLE_CHAR = "§"  # section sign
@@ -88,19 +87,18 @@ def make_negative_workload(
     seed: int = 99,
     limit: Optional[int] = None,
     evaluator: Optional[ExactEvaluator] = None,
-    engine: str = "interval",
 ) -> Workload:
     """Derive a verified zero-selectivity workload from ``positive``.
 
     Every mutated query is re-graded to certify it really is zero;
-    pass a shared ``evaluator`` (or pick an ``engine``) the same way as
+    pass a shared ``evaluator`` the same way as
     :class:`TwigWorkloadGenerator`.
     """
     rng = random.Random(seed)
-    stats = collect_statistics(dataset.tree)
-    domain_hi = stats.numeric_domain[1] if stats.numeric_domain else 1
     if evaluator is None:
-        evaluator = ExactEvaluator(dataset.tree, engine=engine)
+        evaluator = ExactEvaluator(dataset.tree)
+    stats = collect_statistics(evaluator.doc)
+    domain_hi = stats.numeric_domain[1] if stats.numeric_domain else 1
 
     negatives: List[WorkloadQuery] = []
     for workload_query in positive.queries:

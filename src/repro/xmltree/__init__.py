@@ -10,9 +10,10 @@ Two document substrates are available: the object tree (one
 :class:`XMLElement` per element) and the columnar store
 (:class:`~repro.xmltree.columnar.ColumnarDocument`, struct-of-arrays
 preorder columns fed by the streaming event tokenizer of
-:mod:`repro.xmltree.events`).  Synopsis construction accepts either and
-produces bit-identical results; the columnar path exists for scale —
-chunked file ingestion in bounded memory and array-scan statistics.
+:mod:`repro.xmltree.events`).  Construction, exact evaluation and
+statistics compute only over the columnar store; they accept an object
+tree too, frozen once at the entry by
+:func:`~repro.xmltree.columnar.as_columnar`.
 """
 
 from repro.xmltree.tree import XMLElement, XMLTree
@@ -24,6 +25,7 @@ from repro.xmltree.events import iter_events
 from repro.xmltree.columnar import (
     ColumnarCursor,
     ColumnarDocument,
+    as_columnar,
     freeze,
     from_events,
     ingest_file,
@@ -46,6 +48,7 @@ __all__ = [
     "iter_events",
     "ColumnarCursor",
     "ColumnarDocument",
+    "as_columnar",
     "freeze",
     "from_events",
     "ingest_file",

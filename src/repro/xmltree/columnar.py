@@ -51,6 +51,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 from repro.xmltree.events import (
@@ -754,6 +755,23 @@ def freeze(tree: XMLTree) -> ColumnarDocument:
     for index in range(len(size) - 1, 0, -1):
         size[index - gap[index]] += size[index]
     return doc
+
+
+#: What the core accepts: a columnar document, or an object tree that
+#: :func:`as_columnar` freezes once at the entry point.
+Document = Union[XMLTree, ColumnarDocument]
+
+
+def as_columnar(document: Document) -> ColumnarDocument:
+    """The columnar form of ``document``: passed through, or frozen once.
+
+    Construction, exact evaluation and statistics compute only over
+    :class:`ColumnarDocument`; this is the one place an object tree
+    crosses into them.
+    """
+    if isinstance(document, ColumnarDocument):
+        return document
+    return freeze(document)
 
 
 def thaw(doc: ColumnarDocument, root: int = 0) -> XMLTree:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.errors import InputError
 from repro.xmltree.tree import XMLElement, XMLTree
 from repro.xmltree.types import ValueType, tokenize_text
 
@@ -37,7 +38,7 @@ _ENTITY_TABLE = {
 DEFAULT_TEXT_WORD_THRESHOLD = 8
 
 
-class XMLParseError(ValueError):
+class XMLParseError(InputError):
     """Raised on malformed input, with the offset where parsing failed."""
 
     def __init__(self, message: str, position: int) -> None:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.xmltree.columnar import (
     KIND_NUMERIC,
     KIND_TO_TYPE,
-    ColumnarDocument,
+    Document,
+    as_columnar,
 )
-from repro.xmltree.tree import XMLTree
 from repro.xmltree.types import ValueType
 
 
@@ -55,16 +55,16 @@ class TreeStatistics:
         return ranked[:limit]
 
 
-def _collect_columnar(doc: ColumnarDocument) -> TreeStatistics:
-    """Array-scan statistics over a columnar document.
+def collect_statistics(document: Document) -> TreeStatistics:
+    """Gather :class:`TreeStatistics` in whole-column passes.
 
-    Field-for-field equal to the object-tree walk on the equivalent
-    document, but every aggregate runs as a whole-column pass:
     ``Counter`` over the interned id columns, depth over the path table
     (whose rows biject with the distinct label paths, so its maximum
     depth is the document's), and ``min``/``max`` straight over the
-    packed numeric column with the overflow side table patched in.
+    packed numeric column with the overflow side table patched in.  An
+    object tree is frozen first.
     """
+    doc = as_columnar(document)
     stats = TreeStatistics()
     size = len(doc)
     stats.element_count = size
@@ -113,51 +113,4 @@ def _collect_columnar(doc: ColumnarDocument) -> TreeStatistics:
     if term_ids:
         literal_terms.update(map(doc.term_table.__getitem__, term_ids))
     stats.distinct_terms = len(literal_terms)
-    return stats
-
-
-def collect_statistics(
-    document: Union[XMLTree, ColumnarDocument]
-) -> TreeStatistics:
-    """Walk the document once and gather :class:`TreeStatistics`.
-
-    Accepts either substrate; the columnar path runs as flat array
-    scans and produces field-identical statistics.
-    """
-    if isinstance(document, ColumnarDocument):
-        return _collect_columnar(document)
-    tree = document
-    stats = TreeStatistics()
-    numeric_min = None
-    numeric_max = None
-    terms = set()
-    strings = set()
-
-    # Depth is tracked with an explicit stack to avoid recomputing
-    # label paths per element (label_path() is O(depth)).
-    stack = [(tree.root, 0, (tree.root.label,))]
-    while stack:
-        element, depth, path = stack.pop()
-        stats.element_count += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        stats.label_counts[element.label] = stats.label_counts.get(element.label, 0) + 1
-        stats.path_counts[path] = stats.path_counts.get(path, 0) + 1
-        vtype = element.value_type
-        stats.type_counts[vtype] = stats.type_counts.get(vtype, 0) + 1
-        if vtype is ValueType.NUMERIC:
-            if numeric_min is None or element.value < numeric_min:
-                numeric_min = element.value
-            if numeric_max is None or element.value > numeric_max:
-                numeric_max = element.value
-        elif vtype is ValueType.STRING:
-            strings.add(element.value)
-        elif vtype is ValueType.TEXT:
-            terms.update(element.value)
-        for child in element.children:
-            stack.append((child, depth + 1, path + (child.label,)))
-
-    if numeric_min is not None:
-        stats.numeric_domain = (numeric_min, numeric_max)
-    stats.distinct_terms = len(terms)
-    stats.distinct_strings = len(strings)
     return stats

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import build_tag_synopsis, estimate_selectivity
 from repro.core.baselines import compress_with_policy, random_policy
-from repro.core.estimator import XClusterEstimator
+from repro.check.oracles import XClusterEstimator
 from repro.query import parse_twig
 from repro.query.evaluator import evaluate_selectivity
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.estimator import XClusterEstimator
+from repro.check.oracles import XClusterEstimator
 from repro.core.pool import candidate_pairs, similarity_key
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_edge_path, parse_twig

@@ -1,10 +1,12 @@
 """Compiled estimation engine: parity with the scalar oracle and the
 cache/serving machinery around it.
 
-The hard contract: the compiled path must match the scalar
-``XClusterEstimator`` to 1e-9 on every query of the full test workloads
-(it is in fact a bit-exact replay of the scalar float-accumulation
-order).  The rest of the suite covers the edge cases named in the
+The hard contract: the compiled path must match the scalar oracle
+``repro.check.oracles.XClusterEstimator`` to 1e-9 on every query of the
+full test workloads (it is in fact a bit-exact replay of the scalar
+float-accumulation order), and the public entry points
+``estimate_selectivity`` and ``explain`` must return the compiled
+engine's estimate bit for bit.  The rest of the suite covers the edge cases named in the
 issue — descendant axis from the virtual root, cyclic synopses at
 ``max_path_length``, empty frontiers mid-edge, and cache invalidation
 after synopsis mutation — plus the batched serving layer.
@@ -14,21 +16,50 @@ import copy
 
 import pytest
 
+from repro.check.oracles import XClusterEstimator
+from repro.core import build_xcluster, explain
+from repro.core.distance import node_selectivity
 from repro.core.estimation import (
+    VIRTUAL_ROOT,
     CompiledEstimator,
     WorkloadEstimator,
     compile_query,
     estimate_many,
+    estimate_selectivity,
     shared_index,
     twig_of,
+    variable_order,
 )
-from repro.core.estimator import VIRTUAL_ROOT, XClusterEstimator
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_twig
 from repro.workload.generator import generate_workload
 from repro.xmltree.types import ValueType
 
 PARITY = 1e-9
+
+
+def oracle_branches(oracle, query):
+    """``(variable, cluster, reach, sigma)`` per embedding target, from
+    the scalar oracle, in the order ``explain`` records branches (a
+    variable's subtree before its own branch, each pair once)."""
+    order = variable_order(query)
+    seen = set()
+    branches = []
+
+    def visit(variable, node_id):
+        if (order[variable], node_id) in seen:
+            return
+        seen.add((order[variable], node_id))
+        for child in variable.children:
+            for target_id, reach in oracle.reach(node_id, child.edge).items():
+                sigma = node_selectivity(
+                    oracle.synopsis.node(target_id), child.predicate
+                )
+                visit(child, target_id)
+                branches.append((child.name, target_id, reach, sigma))
+
+    visit(query.root, VIRTUAL_ROOT)
+    return branches
 
 
 def assert_parity(synopsis, queries, max_path_length=40):
@@ -40,6 +71,18 @@ def assert_parity(synopsis, queries, max_path_length=40):
         assert actual == pytest.approx(expected, rel=PARITY, abs=PARITY), (
             query.to_xpath()
         )
+        # The public entry points run the compiled engine, bit for bit.
+        assert estimate_selectivity(synopsis, query, max_path_length) == actual
+        explanation = explain(synopsis, query, max_path_length)
+        assert explanation.estimate == actual, query.to_xpath()
+        branches = oracle_branches(scalar, query)
+        assert len(explanation.branches) == len(branches)
+        for branch, (variable, node_id, reach, sigma) in zip(
+            explanation.branches, branches
+        ):
+            assert (branch.variable, branch.node_id) == (variable, node_id)
+            assert branch.reach == pytest.approx(reach, rel=PARITY, abs=PARITY)
+            assert branch.sigma == pytest.approx(sigma, rel=PARITY, abs=PARITY)
 
 
 class TestScalarParity:
@@ -56,6 +99,16 @@ class TestScalarParity:
     def test_full_xmark_workload(self, xmark_small, xmark_reference):
         workload = generate_workload(xmark_small, 8, seed=11)
         assert_parity(xmark_reference, [wq.query for wq in workload.queries])
+
+    @pytest.mark.parametrize("name", ["imdb_small", "xmark_small"])
+    def test_budgeted_workloads(self, name, request):
+        """Merged clusters and compressed summaries, on both datasets."""
+        dataset = request.getfixturevalue(name)
+        synopsis = build_xcluster(
+            dataset.tree, 1024, 2048, value_paths=dataset.value_paths
+        )
+        workload = generate_workload(dataset, 8, seed=13)
+        assert_parity(synopsis, [wq.query for wq in workload.queries])
 
     def test_hand_written_shapes(self, bibliography_reference):
         queries = [

@@ -7,7 +7,8 @@ tuples.
 
 import pytest
 
-from repro.core.estimator import XClusterEstimator, estimate_selectivity
+from repro.check.oracles import XClusterEstimator
+from repro.core.estimation import estimate_selectivity
 from repro.core.reference import build_reference_synopsis
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_twig

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.query import parse_twig
-from repro.query.evaluator import ExactEvaluator, evaluate_selectivity, match_elements
+from repro.check.oracles import match_elements
+from repro.query.evaluator import ExactEvaluator, evaluate_selectivity
 from repro.query.xpath import parse_edge_path
 from repro.xmltree import parse_string
 

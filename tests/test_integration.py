@@ -73,7 +73,7 @@ def test_full_pipeline(dataset_name, request, tmp_path):
     # 5. Negative workloads estimate near zero.
     negative = make_negative_workload(dataset, workload, limit=10)
     if negative.queries:
-        from repro.core.estimator import XClusterEstimator
+        from repro.check.oracles import XClusterEstimator
 
         estimator = XClusterEstimator(synopsis)
         average = sum(

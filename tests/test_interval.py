@@ -5,8 +5,9 @@ Section 2): an element reachable from its context via several distinct
 axis paths contributes once per path, and both engines must count those
 paths identically.  Tests cover the new pre/post/level columns, hand
 computable multiplicity cases, randomized parity over fuzz documents
-with ``//``-heavy and wildcard twig mutations, substrate dispatch, and
-the deep-document regression for the oracle's iterative walk.
+with ``//``-heavy and wildcard twig mutations, the one-engine entry
+point over both substrates, and the deep-document regression for the
+oracle's iterative walk.
 """
 
 from __future__ import annotations
@@ -14,19 +15,16 @@ from __future__ import annotations
 import pytest
 
 from repro.check.diffharness import DocumentConfig, DocumentGenerator
+from repro.check.oracles import TreeWalkEvaluator
 from repro.datasets import generate_xmark
 from repro.datasets.dataset import Dataset
 from repro.query import parse_twig
 from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
-from repro.query.evaluator import (
-    ExactEvaluator,
-    TreeWalkEvaluator,
-    evaluate_selectivity,
-)
-from repro.query.interval import IntervalEvaluator, evaluate_columnar
+from repro.query.evaluator import ExactEvaluator, evaluate_selectivity
+from repro.query.interval import IntervalEvaluator
 from repro.workload.generator import generate_workload
 from repro.xmltree import parse_string
-from repro.xmltree.columnar import freeze, ingest_string
+from repro.xmltree.columnar import ColumnarDocument, freeze, ingest_string
 from repro.xmltree.tree import XMLElement, XMLTree
 
 XML = (
@@ -262,37 +260,26 @@ class TestDispatch:
         query = parse_twig("//b//c")
         assert ExactEvaluator(doc).selectivity(query) == 1
         assert evaluate_selectivity(doc, query) == 1
-        assert evaluate_columnar(doc, query) == 1
-
-    def test_treewalk_engine_accepts_columnar_documents(self):
-        doc = ingest_string(XML)
-        query = parse_twig("//b")
-        assert ExactEvaluator(doc, engine="treewalk").selectivity(query) == 2
 
     def test_interval_engine_accepts_trees(self):
         tree = parse_string(XML)
         query = parse_twig("//b")
-        evaluator = ExactEvaluator(tree)  # interval is the default
-        assert evaluator.engine == "interval"
+        evaluator = ExactEvaluator(tree)  # frozen once, at the entry
+        assert isinstance(evaluator.doc, ColumnarDocument)
         assert evaluator.selectivity(query) == 2
 
     def test_unknown_engine_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown evaluation engine"):
+        # There is one engine: any ``engine=`` argument is a TypeError.
+        with pytest.raises(TypeError):
             ExactEvaluator(parse_string(XML), engine="quantum")
-
-    def test_tree_property_materializes_from_columns(self):
-        doc = ingest_string(XML)
-        evaluator = ExactEvaluator(doc)
-        assert evaluator.tree.root.label == "a"
 
     def test_matches_agrees_across_engines(self):
         tree = parse_string(XML)
         for text in ("//b", "//nosuchlabel"):
             query = parse_twig(text)
-            assert (
-                ExactEvaluator(tree, engine="interval").matches(query)
-                == ExactEvaluator(tree, engine="treewalk").matches(query)
-            )
+            assert ExactEvaluator(tree).matches(query) == TreeWalkEvaluator(
+                tree
+            ).matches(query)
 
 
 class TestDeepDocuments:

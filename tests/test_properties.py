@@ -16,7 +16,7 @@ from repro.core import (
     structural_size_bytes,
 )
 from repro.core.builder import BuildConfig, XClusterBuilder
-from repro.core.estimator import estimate_selectivity
+from repro.core.estimation import estimate_selectivity
 from repro.query import parse_twig
 from repro.query.evaluator import evaluate_selectivity
 from repro.xmltree import XMLElement, XMLTree

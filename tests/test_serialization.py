@@ -16,7 +16,7 @@ from repro.core import (
     value_size_bytes,
 )
 from repro.core.builder import BuildConfig
-from repro.core.estimator import XClusterEstimator
+from repro.check.oracles import XClusterEstimator
 from repro.core.serialization import SynopsisFormatError
 from repro.query import parse_twig
 

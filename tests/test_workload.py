@@ -23,6 +23,26 @@ def imdb_workload(imdb_small):
 
 
 class TestGenerator:
+    def test_path_with_two_value_types(self):
+        """Documents merged from several sources can type one path two
+        ways; each type gets its own predicate pool."""
+        from repro.datasets.dataset import Dataset
+        from repro.xmltree import parse_string
+
+        tree = parse_string(
+            "<r>"
+            + "".join(f"<v>name{i % 3}</v><v>{i}</v>" for i in range(12))
+            + "</r>"
+        )
+        dataset = Dataset("mixed", tree, [("r", "v")])
+        workload = TwigWorkloadGenerator(
+            dataset, seed=4, config=WorkloadConfig(queries_per_class=3)
+        ).generate()
+        classes = {wq.query_class for wq in workload.queries}
+        assert {QueryClass.NUMERIC, QueryClass.STRING} <= classes
+        for wq in workload.queries:
+            assert evaluate_selectivity(tree, wq.query) == wq.exact
+
     def test_stratified_classes(self, imdb_workload):
         for query_class in (
             QueryClass.STRUCT,
@@ -146,7 +166,7 @@ class TestNegativeWorkloads:
             )
 
     def test_reference_estimates_near_zero(self, imdb_small, imdb_reference, imdb_workload):
-        from repro.core.estimator import XClusterEstimator
+        from repro.check.oracles import XClusterEstimator
 
         negative = make_negative_workload(imdb_small, imdb_workload)
         estimator = XClusterEstimator(imdb_reference)
