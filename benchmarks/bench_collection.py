@@ -8,10 +8,10 @@ two ways at each sweep point: the naive baseline runs the full
 single-document pipeline (ingest → reference synopsis → budgeted
 compression → snapshot encode) once *per document*, serially; the
 collection build deduplicates by content hash and runs each distinct
-structure once through the same pipeline, fanned out over
-:mod:`repro.core.parallel`.  At every asserting sweep point with at
-least :data:`ASSERT_MIN_DOCUMENTS` documents the dedup build must be
-:data:`SPEEDUP_FLOOR` x faster — with zero parity drift: a shard-routed
+structure once through the same pipeline.  At every asserting sweep
+point with at least :data:`ASSERT_MIN_DOCUMENTS` documents the dedup
+build must be :data:`SPEEDUP_FLOOR` x faster — with zero parity drift:
+a shard-routed
 estimate must be bit-identical to an estimate from a synopsis built
 directly from the same document at the same budgets, and the
 collection-wide sum must match per-document exact interval counts in
@@ -252,7 +252,6 @@ def _sweep_point(documents, seed, asserting):
             total_budget=TOTAL_BUDGET,
             structural_share=STRUCTURAL_SHARE,
             compress=True,
-            workers=max(1, (os.cpu_count() or 1) - 1),
         )
         dedup_seconds, (manifest, report) = _timed(
             lambda: build_collection(root, docs, config)
@@ -282,7 +281,6 @@ def _sweep_point(documents, seed, asserting):
         "naive_seconds": round(naive_seconds, 4),
         "dedup_seconds": round(dedup_seconds, 4),
         "speedup": round(speedup, 3),
-        "workers": report.workers_effective,
         "drift": drift,
         "structures_checked": structures,
         "equivalent": drift == 0,
@@ -373,7 +371,6 @@ def test_collection_stack(experiment_context):
                 total_budget=TOTAL_BUDGET,
                 structural_share=STRUCTURAL_SHARE,
                 compress=True,
-                workers=max(1, (os.cpu_count() or 1) - 1),
             ),
         )
         log = _zipf_log(docs, queries, SERVE_REQUESTS, seed)

@@ -14,7 +14,7 @@ Subcommands::
         [--evaluator] [--updates [--updates-per-round N]] [--collection]
     python -m repro ingest INPUT.xml [--chunk-size N] [--compare]
     python -m repro collection build ROOT --input DIR [--shards N] \
-        [--budget B] [--workers W] [--no-compress]
+        [--budget B] [--no-compress]
     python -m repro collection rebalance ROOT --log LOG.jsonl
     python -m repro collection stats ROOT [--json]
     python -m repro collection export ROOT --edge-model OUT_DIR
@@ -458,7 +458,6 @@ def _cmd_collection(args: argparse.Namespace) -> int:
             total_budget=args.budget,
             structural_share=args.structural_share,
             compress=not args.no_compress,
-            workers=args.workers,
         )
         started = perf_counter()
         manifest, report = build_collection(args.root, documents(), config)
@@ -468,8 +467,7 @@ def _cmd_collection(args: argparse.Namespace) -> int:
             f"documents ({report.distinct_structures} distinct, "
             f"{report.dedup_rate:.0%} deduplicated) across "
             f"{manifest.shard_count} shards in {elapsed:.2f}s "
-            f"(workers={report.workers_effective}, "
-            f"budget={manifest.total_budget} bytes, "
+            f"(budget={manifest.total_budget} bytes, "
             f"rollup: {'yes' if manifest.rollup_path else 'no'})"
         )
         return 0
@@ -477,9 +475,7 @@ def _cmd_collection(args: argparse.Namespace) -> int:
     if args.action == "rebalance":
         log = _read_query_log(args.log)
         started = perf_counter()
-        manifest, report = rebalance_collection(
-            args.root, log, workers=args.workers
-        )
+        manifest, report = rebalance_collection(args.root, log)
         elapsed = perf_counter() - started
         multipliers = ", ".join(
             f"{shard_id}:{multiplier:.2f}"
@@ -744,12 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="B_str fraction of each payload budget (default %(default)s)",
     )
     coll_build.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for distinct-structure builds (default %(default)s)",
-    )
-    coll_build.add_argument(
         "--no-compress",
         action="store_true",
         help="store uncompressed reference synopses (exact mode)",
@@ -767,7 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observed query log: JSON lines (or a JSON array) of "
         '{"doc": <id>, "query": <xpath>}',
     )
-    coll_rebalance.add_argument("--workers", type=int, default=1)
     coll_rebalance.set_defaults(handler=_cmd_collection)
 
     coll_stats = actions.add_parser(

@@ -72,6 +72,7 @@ from repro.check.oracles import (
     ReferenceBuilder,
     TreeWalkEvaluator,
     XClusterEstimator,
+    apply_update_tree,
     fixpoint_reference_classes,
     object_reference_synopsis,
 )
@@ -99,7 +100,6 @@ from repro.update.ops import (
     InsertSubtree,
     UpdateOp,
     ValueChange,
-    apply_update_tree,
     update_to_dict,
     validate_update,
 )

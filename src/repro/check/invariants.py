@@ -41,8 +41,8 @@ Invariant catalog
 ``summary-internal``
     The summary's own ``invariant_issues`` hook: histogram bucket
     ordering and cached-CDF books, PST count monotonicity along trie
-    paths, EBTH exact/bucket disjointness and end-biased ordering,
-    wavelet mass conservation, RLE bitmap well-formedness.
+    paths, EBTH exact/bucket disjointness and end-biased ordering, RLE
+    bitmap well-formedness.
 
 ``selectivity-bounds``
     Over the summary's canonical atomic predicates, ``selectivity`` is a

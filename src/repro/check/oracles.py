@@ -21,6 +21,8 @@ of the paper's sum-product with no precomputed indexes.
 :class:`TreeWalkEvaluator` is the exact-evaluation oracle for
 :class:`repro.query.evaluator.ExactEvaluator`: dynamic programming over
 ``XMLElement`` objects with per-step weighted frontiers.
+:func:`apply_update_tree` applies an update op to an object-tree twin,
+the substrate the update harness rebuilds its reference from.
 Only the differential harness, the tests and the layer benchmarks
 import this module.
 """
@@ -49,8 +51,9 @@ from repro.core.reference import (
 from repro.core.scoring import ScoringEngine
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
+from repro.update.ops import DeleteSubtree, InsertSubtree, UpdateOp, ValueChange
 from repro.values.kernels.pst import prune_leaves_reference
-from repro.values.kernels.queue import GenericStepper, SummaryStepper
+from repro.values.kernels.queue import SummaryStepper
 from repro.values.pst import PrunedSuffixTree
 from repro.values.summary import (
     HistogramSummary,
@@ -60,6 +63,11 @@ from repro.values.summary import (
     ValueSummary,
 )
 from repro.xmltree.columnar import Document, as_columnar
+from repro.xmltree.parser import (
+    DEFAULT_TEXT_WORD_THRESHOLD,
+    _typed_value,
+    parse_string,
+)
 from repro.xmltree.paths import LabelPath, matches_any
 from repro.xmltree.tree import XMLElement, XMLTree
 from repro.xmltree.types import ValueType
@@ -359,7 +367,7 @@ def reference_stepper(summary: ValueSummary) -> SummaryStepper:
         return ReferencePSTStepper(summary)
     if isinstance(summary, TextSummary):
         return ReferenceEBTHStepper(summary)
-    return GenericStepper(summary)
+    raise TypeError(f"no compression stepper for {type(summary).__name__}")
 
 
 class ReferenceBuilder(XClusterBuilder):
@@ -610,6 +618,76 @@ class TreeWalkEvaluator:
         return self.selectivity(query) > 0
 
 
+# -- object-tree update twin ---------------------------------------------------
+
+
+def tree_preorder(tree: XMLTree) -> List[XMLElement]:
+    """The preorder element list of an object tree.
+
+    Matches the columnar preorder index for the frozen equivalent, so
+    ``tree_preorder(tree)[i]`` is the twin of columnar element ``i``.
+    """
+    elements: List[XMLElement] = []
+    stack = [tree.root]
+    while stack:
+        element = stack.pop()
+        elements.append(element)
+        stack.extend(reversed(element.children))
+    return elements
+
+
+def _detach_child(parent: XMLElement, child: XMLElement) -> None:
+    parent.children.remove(child)
+    child.parent = None
+
+
+def apply_update_tree(
+    tree: XMLTree,
+    op: UpdateOp,
+    text_word_threshold: int = DEFAULT_TEXT_WORD_THRESHOLD,
+) -> None:
+    """Apply one op to an object :class:`XMLTree`, in place.
+
+    This is the rebuild oracle's substrate: the differential harness
+    mutates an object twin in lockstep with the columnar document and
+    rebuilds the reference synopsis from it after every step.  Raises
+    ``ValueError`` (via the shared validation messages) when the op
+    does not apply.
+    """
+    elements = tree_preorder(tree)
+    if isinstance(op, InsertSubtree):
+        if not 0 <= op.parent < len(elements):
+            raise ValueError(f"insert parent {op.parent} out of range")
+        parent = elements[op.parent]
+        if not 0 <= op.position <= len(parent.children):
+            raise ValueError(
+                f"insert position {op.position} out of range "
+                f"(parent has {len(parent.children)} children)"
+            )
+        fragment = parse_string(op.xml, None, text_word_threshold)
+        child = fragment.root
+        child.parent = parent
+        parent.children.insert(op.position, child)
+        return
+    if isinstance(op, DeleteSubtree):
+        if op.index == 0:
+            raise ValueError("cannot delete the document root")
+        if not 0 < op.index < len(elements):
+            raise ValueError(f"delete index {op.index} out of range")
+        target = elements[op.index]
+        _detach_child(target.parent, target)
+        return
+    if isinstance(op, ValueChange):
+        if not 0 <= op.index < len(elements):
+            raise ValueError(f"set_value index {op.index} out of range")
+        target = elements[op.index]
+        target.set_value(
+            _typed_value(op.text, (target.label,), {}, text_word_threshold)
+        )
+        return
+    raise ValueError(f"unknown update op {op!r}")
+
+
 __all__ = [
     "MAX_REFINEMENT_ROUNDS",
     "ReferenceBuilder",
@@ -619,10 +697,12 @@ __all__ = [
     "ScalarScoringEngine",
     "TreeWalkEvaluator",
     "XClusterEstimator",
+    "apply_update_tree",
     "fixpoint_reference_classes",
     "greedy_estimate_count",
     "match_elements",
     "object_reference_synopsis",
     "reference_stepper",
     "refine_to_fixpoint",
+    "tree_preorder",
 ]

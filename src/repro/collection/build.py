@@ -13,11 +13,7 @@ stack is deterministic, so the collection build exploits that head-on:
    variant, however many documents share it.  Under uniform budgets a
    structure's budget depends only on its own element count, so the
    build cache dedups across shards too;
-2. **parallel fan-out** — distinct structures are independent, so they
-   shard over a process pool when ``workers > 1`` (fork → spawn →
-   serial fallback, :func:`pool_context`; the report records what
-   actually ran);
-3. **snapshot encode** — payloads are binary snapshots, packed into
+2. **snapshot encode** — payloads are binary snapshots, packed into
    per-shard containers, so serving opens one mmap per shard instead
    of N files.
 
@@ -89,7 +85,6 @@ class CollectionConfig:
             as payloads — the exact mode the differential harness pits
             against the monolithic oracle.
         text_word_threshold: ingestion typing knob (parser semantics).
-        workers: processes for the distinct-structure fan-out.
         min_payload_budget: floor for one payload's total budget.
     """
 
@@ -98,7 +93,6 @@ class CollectionConfig:
     structural_share: float = 0.3
     compress: bool = True
     text_word_threshold: int = 2
-    workers: int = 1
     min_payload_budget: int = 512
 
 
@@ -111,8 +105,6 @@ class BuildReport:
     payload_builds: int = 0
     payloads_reused: int = 0
     shards_written: int = 0
-    workers_requested: int = 1
-    workers_effective: int = 1
     multipliers: Dict[int, float] = field(default_factory=dict)
     ratios: Dict[int, float] = field(default_factory=dict)
 
@@ -177,79 +169,23 @@ def _waterfill_floors(
 
 def _build_payload_bytes(
     xml: str,
-    budgets: Sequence[Tuple[int, int]],
+    budget: Tuple[int, int],
     compress: bool,
     text_word_threshold: int,
-) -> Tuple[bytes, List[Tuple[int, int, bytes]], int]:
-    """Reference snapshot + one payload per budget variant for one doc.
-
-    Returns ``(ref_bytes, [(b_str, b_val, payload_bytes), ...],
-    elements)``.  The reference is derived once; each budget variant
-    compresses a deep copy of it, so variants are independent and
-    bit-deterministic regardless of evaluation order.
-    """
+) -> Tuple[bytes, bytes]:
+    """The reference snapshot and the ``(B_str, B_val)`` payload of one
+    distinct structure (the payload is the reference when ``compress``
+    is off)."""
     doc = ingest_string(xml, text_word_threshold=text_word_threshold)
     reference = build_reference_synopsis(doc, doc.value_paths())
     ref_bytes = snapshot_to_bytes(reference)
-    variants: List[Tuple[int, int, bytes]] = []
-    for b_str, b_val in budgets:
-        if not compress:
-            variants.append((b_str, b_val, ref_bytes))
-            continue
-        trial = copy.deepcopy(reference)
-        XClusterBuilder(
-            BuildConfig(structural_budget=b_str, value_budget=b_val)
-        ).compress(trial)
-        variants.append((b_str, b_val, snapshot_to_bytes(trial)))
-    return ref_bytes, variants, len(doc)
-
-
-def _payload_task(item):
-    """Pool task: build every budget variant of one distinct structure."""
-    content_hash, xml, budgets, compress, threshold = item
-    ref_bytes, variants, elements = _build_payload_bytes(
-        xml, budgets, compress, threshold
-    )
-    return content_hash, ref_bytes, variants, elements
-
-
-#: Pool start methods in preference order.  ``fork`` shares the parent
-#: address space; ``spawn`` pickles the tasks.  Tests monkeypatch this
-#: tuple to force the spawn or serial fallback.
-START_METHODS = ("fork", "spawn")
-
-
-def pool_context():
-    """The first available start method's context; ``None`` means serial.
-
-    Unknown or unsupported method names (``multiprocessing.get_context``
-    raises ``ValueError``) are skipped rather than raised.
-    ``multiprocessing`` is imported here, so only a parallel build pays
-    for it.
-    """
-    import multiprocessing
-
-    for method in START_METHODS:
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError:
-            continue
-    return None
-
-
-def _run_payload_builds(
-    tasks: List[tuple], workers: int
-) -> Tuple[List[tuple], int]:
-    """Run the distinct-structure builds, parallel when possible."""
-    if workers > 1 and len(tasks) > 1:
-        context = pool_context()
-        if context is not None:
-            try:
-                with context.Pool(processes=workers) as pool:
-                    return pool.map(_payload_task, tasks), workers
-            except (OSError, PermissionError, RuntimeError):
-                pass
-    return [_payload_task(task) for task in tasks], 1
+    if not compress:
+        return ref_bytes, ref_bytes
+    b_str, b_val = budget
+    XClusterBuilder(
+        BuildConfig(structural_budget=b_str, value_budget=b_val)
+    ).compress(reference)
+    return ref_bytes, snapshot_to_bytes(reference)
 
 
 def _ensure_layout(root: str) -> None:
@@ -280,7 +216,7 @@ def build_collection(
     config = config if config is not None else CollectionConfig()
     if config.shard_count <= 0:
         raise ValueError("shard_count must be positive")
-    report = BuildReport(workers_requested=config.workers)
+    report = BuildReport()
 
     # -- route and dedup ----------------------------------------------------
     distinct: Dict[str, _Distinct] = {}
@@ -305,8 +241,8 @@ def build_collection(
     report.distinct_structures = len(distinct)
 
     # Element counts come from a cheap pre-pass ingest of each distinct
-    # structure (the build tasks re-ingest in their own process; the
-    # strings are small next to the build itself).
+    # structure (the payload build re-ingests it; the strings are small
+    # next to the build itself).
     for entry in distinct.values():
         entry.elements = len(
             ingest_string(
@@ -333,28 +269,18 @@ def build_collection(
         )
 
     # -- build each distinct structure once ---------------------------------
-    tasks = [
-        (
-            content_hash,
-            entry.xml,
-            [budgets[content_hash]],
-            config.compress,
-            config.text_word_threshold,
-        )
-        for content_hash, entry in sorted(distinct.items())
-    ]
-    results, effective = _run_payload_builds(tasks, config.workers)
-    report.workers_effective = effective
-    report.payload_builds = len(tasks)
-    report.payloads_reused = report.documents - report.distinct_structures
-
     ref_bytes: Dict[str, bytes] = {}
     payload_bytes: Dict[Tuple[str, int, int], bytes] = {}
-    for content_hash, refs, variants, elements in results:
-        ref_bytes[content_hash] = refs
-        distinct[content_hash].elements = elements
-        for b_str, b_val, data in variants:
-            payload_bytes[(content_hash, b_str, b_val)] = data
+    for content_hash, entry in sorted(distinct.items()):
+        b_str, b_val = budgets[content_hash]
+        (
+            ref_bytes[content_hash],
+            payload_bytes[(content_hash, b_str, b_val)],
+        ) = _build_payload_bytes(
+            entry.xml, (b_str, b_val), config.compress, config.text_word_threshold
+        )
+    report.payload_builds = len(distinct)
+    report.payloads_reused = report.documents - report.distinct_structures
 
     # -- write the directory ------------------------------------------------
     _ensure_layout(root)
@@ -496,7 +422,6 @@ def _write_collection(
 def rebalance_collection(
     root: str,
     log: Sequence[Tuple[str, TwigQuery]],
-    workers: int = 1,
     autobudget_queries: int = 8,
 ) -> Tuple[CollectionManifest, BuildReport]:
     """Reallocate synopsis bytes toward the shards the log actually hits.
@@ -515,9 +440,8 @@ def rebalance_collection(
         total_budget=manifest.total_budget,
         structural_share=manifest.structural_share,
         compress=manifest.compressed,
-        workers=workers,
     )
-    report = BuildReport(workers_requested=workers, workers_effective=1)
+    report = BuildReport()
 
     clustered = cluster_log(
         log, lambda doc_id: shard_for_doc(doc_id, manifest.shard_count)
@@ -626,7 +550,6 @@ def rebalance_collection(
                 needed[info.content_hash].append(split)
         budgets_by_shard[shard_id] = shard_budgets
 
-    tasks = []
     for content_hash, variants in sorted(needed.items()):
         ref = _load_reference(root, manifest, content_hash)
         if ref is None:
@@ -644,7 +567,6 @@ def rebalance_collection(
                 trial
             )
             report.payload_builds += 1
-            tasks.append((content_hash, b_str, b_val))
 
     refs_map = dict(manifest.refs)
     ref_blobs = {

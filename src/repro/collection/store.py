@@ -384,11 +384,6 @@ class CollectionStore:
             raise KeyError(f"collection holds no document {doc_id!r}")
         return shard_id, index
 
-    def synopsis_for(self, doc_id: str) -> XClusterSynopsis:
-        """The document's own payload synopsis (decoded lazily)."""
-        shard_id, index = self.payload_of(doc_id)
-        return self.reader(shard_id).synopsis(index)
-
     # -- estimation ---------------------------------------------------------
 
     def _estimator(self, shard_id: int, index: int) -> CompiledEstimator:

@@ -157,8 +157,7 @@ class CompiledEstimator:
 
     def estimate_plan(self, plan: CompiledPlan) -> float:
         """Execute a compiled plan against the bound synopsis."""
-        if self.index.ensure_current():
-            self.stats.index_invalidations += 1
+        self._ensure_current()
         started = perf_counter()
         memo: Dict[Tuple[int, int], float] = {}
         value = self._tuples(plan, 0, VIRTUAL_ROOT, memo)
@@ -166,11 +165,22 @@ class CompiledEstimator:
         self.stats.queries_estimated += 1
         return value
 
+    def _ensure_current(self) -> None:
+        """Drop the shared tables if the synopsis mutated since last use."""
+        if self.index.ensure_current():
+            self.stats.index_invalidations += 1
+
     def reach(self, source_id: int, edge_key: EdgeKey) -> Dict[int, float]:
         """Memoized whole-edge frontier from one source node.
 
         The returned dict is shared cache state — do not mutate it.
         """
+        self._ensure_current()
+        return self._reach(source_id, edge_key)
+
+    def _reach(self, source_id: int, edge_key: EdgeKey) -> Dict[int, float]:
+        """:meth:`reach` without the currency check (callers check once
+        per estimate)."""
         key = (source_id, edge_key, self.max_path_length)
         cached = self.index.reach_cache.get(key)
         if cached is not None:
@@ -285,6 +295,11 @@ class CompiledEstimator:
     def selectivity(self, node, predicate: Predicate) -> float:
         """σ_p(u) with the exact semantics of ``node_selectivity``,
         served from the shared selectivity cache."""
+        self._ensure_current()
+        return self._selectivity(node, predicate)
+
+    def _selectivity(self, node, predicate: Predicate) -> float:
+        """:meth:`selectivity` without the currency check."""
         if isinstance(predicate, TruePredicate):
             return 1.0
         vsumm = node.vsumm
@@ -323,8 +338,8 @@ class CompiledEstimator:
         for child_index in variables[variable_index].children:
             child = variables[child_index]
             branch = 0.0
-            for target_id, count in self.reach(node_id, child.edge_key).items():
-                sigma = self.selectivity(nodes[target_id], child.predicate)
+            for target_id, count in self._reach(node_id, child.edge_key).items():
+                sigma = self._selectivity(nodes[target_id], child.predicate)
                 if sigma <= 0.0 or count <= 0.0:
                     continue
                 branch += count * sigma * self._tuples(

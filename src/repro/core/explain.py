@@ -97,10 +97,10 @@ def explain(
         total = 1.0
         for child in variable.children:
             branch_sum = 0.0
-            frontier = estimator.reach(node_id, edge_key_of(child.edge))
+            frontier = estimator._reach(node_id, edge_key_of(child.edge))
             for target_id, reach in frontier.items():
                 target = synopsis.node(target_id)
-                sigma = estimator.selectivity(target, child.predicate)
+                sigma = estimator._selectivity(target, child.predicate)
                 subtree = tuples(child, target_id)
                 explanation.branches.append(
                     BranchContribution(

@@ -28,9 +28,7 @@ from repro.values.summary import (
     StringSummary,
     TextSummary,
     ValueSummary,
-    WaveletSummary,
 )
-from repro.values.wavelet import HaarWavelet
 from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
@@ -60,31 +58,6 @@ def _decode_histogram(data: Dict[str, Any]) -> HistogramSummary:
         for lo, hi, count in data["buckets"]
     ]
     return HistogramSummary(Histogram(buckets))
-
-
-def _encode_wavelet(summary: WaveletSummary) -> Dict[str, Any]:
-    wavelet = summary.wavelet
-    return {
-        "kind": "wavelet",
-        "domain_lo": wavelet.domain_lo,
-        "cell_width": wavelet.cell_width,
-        "length": wavelet.length,
-        "coefficients": sorted(wavelet.coefficients.items()),
-        "total": wavelet.total,
-    }
-
-
-def _decode_wavelet(data: Dict[str, Any]) -> WaveletSummary:
-    coefficients = {int(index): float(value) for index, value in data["coefficients"]}
-    return WaveletSummary(
-        HaarWavelet(
-            int(data["domain_lo"]),
-            int(data["cell_width"]),
-            int(data["length"]),
-            coefficients,
-            float(data["total"]),
-        )
-    )
 
 
 def _encode_pst(summary: StringSummary) -> Dict[str, Any]:
@@ -158,8 +131,6 @@ def _encode_summary(summary: Optional[ValueSummary]) -> Optional[Dict[str, Any]]
         return None
     if isinstance(summary, HistogramSummary):
         return _encode_histogram(summary)
-    if isinstance(summary, WaveletSummary):
-        return _encode_wavelet(summary)
     if isinstance(summary, StringSummary):
         return _encode_pst(summary)
     if isinstance(summary, TextSummary):
@@ -176,8 +147,6 @@ def _decode_summary(
         kind = data.get("kind")
         if kind == "histogram":
             return _decode_histogram(data)
-        if kind == "wavelet":
-            return _decode_wavelet(data)
         if kind == "pst":
             return _decode_pst(data)
         if kind == "ebth":

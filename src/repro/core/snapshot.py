@@ -22,7 +22,7 @@ and decoded **lazily per section** —
 * the label and vocabulary pools are one UTF-8 blob plus an end-offset
   column each;
 * per-family value-summary payloads (histogram buckets, PST node
-  columns, EBTH terms and runs, wavelet coefficients) live in family
+  columns, EBTH terms and runs) live in family
   sections and are **deferred**: each node parks a decode thunk
   (:meth:`~repro.core.synopsis.SynopsisNode.defer_summary`) pointing at
   its payload, and only summaries a workload actually touches are ever
@@ -56,9 +56,7 @@ from repro.values.summary import (
     StringSummary,
     TextSummary,
     ValueSummary,
-    WaveletSummary,
 )
-from repro.values.wavelet import HaarWavelet
 from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
@@ -73,7 +71,9 @@ _SEC_VOCAB = 3
 _SEC_NODES = 4
 _SEC_EDGES = 5
 _SEC_HIST = 6
-_SEC_WAVELET = 7
+# Id 7 held the retired wavelet family's payloads.  It is still written,
+# empty, so the section table keeps its layout and no id is reused.
+_SEC_RETIRED = 7
 _SEC_PST = 8
 _SEC_EBTH = 9
 
@@ -84,7 +84,7 @@ _SECTION_NAMES = {
     _SEC_NODES: "nodes",
     _SEC_EDGES: "edges",
     _SEC_HIST: "histogram",
-    _SEC_WAVELET: "wavelet",
+    _SEC_RETIRED: "retired",
     _SEC_PST: "pst",
     _SEC_EBTH: "ebth",
 }
@@ -170,20 +170,6 @@ def _encode_histogram(summary: HistogramSummary, out: bytearray) -> None:
     _put_doubles(out, [bucket.count for bucket in buckets])
 
 
-def _encode_wavelet(summary: WaveletSummary, out: bytearray) -> None:
-    wavelet = summary.wavelet
-    # Sorted for a canonical layout (mirrors the JSON encoder); the
-    # decoder rebuilds the coefficient dict in this order.
-    items = sorted(wavelet.coefficients.items())
-    _put_ints(
-        out,
-        [wavelet.domain_lo, wavelet.cell_width, wavelet.length, len(items)],
-        signed=True,
-    )
-    _put_ints(out, [index for index, _ in items])
-    _put_doubles(out, [wavelet.total] + [value for _, value in items])
-
-
 def _encode_pst(summary: StringSummary, out: bytearray) -> None:
     tree = summary.pst
     counts = tree.counts
@@ -217,7 +203,6 @@ def _encode_ebth(summary: TextSummary, out: bytearray) -> None:
 #: Summary family -> (kind = payload section id, payload encoder).
 _ENCODERS = (
     (HistogramSummary, _SEC_HIST, _encode_histogram),
-    (WaveletSummary, _SEC_WAVELET, _encode_wavelet),
     (StringSummary, _SEC_PST, _encode_pst),
     (TextSummary, _SEC_EBTH, _encode_ebth),
 )
@@ -395,18 +380,6 @@ def _decode_histogram_payload(reader: _Reader) -> HistogramSummary:
     return HistogramSummary(Histogram([HistogramBucket(*b) for b in buckets]))
 
 
-def _decode_wavelet_payload(reader: _Reader) -> WaveletSummary:
-    domain_lo, cell_width, length, count = reader.ints(4, signed=True)
-    indexes = reader.ints(count)
-    values = reader.doubles(count + 1)
-    reader.done()
-    return WaveletSummary(
-        HaarWavelet(
-            domain_lo, cell_width, length, dict(zip(indexes, values[1:])), values[0]
-        )
-    )
-
-
 def _decode_pst_payload(reader: _Reader) -> StringSummary:
     max_depth, string_count, node_count = reader.ints(3)
     nodes = zip(
@@ -496,7 +469,6 @@ class _VocabularyCell:
 
 _DECODERS = {
     _SEC_HIST: _decode_histogram_payload,
-    _SEC_WAVELET: _decode_wavelet_payload,
     _SEC_PST: _decode_pst_payload,
 }
 

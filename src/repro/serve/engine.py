@@ -339,10 +339,6 @@ class PlanCoalescer:
         #: Requests answered from the estimate memo.
         self.memo_hits = 0
 
-    @property
-    def pending_plans(self) -> int:
-        return len(self._pending)
-
     def memo_snapshot(self) -> Dict[str, int]:
         """Estimate-memo counters for ``/stats``."""
         return {"hits": self.memo_hits, "entries": len(self._memo)}

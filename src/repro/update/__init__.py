@@ -28,9 +28,7 @@ from repro.update.ops import (
     UpdateFormatError,
     UpdateOp,
     ValueChange,
-    apply_update_tree,
     parse_fragment,
-    tree_preorder,
     update_from_dict,
     update_to_dict,
     validate_update,
@@ -45,13 +43,11 @@ __all__ = [
     "UpdateOp",
     "ValueChange",
     "apply_update",
-    "apply_update_tree",
     "change_value",
     "delete_subtree",
     "enforce_summary_budget",
     "insert_subtree",
     "parse_fragment",
-    "tree_preorder",
     "update_from_dict",
     "update_to_dict",
     "validate_update",

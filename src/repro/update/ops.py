@@ -23,24 +23,19 @@ Every op addresses elements by **preorder index** into the current
 document — the same numbering :class:`~repro.xmltree.columnar.
 ColumnarDocument` columns use and ``XMLElement.iter()`` yields — so an
 op means the same thing on the columnar substrate and on the object
-tree (:func:`apply_update_tree` keeps an object twin in lockstep for
-the rebuild-from-scratch oracle).
+tree (:func:`repro.check.oracles.apply_update_tree` keeps an object
+twin in lockstep for the rebuild-from-scratch oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import InputError
 from repro.xmltree.columnar import ColumnarDocument, from_events
 from repro.xmltree.events import XMLParseError, iter_events
-from repro.xmltree.parser import (
-    DEFAULT_TEXT_WORD_THRESHOLD,
-    _typed_value,
-    parse_string,
-)
-from repro.xmltree.tree import XMLElement, XMLTree
+from repro.xmltree.parser import DEFAULT_TEXT_WORD_THRESHOLD
 
 
 class UpdateFormatError(InputError):
@@ -229,86 +224,14 @@ def validate_update(
     return f"unknown update op {op!r}"
 
 
-# -- object-tree twin ---------------------------------------------------------
-
-
-def tree_preorder(tree: XMLTree) -> List[XMLElement]:
-    """The preorder element list of an object tree.
-
-    Matches the columnar preorder index for the frozen equivalent, so
-    ``tree_preorder(tree)[i]`` is the twin of columnar element ``i``.
-    """
-    elements: List[XMLElement] = []
-    stack = [tree.root]
-    while stack:
-        element = stack.pop()
-        elements.append(element)
-        stack.extend(reversed(element.children))
-    return elements
-
-
-def _detach_child(parent: XMLElement, child: XMLElement) -> None:
-    parent.children.remove(child)
-    child.parent = None
-
-
-def apply_update_tree(
-    tree: XMLTree,
-    op: UpdateOp,
-    text_word_threshold: int = DEFAULT_TEXT_WORD_THRESHOLD,
-) -> None:
-    """Apply one op to an object :class:`XMLTree`, in place.
-
-    This is the rebuild oracle's substrate: the differential harness
-    mutates an object twin in lockstep with the columnar document and
-    rebuilds the reference synopsis from it after every step.  Raises
-    ``ValueError`` (via the shared validation messages) when the op
-    does not apply.
-    """
-    elements = tree_preorder(tree)
-    if isinstance(op, InsertSubtree):
-        if not 0 <= op.parent < len(elements):
-            raise ValueError(f"insert parent {op.parent} out of range")
-        parent = elements[op.parent]
-        if not 0 <= op.position <= len(parent.children):
-            raise ValueError(
-                f"insert position {op.position} out of range "
-                f"(parent has {len(parent.children)} children)"
-            )
-        fragment = parse_string(op.xml, None, text_word_threshold)
-        child = fragment.root
-        child.parent = parent
-        parent.children.insert(op.position, child)
-        return
-    if isinstance(op, DeleteSubtree):
-        if op.index == 0:
-            raise ValueError("cannot delete the document root")
-        if not 0 < op.index < len(elements):
-            raise ValueError(f"delete index {op.index} out of range")
-        target = elements[op.index]
-        _detach_child(target.parent, target)
-        return
-    if isinstance(op, ValueChange):
-        if not 0 <= op.index < len(elements):
-            raise ValueError(f"set_value index {op.index} out of range")
-        target = elements[op.index]
-        target.set_value(
-            _typed_value(op.text, (target.label,), {}, text_word_threshold)
-        )
-        return
-    raise ValueError(f"unknown update op {op!r}")
-
-
 __all__ = [
     "DeleteSubtree",
     "InsertSubtree",
     "UpdateFormatError",
     "UpdateOp",
     "ValueChange",
-    "apply_update_tree",
     "insert_row",
     "parse_fragment",
-    "tree_preorder",
     "update_from_dict",
     "update_to_dict",
     "validate_update",

@@ -26,13 +26,11 @@ from repro.values.histogram import Histogram, HistogramBucket
 from repro.values.pst import PrunedSuffixTree
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.values.ebth import EndBiasedTermHistogram
-from repro.values.wavelet import HaarWavelet, haar_transform, inverse_haar
 from repro.values.summary import (
     HistogramSummary,
     StringSummary,
     TextSummary,
     ValueSummary,
-    WaveletSummary,
     build_summary,
     fuse_summaries,
 )
@@ -45,10 +43,6 @@ __all__ = [
     "TermCentroid",
     "Vocabulary",
     "EndBiasedTermHistogram",
-    "HaarWavelet",
-    "haar_transform",
-    "inverse_haar",
-    "WaveletSummary",
     "ValueSummary",
     "HistogramSummary",
     "StringSummary",

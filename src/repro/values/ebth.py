@@ -193,10 +193,6 @@ class EndBiasedTermHistogram:
     def exact_term_count(self) -> int:
         return len(self.exact)
 
-    @property
-    def nonzero_term_count(self) -> int:
-        return len(self.bitmap)
-
     def indexed_term_ids(self) -> List[int]:
         """Ids of exactly-indexed terms, lowest frequency first."""
         return [

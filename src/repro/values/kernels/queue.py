@@ -45,7 +45,7 @@ class SummaryStepper:
     """One node's compression chain: successive ``compress`` snapshots."""
 
     #: Timer family the builder attributes this stepper's work to.
-    family = "value_cmprs"
+    family: str
 
     def __init__(self, summary: ValueSummary) -> None:
         #: The summary the next ``advance`` continues from.
@@ -62,20 +62,6 @@ class SummaryStepper:
         structure need this; the default (independent snapshots) is a
         no-op.
         """
-
-
-class GenericStepper(SummaryStepper):
-    """Fallback driving ``ValueSummary.compress`` (wavelets, extensions)."""
-
-    def advance(self, amount: int) -> Optional[ValueSummary]:
-        current = self.expected
-        if not current.can_compress:
-            return None
-        compressed = current.compress(amount)
-        if compressed is None:
-            return None
-        self.expected = compressed
-        return compressed
 
 
 class KernelHistogramStepper(SummaryStepper):
@@ -190,4 +176,4 @@ def make_stepper(summary: ValueSummary) -> SummaryStepper:
         return KernelPSTStepper(summary)
     if isinstance(summary, TextSummary):
         return KernelEBTHStepper(summary)
-    return GenericStepper(summary)
+    raise TypeError(f"no compression stepper for {type(summary).__name__}")

@@ -38,7 +38,6 @@ from repro.values.kernels.ebth import fuse_ebth
 from repro.values.kernels.histogram import compress_histogram
 from repro.values.pst import PrunedSuffixTree
 from repro.values.termvector import TermCentroid, Vocabulary
-from repro.values.wavelet import HaarWavelet
 from repro.xmltree.types import ValueType
 
 
@@ -59,10 +58,6 @@ class SummaryConfig:
     """
 
     histogram_buckets: int = 64
-    #: NUMERIC summarization mechanism: "histogram" (default) or
-    #: "wavelet" (the paper's named alternative, §3).
-    numeric_summary: str = "histogram"
-    wavelet_coefficients: int = 64
     pst_max_depth: int = 5
     pst_max_nodes: int = 2048
     pst_nodes_per_string: int = 16
@@ -235,83 +230,6 @@ class HistogramSummary(ValueSummary):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HistogramSummary({self.histogram!r})"
-
-
-class WaveletSummary(ValueSummary):
-    """NUMERIC summary backed by a truncated Haar wavelet (extension).
-
-    Interchangeable with :class:`HistogramSummary` behind the uniform
-    interface, per the paper's remark that the framework extends to
-    other numeric summarization techniques.
-    """
-
-    value_type = ValueType.NUMERIC
-
-    def __init__(self, wavelet: HaarWavelet) -> None:
-        self.wavelet = wavelet
-
-    @classmethod
-    def from_values(
-        cls, values: Iterable[int], config: SummaryConfig
-    ) -> "WaveletSummary":
-        return cls(
-            HaarWavelet.from_values(values, config.wavelet_coefficients)
-        )
-
-    @property
-    def count(self) -> float:
-        return self.wavelet.total
-
-    def selectivity(self, predicate: Predicate) -> float:
-        if not isinstance(predicate, RangePredicate):
-            raise TypeError(f"NUMERIC summary cannot evaluate {predicate!r}")
-        return self.wavelet.selectivity(predicate.low, predicate.high)
-
-    def atomic_predicates(self, limit: int = 48) -> List[Predicate]:
-        domain_lo, domain_hi = self.wavelet.domain
-        width = max(1, (domain_hi - domain_lo + 1) // max(1, limit))
-        edges = list(range(domain_lo + width - 1, domain_hi + 1, width))[:limit]
-        if not edges:
-            edges = [domain_hi]
-        return [RangePredicate(domain_lo, edge) for edge in edges]
-
-    def fuse(self, other: "ValueSummary") -> "WaveletSummary":
-        if not isinstance(other, WaveletSummary):
-            raise TypeError("can only fuse wavelet with wavelet summaries")
-        return WaveletSummary(self.wavelet.fuse(other.wavelet))
-
-    @property
-    def can_compress(self) -> bool:
-        return self.wavelet.coefficient_count > 1
-
-    def compress(self, amount: int = 1) -> Optional["WaveletSummary"]:
-        if not self.can_compress:
-            return None
-        return WaveletSummary(self.wavelet.compress(amount))
-
-    def size_bytes(self) -> int:
-        """Storage footprint (see :mod:`repro.values.wavelet`)."""
-        return self.wavelet.size_bytes()
-
-    def invariant_issues(self, tolerance: float = 1e-6) -> List[str]:
-        return self.wavelet.invariant_issues(tolerance)
-
-    def sample_value(self, rng: random.Random) -> int:
-        vector = [max(0.0, mass) for mass in self.wavelet.reconstruct()]
-        total = sum(vector)
-        if total <= 0.0:
-            return self.wavelet.domain[0]
-        pick = rng.uniform(0.0, total)
-        acc = 0.0
-        for cell, mass in enumerate(vector):
-            acc += mass
-            if acc >= pick:
-                lo = self.wavelet.domain_lo + cell * self.wavelet.cell_width
-                return rng.randint(lo, lo + self.wavelet.cell_width - 1)
-        return self.wavelet.domain[1]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WaveletSummary({self.wavelet!r})"
 
 
 class StringSummary(ValueSummary):
@@ -589,11 +507,9 @@ def build_numeric_summary(
 ) -> ValueSummary:
     """The NUMERIC summary of values occurring ``counts[v]`` times each
     (``ordered``: ``sorted(counts)``, when the caller keeps it)."""
-    if config.numeric_summary == "wavelet":
-        return WaveletSummary(HaarWavelet.from_counts(counts, config.wavelet_coefficients))
-    if config.numeric_summary != "histogram":
-        raise ValueError(f"unknown numeric_summary {config.numeric_summary!r}")
-    return HistogramSummary(Histogram.from_counts(counts, config.histogram_buckets, ordered))
+    return HistogramSummary(
+        Histogram.from_counts(counts, config.histogram_buckets, ordered)
+    )
 
 
 def fuse_summaries(

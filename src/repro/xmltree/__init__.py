@@ -23,7 +23,6 @@ from repro.xmltree.serializer import serialize, serialized_size_bytes
 from repro.xmltree.stats import TreeStatistics, collect_statistics
 from repro.xmltree.events import iter_events
 from repro.xmltree.columnar import (
-    ColumnarCursor,
     ColumnarDocument,
     as_columnar,
     freeze,
@@ -46,7 +45,6 @@ __all__ = [
     "TreeStatistics",
     "collect_statistics",
     "iter_events",
-    "ColumnarCursor",
     "ColumnarDocument",
     "as_columnar",
     "freeze",

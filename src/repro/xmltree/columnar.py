@@ -29,8 +29,7 @@ Documents are built in one pass from the event stream of
 :mod:`repro.xmltree.events` (:func:`ingest_string` / :func:`ingest_file`
 — the streaming path never materializes the source or a node tree), or
 converted from/to the object model with :func:`freeze` and
-:func:`thaw`.  :class:`ColumnarCursor` offers object-like navigation
-over the columns for callers that need it.
+:func:`thaw`.
 
 Typing semantics are identical to the tree parser: attributes become
 ``@name`` children with raw STRING values, and element character data
@@ -358,10 +357,6 @@ class ColumnarDocument:
         """
         return self._cached("label_positions")
 
-    def cursor(self, index: int = 0) -> "ColumnarCursor":
-        """An object-like navigator positioned on element ``index``."""
-        return ColumnarCursor(self, index)
-
     # -- document-level helpers --------------------------------------------
 
     def value_paths(self) -> List[Tuple[str, ...]]:
@@ -409,60 +404,6 @@ class ColumnarDocument:
             f"<ColumnarDocument elements={len(self)} "
             f"labels={len(self.label_table)} paths={len(self.path_parent)}>"
         )
-
-
-class ColumnarCursor:
-    """Navigation over one :class:`ColumnarDocument` element."""
-
-    __slots__ = ("doc", "index")
-
-    def __init__(self, doc: ColumnarDocument, index: int) -> None:
-        self.doc = doc
-        self.index = index
-
-    @property
-    def label(self) -> str:
-        return self.doc.label(self.index)
-
-    @property
-    def value(self) -> ElementValue:
-        return self.doc.value(self.index)
-
-    @property
-    def value_type(self) -> ValueType:
-        return self.doc.value_type(self.index)
-
-    def label_path(self) -> Tuple[str, ...]:
-        """The root-to-element sequence of labels."""
-        return self.doc.label_path(self.index)
-
-    def parent(self) -> Optional["ColumnarCursor"]:
-        """A cursor on the parent element, or ``None`` at the root."""
-        parent = self.doc.parent_of(self.index)
-        return ColumnarCursor(self.doc, parent) if parent >= 0 else None
-
-    def children(self) -> Iterator["ColumnarCursor"]:
-        """Cursors on the child elements, in document order."""
-        doc = self.doc
-        for child in doc.children(self.index):
-            yield ColumnarCursor(doc, child)
-
-    def depth(self) -> int:
-        """Distance from the root (root has depth 0)."""
-        return self.doc.level[self.index]
-
-    def subtree_size(self) -> int:
-        """Number of elements in the subtree rooted here (inclusive)."""
-        return self.doc.subtree_end(self.index) - self.index
-
-    def iter(self) -> Iterator["ColumnarCursor"]:
-        """This element and all descendants, in preorder."""
-        doc = self.doc
-        for index in range(self.index, doc.subtree_end(self.index)):
-            yield ColumnarCursor(doc, index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ColumnarCursor #{self.index} {self.label!r}>"
 
 
 # -- construction ------------------------------------------------------------

@@ -38,8 +38,6 @@ from repro.collection import (
     shard_multipliers,
     verify_collection,
 )
-from repro.collection import build as collection_build
-from repro.collection.build import pool_context
 from repro.collection.export import export_edge_model
 from repro.collection.manifest import (
     MANIFEST_FILENAME,
@@ -99,46 +97,6 @@ def compressed_collection(tmp_path_factory):
         CollectionConfig(shard_count=4, total_budget=120_000, compress=True),
     )
     return root, manifest, report
-
-
-# ---------------------------------------------------------------------------
-# fan-out start-method ladder
-
-
-@pytest.fixture
-def force_methods(monkeypatch):
-    """Monkeypatch the fan-out's start-method preference list."""
-
-    def _force(*methods):
-        monkeypatch.setattr(collection_build, "START_METHODS", tuple(methods))
-
-    return _force
-
-
-class TestPoolContext:
-    """The distinct-structure fan-out prefers fork, then spawn, and runs
-    serially when neither start method is available."""
-
-    def test_returns_a_preferred_context(self):
-        context = pool_context()
-        assert context is not None
-        assert context.get_start_method() in collection_build.START_METHODS
-
-    def test_skips_unknown_methods(self, force_methods):
-        force_methods("definitely-not-a-start-method", "fork")
-        context = pool_context()
-        assert context is not None
-        assert context.get_start_method() == "fork"
-
-    def test_none_when_no_method_available(self, force_methods, tmp_path):
-        force_methods("definitely-not-a-start-method")
-        assert pool_context() is None
-        _, report = build_collection(
-            str(tmp_path),
-            DOCUMENTS[:6],
-            CollectionConfig(shard_count=2, compress=False, workers=2),
-        )
-        assert report.workers_effective == 1
 
 
 # ---------------------------------------------------------------------------

@@ -155,25 +155,6 @@ class TestFreezeThaw:
             thaw(ColumnarDocument())
 
 
-class TestCursor:
-    def test_cursor_walk_matches_tree(self):
-        tree = parse_string(MIXED)
-        doc = ingest_string(MIXED)
-        cursor = doc.cursor()
-        assert cursor.label == tree.root.label
-        assert [c.label for c in cursor.children()] == [
-            child.label for child in tree.root.children
-        ]
-        assert [c.label for c in cursor.iter()] == [
-            el.label for el in tree.root.iter()
-        ]
-        first_child = next(cursor.children())
-        assert first_child.parent().label == cursor.label
-        assert first_child.depth() == 1
-        assert cursor.parent() is None
-        assert cursor.subtree_size() == len(tree)
-
-
 class TestErrorParity:
     MALFORMED = [
         # The parser fuzz corpus: unterminated and malformed entities.

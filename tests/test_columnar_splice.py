@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.oracles import apply_update_tree
 from repro.core.reference import build_reference_synopsis
 from repro.core.serialization import synopsis_to_dict
 from repro.datasets import generate_imdb, generate_xmark
@@ -23,7 +24,6 @@ from repro.update import (
     InsertSubtree,
     ValueChange,
     apply_update,
-    apply_update_tree,
 )
 from repro.xmltree.columnar import ColumnarDocument, freeze, ingest_string
 from repro.xmltree.parser import parse_string

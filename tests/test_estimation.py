@@ -22,8 +22,10 @@ from repro.core.distance import node_selectivity
 from repro.core.estimation import (
     VIRTUAL_ROOT,
     CompiledEstimator,
+    SynopsisIndex,
     WorkloadEstimator,
     compile_query,
+    edge_key_of,
     estimate_many,
     estimate_selectivity,
     shared_index,
@@ -223,6 +225,23 @@ class TestCacheInvalidation:
         # estimate genuinely changes; a stale cache would return `before`.
         assert after != before
 
+    def test_public_reach_and_selectivity_see_mutations(self, bibliography):
+        from repro.core.reference import build_reference_synopsis
+        from repro.query.predicates import RangePredicate
+
+        synopsis = build_reference_synopsis(bibliography.tree, bibliography.value_paths)
+        estimator = CompiledEstimator(synopsis)
+        papers = edge_key_of(parse_twig("//paper").nodes()[1].edge)
+        assert estimator.reach(VIRTUAL_ROOT, papers) == {3: 1.0, 7: 1.0}
+        year = synopsis.nodes_by_label("year")[0]
+        recent = RangePredicate(2000, 2100)
+        sigma = estimator.selectivity(year, recent)
+        synopsis.merge_nodes(3, 7)
+        # Either public lookup notices the mutation and drops the tables.
+        assert estimator.selectivity(year, recent) == sigma
+        assert estimator.stats.index_invalidations == 1
+        assert estimator.reach(VIRTUAL_ROOT, papers) == {17: 2.0}
+
     def test_version_counter_bumps_on_mutation(self):
         synopsis, a1, a2 = self.make_synopsis()
         version = synopsis.version
@@ -331,8 +350,12 @@ class TestServing:
 
 
 class TestStats:
+    # Each estimator gets its own index: the session-wide shared index
+    # of the fixture may already hold every row these queries build.
     def test_counters_and_rates(self, bibliography_reference):
-        estimator = CompiledEstimator(bibliography_reference)
+        estimator = CompiledEstimator(
+            bibliography_reference, index=SynopsisIndex(bibliography_reference)
+        )
         query = parse_twig("//author[./name]/paper[./year >= 1990]/title")
         estimator.estimate(query)
         estimator.estimate(query)
@@ -350,7 +373,9 @@ class TestStats:
         assert stats.average_frontier_nodes > 0.0
 
     def test_selectivity_cache_counters(self, bibliography_reference):
-        estimator = CompiledEstimator(bibliography_reference)
+        estimator = CompiledEstimator(
+            bibliography_reference, index=SynopsisIndex(bibliography_reference)
+        )
         query = parse_twig("//paper/year[. <= 2000]")
         estimator.estimate(query)
         misses = estimator.stats.selectivity_cache_misses

@@ -72,6 +72,8 @@ NAMED = (
     "repro.query.evaluator",
     "repro.xmltree.stats",
     "repro.core.explain",
+    "repro.update.ops",
+    "repro.update.maintainer",
 )
 CORE = sorted(
     set(NAMED)

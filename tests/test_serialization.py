@@ -113,6 +113,17 @@ class TestValidation:
         with pytest.raises(SynopsisFormatError):
             synopsis_from_dict(data)
 
+    def test_retired_wavelet_kind_rejected(self, compressed):
+        # The wavelet NUMERIC family is gone; its payloads do not load.
+        data = synopsis_to_dict(compressed)
+        node = next(n for n in data["nodes"] if n["type"] == "numeric" and n["vsumm"])
+        node["vsumm"] = {
+            "kind": "wavelet", "domain_lo": 0, "cell_width": 1, "length": 1,
+            "coefficients": [[0, 1.0]], "total": 1.0,
+        }
+        with pytest.raises(SynopsisFormatError, match="unknown summary kind 'wavelet'"):
+            synopsis_from_dict(data)
+
 
 def _corrupt_first_summary(data):
     """Gut the first encoded summary's payload, keeping its kind."""

@@ -541,11 +541,8 @@ class TestMemoAcrossUpdates:
     )
     def test_update_invalidates_the_memo(self, op_dict, counter):
         from repro.core.reference import build_reference_synopsis
-        from repro.update import (
-            IncrementalMaintainer,
-            apply_update_tree,
-            update_from_dict,
-        )
+        from repro.check.oracles import apply_update_tree
+        from repro.update import IncrementalMaintainer, update_from_dict
         from repro.values.summary import SummaryConfig
         from repro.xmltree.columnar import freeze, ingest_string
         from repro.xmltree.parser import parse_string

@@ -40,7 +40,9 @@ from repro.core.snapshot import (
     _SEC_EBTH,
     _SEC_HIST,
     _SEC_META,
+    _SEC_NODES,
     _SEC_PST,
+    _SEC_RETIRED,
 )
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_twig
@@ -50,7 +52,6 @@ from repro.values.summary import (
     SummaryConfig,
     TextSummary,
     ValueType,
-    WaveletSummary,
 )
 
 
@@ -69,7 +70,7 @@ def compressed(request):
 @pytest.fixture(scope="module")
 def families():
     """A hand-built synopsis holding every value-summary family."""
-    config = SummaryConfig(histogram_buckets=8, wavelet_coefficients=8)
+    config = SummaryConfig(histogram_buckets=8)
     synopsis = XClusterSynopsis()
     root = synopsis.add_node("root", ValueType.NULL, 1)
     synopsis.root_id = root.node_id
@@ -78,12 +79,6 @@ def families():
         ValueType.NUMERIC,
         6,
         HistogramSummary.from_values([1987, 1990, 1990, 2001, 2010, 2024], config),
-    )
-    wave = synopsis.add_node(
-        "price",
-        ValueType.NUMERIC,
-        5,
-        WaveletSummary.from_values([3, 3, 7, 12, 40], config),
     )
     pst = synopsis.add_node(
         "title",
@@ -104,7 +99,7 @@ def families():
             config,
         ),
     )
-    for node in (hist, wave, pst, ebth):
+    for node in (hist, pst, ebth):
         synopsis.add_edge(root, node, 1.0)
     synopsis.validate()
     return synopsis
@@ -141,7 +136,6 @@ class TestRoundTrip:
         }
         assert kinds == {
             "HistogramSummary",
-            "WaveletSummary",
             "StringSummary",
             "TextSummary",
         }
@@ -307,8 +301,6 @@ class TestCorruption:
         # high by growing a node's label reference out of pool range.
         blob = snapshot_to_bytes(compressed)
         sections = _section_table(blob)
-        from repro.core.snapshot import _SEC_NODES
-
         nodes = sections[_SEC_NODES]
         mutated = bytearray(blob)
         struct.pack_into("<Q", mutated, nodes.offset, 2**60)
@@ -360,7 +352,7 @@ class TestSectionSizes:
         sections = snapshot_sections(blob)
         assert set(sections) == {
             "meta", "labels", "vocabulary", "nodes", "edges",
-            "histogram", "wavelet", "pst", "ebth",
+            "histogram", "retired", "pst", "ebth",
         }
         assert sum(sections.values()) < len(blob)
 
@@ -436,6 +428,22 @@ class TestCodec:
         with pytest.raises(SynopsisFormatError, match="left over"):
             _decode_pst_payload(_Reader(_Section(bytes(payload), 0, len(payload))))
 
+    def test_retired_summary_kind_rejected(self, families):
+        # Kind 7 named the wavelet family's payload section; no decoder
+        # reads it any more, so a node carrying it must not load.
+        blob = bytearray(snapshot_to_bytes(families))
+        nodes = _section_table(bytes(blob))[_SEC_NODES]
+        count = len(families)
+        kinds_at = nodes.offset + 3 * (1 + count)  # ids, labels, types
+        assert blob[nodes.offset] == blob[kinds_at] == 1  # one-byte columns
+        row = next(
+            row for row in range(count)
+            if blob[kinds_at + 1 + row] == _SEC_HIST
+        )
+        blob[kinds_at + 1 + row] = _SEC_RETIRED
+        with pytest.raises(SynopsisFormatError, match="unknown summary kind 7"):
+            synopsis_from_snapshot(bytes(blob))
+
     def test_node_count_disagreeing_with_node_table(self, families):
         blob = bytearray(snapshot_to_bytes(families))
         meta = _section_table(bytes(blob))[_SEC_META]
@@ -498,7 +506,7 @@ class TestCodec:
         assert out[0] != 0 and len(out) < 8 * 40
 
     def test_width_boundaries_round_trip(self):
-        config = SummaryConfig(histogram_buckets=8, wavelet_coefficients=8)
+        config = SummaryConfig(histogram_buckets=8)
         synopsis = XClusterSynopsis()
         root = synopsis.add_node("root", ValueType.NULL, 1)
         synopsis.root_id = root.node_id
@@ -515,7 +523,7 @@ class TestCodec:
                 "signal",
                 ValueType.NUMERIC,
                 65535,
-                WaveletSummary.from_values([-300, -3, 0, 7, 256, 256], config),
+                HistogramSummary.from_values([-300, -3, 0, 7, 256, 256], config),
             ),
             synopsis.add_node(
                 "clef",

@@ -21,6 +21,7 @@ import pytest
 
 from repro.check import InvariantAuditor, shrink_updates
 from repro.check.diffharness import DifferentialHarness, HarnessConfig
+from repro.check.oracles import apply_update_tree, tree_preorder
 from repro.core.estimation import WorkloadEstimator
 from repro.core.estimation.indexes import shared_index
 from repro.core.reference import build_reference_synopsis
@@ -34,9 +35,7 @@ from repro.update import (
     InsertSubtree,
     UpdateFormatError,
     ValueChange,
-    apply_update_tree,
     enforce_summary_budget,
-    tree_preorder,
     update_from_dict,
     update_to_dict,
     validate_update,

@@ -189,20 +189,6 @@ def test_stored_counts_track_random_streams(ops, budget):
         _assert_rebuilt(maintainer, budget)
 
 
-@given(ops=OPS)
-@settings(max_examples=20, deadline=None)
-def test_wavelet_summaries_track_random_streams(ops):
-    doc = ingest_string(RECORDS, text_word_threshold=THRESHOLD)
-    config = SummaryConfig(numeric_summary="wavelet")
-    maintainer = IncrementalMaintainer(doc, None, config, text_word_threshold=THRESHOLD)
-    for drawn in ops:
-        maintainer.apply(_op(maintainer.doc, *drawn))
-        rebuilt = build_reference_synopsis(
-            maintainer.doc, None, SummaryConfig(numeric_summary="wavelet")
-        )
-        assert synopsis_to_dict(maintainer.synopsis) == synopsis_to_dict(rebuilt)
-
-
 # -- localized updates read no other member ---------------------------------------
 
 

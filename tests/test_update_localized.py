@@ -10,6 +10,7 @@ Each test pins the result to what a rebuild or a fresh freeze gives.
 
 import pytest
 
+from repro.check.oracles import apply_update_tree
 from repro.core.reference import build_reference_synopsis
 from repro.core.serialization import synopsis_to_dict
 from repro.update import (
@@ -18,7 +19,6 @@ from repro.update import (
     InsertSubtree,
     ValueChange,
     apply_update,
-    apply_update_tree,
 )
 from repro.values.pst import PrunedSuffixTree
 from repro.xmltree.columnar import freeze, ingest_string

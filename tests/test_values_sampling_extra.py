@@ -9,7 +9,6 @@ from repro.values.summary import (
     StringSummary,
     SummaryConfig,
     TextSummary,
-    WaveletSummary,
     build_summary,
 )
 from repro.xmltree.types import ValueType
@@ -30,17 +29,6 @@ class TestHistogramSampling:
         draws = [summary.sample_value(rng) for _ in range(400)]
         low_share = sum(1 for v in draws if v == 1) / len(draws)
         assert 0.6 < low_share < 0.9
-
-
-class TestWaveletSampling:
-    def test_samples_within_domain(self):
-        config = SummaryConfig(numeric_summary="wavelet")
-        summary = build_summary(ValueType.NUMERIC, [3, 7, 7, 42], config)
-        assert isinstance(summary, WaveletSummary)
-        rng = random.Random(1)
-        lo, hi = summary.wavelet.domain
-        for _ in range(100):
-            assert lo <= summary.sample_value(rng) <= hi
 
 
 class TestStringSampling:
