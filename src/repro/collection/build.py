@@ -121,7 +121,6 @@ class _Distinct:
     """One distinct document structure during a build."""
 
     content_hash: str
-    xml: str
     elements: int
     #: shard id -> multiplicity.
     shards: Dict[int, int] = field(default_factory=dict)
@@ -168,24 +167,19 @@ def _waterfill_floors(
 
 
 def _build_payload_bytes(
-    xml: str,
-    budget: Tuple[int, int],
-    compress: bool,
-    text_word_threshold: int,
-) -> Tuple[bytes, bytes]:
-    """The reference snapshot and the ``(B_str, B_val)`` payload of one
-    distinct structure (the payload is the reference when ``compress``
+    ref_bytes: bytes, budget: Tuple[int, int], compress: bool
+) -> bytes:
+    """The ``(B_str, B_val)`` payload of one distinct structure, built
+    from its reference snapshot (the reference itself when ``compress``
     is off)."""
-    doc = ingest_string(xml, text_word_threshold=text_word_threshold)
-    reference = build_reference_synopsis(doc, doc.value_paths())
-    ref_bytes = snapshot_to_bytes(reference)
     if not compress:
-        return ref_bytes, ref_bytes
+        return ref_bytes
+    reference = synopsis_from_snapshot(ref_bytes, verify=False, lazy=False)
     b_str, b_val = budget
     XClusterBuilder(
         BuildConfig(structural_budget=b_str, value_budget=b_val)
     ).compress(reference)
-    return ref_bytes, snapshot_to_bytes(reference)
+    return snapshot_to_bytes(reference)
 
 
 def _ensure_layout(root: str) -> None:
@@ -220,6 +214,7 @@ def build_collection(
 
     # -- route and dedup ----------------------------------------------------
     distinct: Dict[str, _Distinct] = {}
+    ref_bytes: Dict[str, bytes] = {}
     assignments: Dict[int, List[Tuple[str, str]]] = {}
     seen_ids: set = set()
     for doc_id, xml in documents:
@@ -230,25 +225,22 @@ def build_collection(
         shard_id = shard_for_doc(doc_id, config.shard_count)
         entry = distinct.get(content_hash)
         if entry is None:
-            entry = distinct[content_hash] = _Distinct(
-                content_hash, xml, elements=0
+            # Each distinct structure is ingested once: its element
+            # count sets the budgets, and its reference snapshot (written
+            # out below) is what its payload is compressed from.
+            doc = ingest_string(
+                xml, text_word_threshold=config.text_word_threshold
             )
+            ref_bytes[content_hash] = snapshot_to_bytes(
+                build_reference_synopsis(doc, doc.value_paths())
+            )
+            entry = distinct[content_hash] = _Distinct(content_hash, len(doc))
         entry.shards[shard_id] = entry.shards.get(shard_id, 0) + 1
         assignments.setdefault(shard_id, []).append((doc_id, content_hash))
     if not seen_ids:
         raise ValueError("cannot build a collection from zero documents")
     report.documents = len(seen_ids)
     report.distinct_structures = len(distinct)
-
-    # Element counts come from a cheap pre-pass ingest of each distinct
-    # structure (the payload build re-ingests it; the strings are small
-    # next to the build itself).
-    for entry in distinct.values():
-        entry.elements = len(
-            ingest_string(
-                entry.xml, text_word_threshold=config.text_word_threshold
-            )
-        )
 
     # -- uniform budgets ----------------------------------------------------
     # One global byte rate per element of *distinct* structure stored:
@@ -269,15 +261,11 @@ def build_collection(
         )
 
     # -- build each distinct structure once ---------------------------------
-    ref_bytes: Dict[str, bytes] = {}
     payload_bytes: Dict[Tuple[str, int, int], bytes] = {}
-    for content_hash, entry in sorted(distinct.items()):
+    for content_hash in sorted(distinct):
         b_str, b_val = budgets[content_hash]
-        (
-            ref_bytes[content_hash],
-            payload_bytes[(content_hash, b_str, b_val)],
-        ) = _build_payload_bytes(
-            entry.xml, (b_str, b_val), config.compress, config.text_word_threshold
+        payload_bytes[(content_hash, b_str, b_val)] = _build_payload_bytes(
+            ref_bytes[content_hash], (b_str, b_val), config.compress
         )
     report.payload_builds = len(distinct)
     report.payloads_reused = report.documents - report.distinct_structures
@@ -462,7 +450,7 @@ def rebalance_collection(
             record = distinct.get(info.content_hash)
             if record is None:
                 record = distinct[info.content_hash] = _Distinct(
-                    info.content_hash, "", info.elements
+                    info.content_hash, info.elements
                 )
             record.shards[entry.shard_id] = info.multiplicity
             old_payloads[

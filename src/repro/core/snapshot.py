@@ -8,8 +8,13 @@ little-endian sections laid out so a file can be opened with ``mmap``
 and decoded **lazily per section** —
 
 * the header carries magic bytes (format auto-detection; the last byte
-  is the format version) and a section table of ``(id, length)``
-  entries, bounds-checked up front so truncation is caught at open time;
+  is the format version) and a section table of ``(id, stored length,
+  raw length)`` entries, bounds-checked up front so truncation is
+  caught at open time;
+* a section is stored deflated (stdlib ``zlib``) when that is smaller
+  and raw otherwise; a deflated section is inflated once, on first use,
+  into exactly its declared raw length, and a declared length beyond
+  deflate's 1032:1 ceiling is refused before inflating;
 * every section and every summary payload stores each field as one
   *column*: a width byte (1, 2, 4 or 8), then the values at that width,
   the narrowest that holds the column's extremes, signed only where the
@@ -19,30 +24,33 @@ and decoded **lazily per section** —
   serve anything) in the same canonical order the JSON decoder uses, so
   a snapshot-loaded synopsis replays every float accumulation
   bit-for-bit;
-* the label and vocabulary pools are one UTF-8 blob plus an end-offset
-  column each;
+* the label and vocabulary pools are front-coded (see
+  :func:`_put_strings`);
 * per-family value-summary payloads (histogram buckets, PST node
   columns, EBTH terms and runs) live in family
   sections and are **deferred**: each node parks a decode thunk
   (:meth:`~repro.core.synopsis.SynopsisNode.defer_summary`) pointing at
   its payload, and only summaries a workload actually touches are ever
   decoded.  A payload runs to the next payload of its section, so a
-  column count that disagrees with the payload's bytes is caught.
+  column count that disagrees with the payload's bytes is caught.  The
+  vocabulary and the family sections are inflated only when the first
+  summary that needs them is decoded.
 
 Round-tripping is bit-exact: ``synopsis_to_dict(load(save(s)))``
 equals ``synopsis_to_dict(s)`` for every summary family.  Malformed
 input — bad magic, another format version, truncated sections, corrupt
-columns — raises :class:`~repro.core.serialization.SynopsisFormatError`,
-whether the corruption surfaces at open time or at first lazy access.
+deflate streams, corrupt columns — raises
+:class:`~repro.core.serialization.SynopsisFormatError`, whether the
+corruption surfaces at open time or at first lazy access.
 """
 
 from __future__ import annotations
 
 import mmap
 import sys
+import zlib
 from array import array
 from collections import Counter
-from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.serialization import SynopsisFormatError, _find_vocabulary
@@ -61,7 +69,13 @@ from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
 #: Leading bytes of every snapshot; the final byte is the format version.
-SNAPSHOT_MAGIC = b"XCSNAP\x00\x02"
+SNAPSHOT_MAGIC = b"XCSNAP\x00\x03"
+
+#: Deflate's best case: a 258-byte match costs at least 2 bits (a 1-bit
+#: length code and a 1-bit distance code), so a byte in gives at most
+#: 1032 out.  A section claiming more is corrupt, and refusing it bounds
+#: what inflating one may allocate.
+_MAX_INFLATE_RATIO = 1032
 
 # Section ids, in file order.  A summary's kind code is the id of the
 # section holding its payload (0 = no summary).
@@ -156,10 +170,26 @@ def _put_doubles(out: bytearray, values: Sequence[float]) -> None:
 
 
 def _put_strings(out: bytearray, strings: Sequence[str]) -> None:
-    encoded = [text.encode("utf-8") for text in strings]
-    _put_ints(out, [len(encoded)])
-    _put_ints(out, list(accumulate(map(len, encoded))))
-    out += b"".join(encoded)
+    """Append a front-coded string pool: the count, then per string the
+    length of the UTF-8 prefix it shares with its predecessor and the
+    length of the rest, then the rests as one blob.  Prefixes are shared
+    over bytes, so one may end inside a code point."""
+    shared: List[int] = []
+    rests: List[bytes] = []
+    previous = b""
+    for text in strings:
+        term = text.encode("utf-8")
+        limit = min(len(previous), len(term))
+        size = 0
+        while size < limit and previous[size] == term[size]:
+            size += 1
+        shared.append(size)
+        rests.append(term[size:])
+        previous = term
+    _put_ints(out, [len(rests)])
+    _put_ints(out, shared)
+    _put_ints(out, list(map(len, rests)))
+    out += b"".join(rests)
 
 
 def _encode_histogram(summary: HistogramSummary, out: bytearray) -> None:
@@ -265,12 +295,24 @@ def snapshot_to_bytes(synopsis: XClusterSynopsis) -> bytes:
         sections[_SEC_VOCAB], list(vocabulary) if vocabulary is not None else []
     )
 
+    return _pack_sections(sections)
+
+
+def _pack_sections(sections: Dict[int, bytes]) -> bytes:
+    """The snapshot file of ``sections`` (id -> raw bytes, in file
+    order): the magic, the section table, then each section stored
+    deflated when that is smaller and raw otherwise."""
+    stored: Dict[int, bytes] = {}
+    for section_id, payload in sections.items():
+        packed = zlib.compress(payload)
+        stored[section_id] = packed if len(packed) < len(payload) else payload
     out = bytearray(SNAPSHOT_MAGIC)
-    _put_ints(out, [len(sections)])
-    _put_ints(out, list(sections))
-    _put_ints(out, [len(payload) for payload in sections.values()])
-    for payload in sections.values():
-        out += payload
+    _put_ints(out, [len(stored)])
+    _put_ints(out, list(stored))
+    _put_ints(out, list(map(len, stored.values())))
+    _put_ints(out, list(map(len, sections.values())))
+    for data in stored.values():
+        out += data
     return bytes(out)
 
 
@@ -285,18 +327,46 @@ def save_snapshot(synopsis: XClusterSynopsis, path: str) -> None:
 
 
 class _Section:
-    """One mapped section: a window into the snapshot buffer."""
+    """One section: ``stored`` bytes at ``offset`` in the snapshot
+    buffer holding ``length`` raw bytes, deflated when ``stored <
+    length`` and then inflated on first use."""
 
-    __slots__ = ("buffer", "offset", "length")
+    __slots__ = ("buffer", "offset", "length", "stored", "_window")
 
-    def __init__(self, buffer, offset: int, length: int) -> None:
+    def __init__(
+        self, buffer, offset: int, length: int, stored: Optional[int] = None
+    ) -> None:
         self.buffer = buffer
         self.offset = offset
         self.length = length
+        self.stored = length if stored is None else stored
+        # One attribute, set once, so concurrent first uses never see a
+        # half-updated window.
+        self._window = (buffer, offset) if self.stored == length else None
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
+    def window(self) -> Tuple[object, int]:
+        """The buffer holding the section's raw bytes, and their offset.
+
+        Inflation never produces more than the declared raw length, and
+        must produce exactly that.
+        """
+        window = self._window
+        if window is None:
+            inflater = zlib.decompressobj()
+            packed = self.buffer[self.offset:self.offset + self.stored]
+            try:
+                data = inflater.decompress(packed, self.length)
+            except zlib.error as err:
+                raise SynopsisFormatError(
+                    f"corrupt deflated section: {err}"
+                ) from err
+            if len(data) != self.length or not inflater.eof or inflater.unused_data:
+                raise SynopsisFormatError(
+                    f"a deflated section does not inflate to its declared "
+                    f"{self.length} bytes"
+                )
+            window = self._window = (data, 0)
+        return window
 
 
 class _Reader:
@@ -306,9 +376,9 @@ class _Reader:
     __slots__ = ("buffer", "at", "end")
 
     def __init__(self, section: _Section, start: int = 0, end: Optional[int] = None):
-        self.buffer = section.buffer
-        self.at = section.offset + start
-        self.end = section.end if end is None else section.offset + end
+        self.buffer, offset = section.window()
+        self.at = offset + start
+        self.end = offset + (section.length if end is None else end)
 
     def take(self, size: int) -> bytes:
         start = self.at
@@ -353,17 +423,23 @@ class _Reader:
 def _read_strings(section: _Section) -> List[str]:
     reader = _Reader(section)
     (count,) = reader.ints(1)
-    ends = reader.ints(count)
-    blob = reader.take(ends[-1] if count else 0)
+    shared = reader.ints(count)
+    rests = reader.ints(count)
+    blob = reader.take(sum(rests))
     reader.done()
     strings: List[str] = []
+    term = b""
     start = 0
     try:
-        for end in ends:
-            if end < start:
-                raise SynopsisFormatError("string pool end offsets decrease")
-            strings.append(str(blob[start:end], "utf-8"))
-            start = end
+        for size, rest in zip(shared, rests):
+            if size > len(term):
+                raise SynopsisFormatError(
+                    f"string pool prefix of {size} bytes outruns its "
+                    f"{len(term)}-byte predecessor"
+                )
+            term = term[:size] + blob[start:start + rest]
+            start += rest
+            strings.append(str(term, "utf-8"))
     except UnicodeDecodeError as err:
         raise SynopsisFormatError(f"corrupt string pool: {err}") from err
     return strings
@@ -603,19 +679,26 @@ def _section_table(buffer) -> Dict[int, _Section]:
     header = _Reader(_Section(buffer, 0, size), stem + 1)
     (count,) = header.ints(1)
     ids = header.ints(count)
+    stored_lengths = header.ints(count)
     lengths = header.ints(count)
     sections: Dict[int, _Section] = {}
     offset = header.at
-    for section_id, length in zip(ids, lengths):
-        if offset + length > size:
+    for section_id, stored, length in zip(ids, stored_lengths, lengths):
+        if offset + stored > size:
             raise SynopsisFormatError(
-                f"section {section_id} [{offset}, {offset + length}) lies "
+                f"section {section_id} [{offset}, {offset + stored}) lies "
                 f"outside the {size}-byte snapshot"
+            )
+        if stored > length or length > _MAX_INFLATE_RATIO * stored:
+            raise SynopsisFormatError(
+                f"section {section_id} cannot inflate {stored} stored bytes "
+                f"to {length} (deflate's ceiling is "
+                f"{_MAX_INFLATE_RATIO}:1)"
             )
         if section_id in sections:
             raise SynopsisFormatError(f"duplicate section id {section_id}")
-        sections[section_id] = _Section(buffer, offset, length)
-        offset += length
+        sections[section_id] = _Section(buffer, offset, length, stored)
+        offset += stored
     if offset != size:
         raise SynopsisFormatError(f"{size - offset} stray bytes after the sections")
     missing = [sid for sid in _SECTION_NAMES if sid not in sections]
@@ -625,10 +708,10 @@ def _section_table(buffer) -> Dict[int, _Section]:
 
 
 def snapshot_sections(buffer) -> Dict[str, int]:
-    """Bytes per named section of a snapshot buffer (``"pst"``,
-    ``"ebth"``, ``"vocabulary"``, ...), for size reports."""
+    """Stored (shipped) bytes per named section of a snapshot buffer
+    (``"pst"``, ``"ebth"``, ``"vocabulary"``, ...), for size reports."""
     return {
-        _SECTION_NAMES[sid]: section.length
+        _SECTION_NAMES[sid]: section.stored
         for sid, section in _section_table(buffer).items()
         if sid in _SECTION_NAMES
     }

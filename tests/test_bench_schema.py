@@ -261,6 +261,7 @@ class TestCheckedInReports:
             # report says where they go.
             assert point["snapshot_bytes"] < point["json_bytes"]
             assert point["model_bytes"] > 0
+            assert point["snapshot_bytes"] <= 0.5 * point["model_bytes"]
             sections = point["snapshot_sections"]
             assert point["vocabulary_bytes"] == sections["vocabulary"]
             assert sum(sections.values()) < point["snapshot_bytes"]

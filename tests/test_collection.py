@@ -43,9 +43,12 @@ from repro.collection.manifest import (
     MANIFEST_FILENAME,
     manifest_from_dict,
     save_manifest,
+    sha256_hex,
 )
+from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.estimation import CompiledEstimator
 from repro.core.reference import build_reference_synopsis
+from repro.core.snapshot import snapshot_to_bytes
 from repro.query.interval import IntervalEvaluator
 from repro.query.xpath import parse_twig
 from repro.xmltree.columnar import from_events, ingest_string
@@ -135,6 +138,31 @@ class TestBuild:
         assert report.payload_builds == len(TEMPLATES)
         assert report.payloads_reused == len(DOCUMENTS) - len(TEMPLATES)
         assert manifest.documents == len(DOCUMENTS)
+
+    def test_payloads_equal_a_fresh_ingest_build(self, compressed_collection):
+        # The build ingests each structure once and compresses its
+        # payload from the decoded reference snapshot; compressing a
+        # fresh ingest of the same XML gives equal bytes.
+        root, manifest, _ = compressed_collection
+        xml_of = {sha256_hex(xml.encode("utf-8")): xml for xml in TEMPLATES}
+        checked = 0
+        for entry in manifest.shards:
+            reader = ShardReader.open(os.path.join(root, entry.path), entry.shard_id)
+            for index, info in enumerate(reader.payloads):
+                doc = ingest_string(xml_of[info.content_hash], text_word_threshold=2)
+                reference = build_reference_synopsis(doc, doc.value_paths())
+                ref_path = os.path.join(root, manifest.refs[info.content_hash])
+                with open(ref_path, "rb") as handle:
+                    assert handle.read() == snapshot_to_bytes(reference)
+                XClusterBuilder(
+                    BuildConfig(
+                        structural_budget=info.structural_budget,
+                        value_budget=info.value_budget,
+                    )
+                ).compress(reference)
+                assert reader.payload_bytes(index) == snapshot_to_bytes(reference)
+                checked += 1
+        assert checked >= len(TEMPLATES)
 
     def test_manifest_records_refs_per_structure(self, exact_collection):
         root, manifest, _ = exact_collection

@@ -12,6 +12,8 @@ must round-trip, and corrupt or truncated inputs must surface as
 import copy
 import pickle
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core import (
 from repro.core.builder import BuildConfig
 from repro.core.estimation import CompiledEstimator
 from repro.core.serialization import SynopsisFormatError
+from repro.core.serialization import _find_vocabulary
 from repro.core.snapshot import (
     SNAPSHOT_MAGIC,
     is_snapshot,
@@ -32,8 +35,11 @@ from repro.core.snapshot import (
     snapshot_to_bytes,
     snapshot_sections,
     synopsis_from_snapshot,
+    _pack_sections,
     _put_doubles,
     _put_ints,
+    _put_strings,
+    _read_strings,
     _Reader,
     _Section,
     _section_table,
@@ -43,6 +49,7 @@ from repro.core.snapshot import (
     _SEC_NODES,
     _SEC_PST,
     _SEC_RETIRED,
+    _SEC_VOCAB,
 )
 from repro.core.synopsis import XClusterSynopsis
 from repro.query import parse_twig
@@ -213,13 +220,22 @@ class TestLazyDecoding:
         assert not any(node.summary_deferred for node in restored)
 
 
+def _repack(blob: bytes, section_id: int, edit) -> bytes:
+    """``blob`` re-packed by the encoder's section writer after
+    ``edit`` has changed one section's raw (inflated) bytes in place."""
+    raw = {
+        sid: bytearray(_Reader(section).take(section.length))
+        for sid, section in _section_table(blob).items()
+    }
+    edit(raw[section_id])
+    return _pack_sections(raw)
+
+
 def _corrupt_hist_section(blob: bytes) -> bytes:
     """Overwrite a histogram payload's bucket count with nonsense."""
-    sections = _section_table(blob)
-    hist = sections[_SEC_HIST]
-    mutated = bytearray(blob)
-    struct.pack_into("<Q", mutated, hist.offset, 2**60)
-    return bytes(mutated)
+    return _repack(
+        blob, _SEC_HIST, lambda hist: struct.pack_into("<Q", hist, 0, 2**60)
+    )
 
 
 class TestCorruption:
@@ -297,15 +313,14 @@ class TestCorruption:
         assert any(v.invariant == "summary-decode" for v in violations)
 
     def test_oversized_node_count_rejected(self, compressed):
-        # Unpack the section table, point the NODES entry count sky
-        # high by growing a node's label reference out of pool range.
-        blob = snapshot_to_bytes(compressed)
-        sections = _section_table(blob)
-        nodes = sections[_SEC_NODES]
-        mutated = bytearray(blob)
-        struct.pack_into("<Q", mutated, nodes.offset, 2**60)
+        # Point the first NODES column's width and values sky high.
+        blob = _repack(
+            snapshot_to_bytes(compressed),
+            _SEC_NODES,
+            lambda nodes: struct.pack_into("<Q", nodes, 0, 2**60),
+        )
         with pytest.raises(SynopsisFormatError):
-            synopsis_from_snapshot(bytes(mutated))
+            synopsis_from_snapshot(blob)
 
     def test_unencodable_synopsis_rejected_at_save(self, families):
         # A count beyond i64 cannot be represented; the encoder must
@@ -342,10 +357,22 @@ class TestSectionSizes:
 
     def test_value_sections_within_model_bytes(self, served):
         sections = snapshot_sections(snapshot_to_bytes(served))
-        for name, family in (("pst", StringSummary), ("ebth", TextSummary)):
+        for name, family in (
+            ("pst", StringSummary),
+            ("ebth", TextSummary),
+            ("histogram", HistogramSummary),
+        ):
             model = _family_model_bytes(served, family)
             assert model > 0, name
             assert sections[name] <= 1.1 * model, (name, sections[name], model)
+
+    def test_vocabulary_ships_under_its_format_two_bytes(self, served):
+        # Format 2 stored the pool as its UTF-8 blob plus a 2-byte end
+        # offset per term.
+        terms = list(_find_vocabulary(served))
+        format_two = sum(len(term.encode("utf-8")) + 2 for term in terms)
+        shipped = snapshot_sections(snapshot_to_bytes(served))["vocabulary"]
+        assert shipped <= 0.7 * format_two, (shipped, format_two)
 
     def test_section_report_covers_the_file(self, families):
         blob = snapshot_to_bytes(families)
@@ -355,11 +382,6 @@ class TestSectionSizes:
             "histogram", "retired", "pst", "ebth",
         }
         assert sum(sections.values()) < len(blob)
-
-
-def _first_payload(blob: bytes, section_id: int) -> int:
-    """Absolute offset of the first payload (lowest node id) in a section."""
-    return _section_table(blob)[section_id].offset
 
 
 def _first_deferred(restored, original, family):
@@ -383,13 +405,22 @@ class TestCodec:
         with pytest.raises(SynopsisFormatError, match="version 1"):
             load_synopsis(str(path))
 
+    def test_version_two_rejected_by_name(self, families):
+        blob = bytearray(snapshot_to_bytes(families))
+        blob[len(SNAPSHOT_MAGIC) - 1] = 2
+        with pytest.raises(SynopsisFormatError, match="version 2"):
+            synopsis_from_snapshot(bytes(blob))
+
     @pytest.mark.parametrize("section_id", [_SEC_PST, _SEC_EBTH, _SEC_HIST])
     def test_corrupt_width_code(self, families, section_id):
-        blob = bytearray(snapshot_to_bytes(families))
-        blob[_first_payload(bytes(blob), section_id)] = 3
+        # The first payload (lowest node id) starts its section.
+        def corrupt(section):
+            section[0] = 3
+
+        blob = _repack(snapshot_to_bytes(families), section_id, corrupt)
         with pytest.raises(SynopsisFormatError, match="width code 3"):
-            synopsis_from_snapshot(bytes(blob), lazy=False)
-        restored = synopsis_from_snapshot(bytes(blob))
+            synopsis_from_snapshot(blob, lazy=False)
+        restored = synopsis_from_snapshot(blob)
         family = {_SEC_PST: StringSummary, _SEC_EBTH: TextSummary,
                   _SEC_HIST: HistogramSummary}[section_id]
         node = _first_deferred(restored, families, family)
@@ -401,15 +432,14 @@ class TestCodec:
     def test_column_count_disagreeing_with_payload(self, families, section_id, delta):
         # The first header value of every payload here is a column
         # count (PST's is max_depth, so use its node count, the third).
-        blob = bytearray(snapshot_to_bytes(families))
-        at = _first_payload(bytes(blob), section_id)
-        width = blob[at]
-        assert width == 1
-        index = at + 1 + (2 if section_id == _SEC_PST else 0)
-        blob[index] += delta
+        def miscount(section):
+            assert section[0] == 1  # a one-byte header column
+            section[1 + (2 if section_id == _SEC_PST else 0)] += delta
+
+        blob = _repack(snapshot_to_bytes(families), section_id, miscount)
         with pytest.raises(SynopsisFormatError):
-            synopsis_from_snapshot(bytes(blob), lazy=False)
-        restored = synopsis_from_snapshot(bytes(blob))
+            synopsis_from_snapshot(blob, lazy=False)
+        restored = synopsis_from_snapshot(blob)
         family = {_SEC_PST: StringSummary, _SEC_EBTH: TextSummary,
                   _SEC_HIST: HistogramSummary}[section_id]
         node = _first_deferred(restored, families, family)
@@ -431,26 +461,29 @@ class TestCodec:
     def test_retired_summary_kind_rejected(self, families):
         # Kind 7 named the wavelet family's payload section; no decoder
         # reads it any more, so a node carrying it must not load.
-        blob = bytearray(snapshot_to_bytes(families))
-        nodes = _section_table(bytes(blob))[_SEC_NODES]
         count = len(families)
-        kinds_at = nodes.offset + 3 * (1 + count)  # ids, labels, types
-        assert blob[nodes.offset] == blob[kinds_at] == 1  # one-byte columns
-        row = next(
-            row for row in range(count)
-            if blob[kinds_at + 1 + row] == _SEC_HIST
-        )
-        blob[kinds_at + 1 + row] = _SEC_RETIRED
+        kinds_at = 3 * (1 + count)  # ids, labels, types
+
+        def retire(nodes):
+            assert nodes[0] == nodes[kinds_at] == 1  # one-byte columns
+            row = next(
+                row for row in range(count)
+                if nodes[kinds_at + 1 + row] == _SEC_HIST
+            )
+            nodes[kinds_at + 1 + row] = _SEC_RETIRED
+
+        blob = _repack(snapshot_to_bytes(families), _SEC_NODES, retire)
         with pytest.raises(SynopsisFormatError, match="unknown summary kind 7"):
-            synopsis_from_snapshot(bytes(blob))
+            synopsis_from_snapshot(blob)
 
     def test_node_count_disagreeing_with_node_table(self, families):
-        blob = bytearray(snapshot_to_bytes(families))
-        meta = _section_table(bytes(blob))[_SEC_META]
-        assert blob[meta.offset] == 1  # one-byte signed meta column
-        blob[meta.offset + 2] += 1  # node count: root id, then this
+        def miscount(meta):
+            assert meta[0] == 1  # one-byte signed meta column
+            meta[2] += 1  # node count: root id, then this
+
+        blob = _repack(snapshot_to_bytes(families), _SEC_META, miscount)
         with pytest.raises(SynopsisFormatError):
-            synopsis_from_snapshot(bytes(blob))
+            synopsis_from_snapshot(blob)
 
     @pytest.mark.parametrize(
         "values,signed,width",
@@ -559,3 +592,192 @@ class TestCodec:
         synopsis.add_edge(root, text, 1.0)
         restored = synopsis_from_snapshot(snapshot_to_bytes(synopsis), lazy=False)
         assert synopsis_to_dict(restored) == synopsis_to_dict(synopsis)
+
+
+# -- format 3: deflated sections and front-coded pools -------------------------
+
+
+def _stored_bytes(blob: bytes) -> dict:
+    return {
+        sid: blob[section.offset:section.offset + section.stored]
+        for sid, section in _section_table(blob).items()
+    }
+
+
+def _restamp(blob: bytes, section_id: int, data=None, length=None) -> bytes:
+    """``blob`` with one section's stored bytes or declared raw length
+    replaced, every other section kept as stored."""
+    table = _section_table(blob)
+    stored = _stored_bytes(blob)
+    if data is not None:
+        stored[section_id] = data
+    out = bytearray(SNAPSHOT_MAGIC)
+    _put_ints(out, [len(table)])
+    _put_ints(out, list(table))
+    _put_ints(out, [len(chunk) for chunk in stored.values()])
+    _put_ints(out, [
+        length if sid == section_id and length is not None else section.length
+        for sid, section in table.items()
+    ])
+    for chunk in stored.values():
+        out += chunk
+    return bytes(out)
+
+
+def _peak_bytes(action):
+    """The peak traced allocation while ``action`` raises a format
+    error, and that error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SynopsisFormatError) as caught:
+            action()
+        return tracemalloc.get_traced_memory()[1], caught.value
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeflatedSections:
+    @pytest.fixture(scope="class")
+    def blob(self, compressed):
+        blob = snapshot_to_bytes(compressed)
+        pst = _section_table(blob)[_SEC_PST]
+        assert pst.stored < pst.length  # the PST section ships deflated
+        return blob
+
+    def test_small_sections_ship_raw(self, blob):
+        meta = _section_table(blob)[_SEC_META]
+        assert meta.stored == meta.length
+
+    def test_corrupt_deflate_stream(self, compressed, blob):
+        pst = _section_table(blob)[_SEC_PST]
+        mutated = bytearray(blob)
+        mutated[pst.offset + pst.stored // 2] ^= 0xFF
+        with pytest.raises(SynopsisFormatError):
+            synopsis_from_snapshot(bytes(mutated), lazy=False)
+        # The PST section is inflated on first use, not at open.
+        restored = synopsis_from_snapshot(bytes(mutated))
+        node = _first_deferred(restored, compressed, StringSummary)
+        for _ in range(2):
+            with pytest.raises(SynopsisFormatError):
+                node.vsumm
+
+    def test_truncated_deflate_stream(self, blob):
+        stream = _stored_bytes(blob)[_SEC_PST]
+        cut = _restamp(blob, _SEC_PST, data=stream[:-8])
+        with pytest.raises(SynopsisFormatError):
+            synopsis_from_snapshot(cut, lazy=False)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_raw_length_that_lies(self, compressed, blob, delta):
+        pst = _section_table(blob)[_SEC_PST]
+        lying = _restamp(blob, _SEC_PST, length=pst.length + delta)
+        restored = synopsis_from_snapshot(lying)
+        node = _first_deferred(restored, compressed, StringSummary)
+        peak, error = _peak_bytes(lambda: node.vsumm)
+        assert "declared" in str(error)
+        assert peak < 2 * pst.length + (1 << 20)
+
+    def test_stream_longer_than_declared_inflates_no_further(self, compressed, blob):
+        # A stream of 900x the PST section's raw length, declared at it.
+        pst = _section_table(blob)[_SEC_PST]
+        bomb = zlib.compress(bytes(900 * pst.length))
+        assert len(bomb) < pst.length and 900 * pst.length > 4 << 20
+        lying = _restamp(blob, _SEC_PST, data=bomb)
+        restored = synopsis_from_snapshot(lying)
+        node = _first_deferred(restored, compressed, StringSummary)
+        peak, _ = _peak_bytes(lambda: node.vsumm)
+        assert peak < 2 * pst.length + (1 << 20)
+
+    @pytest.mark.parametrize("ratio", [1033, 2**30])
+    def test_raw_length_over_the_deflate_ceiling(self, blob, ratio):
+        pst = _section_table(blob)[_SEC_PST]
+        bomb = _restamp(blob, _SEC_PST, length=ratio * pst.stored)
+        peak, error = _peak_bytes(lambda: synopsis_from_snapshot(bomb))
+        assert "1032:1" in str(error)
+        assert peak < 1 << 20
+
+    def test_stored_longer_than_raw_rejected(self, blob):
+        pst = _section_table(blob)[_SEC_PST]
+        with pytest.raises(SynopsisFormatError, match="cannot inflate"):
+            synopsis_from_snapshot(_restamp(blob, _SEC_PST, length=pst.stored - 1))
+
+    def test_vocabulary_inflates_on_first_text_access(self, compressed, blob):
+        # A corrupt vocabulary stream is not read at open, nor by
+        # decoding a PST; the first TEXT summary surfaces it.
+        vocabulary = _section_table(blob)[_SEC_VOCAB]
+        assert vocabulary.stored < vocabulary.length
+        mutated = bytearray(blob)
+        mutated[vocabulary.offset + vocabulary.stored // 2] ^= 0xFF
+        restored = synopsis_from_snapshot(bytes(mutated))
+        assert _first_deferred(restored, compressed, StringSummary).vsumm
+        node = _first_deferred(restored, compressed, TextSummary)
+        with pytest.raises(SynopsisFormatError):
+            node.vsumm
+
+
+def _pool(strings) -> bytes:
+    out = bytearray()
+    _put_strings(out, strings)
+    return bytes(out)
+
+
+def _read_pool(data: bytes):
+    return _read_strings(_Section(data, 0, len(data)))
+
+
+class TestStringPools:
+    def test_empty_pool(self):
+        data = _pool([])
+        assert len(data) == 4  # the count and three empty columns' widths
+        assert _read_pool(data) == []
+
+    def test_shared_prefixes_are_front_coded(self):
+        terms = ["auction", "auctions", "author", "bid", ""]
+        data = _pool(terms)
+        reader = _Reader(_Section(data, 0, len(data)))
+        (count,) = reader.ints(1)
+        assert list(reader.ints(count)) == [0, 7, 2, 0, 0]
+        assert _read_pool(data) == terms
+
+    def test_prefix_that_splits_a_code_point(self):
+        # "é" is C3 A9 and "ê" is C3 AA: the shared prefix ends inside
+        # the code point, and so do the emoji's.
+        terms = ["caf\u00e9", "caf\u00ea", "\U0001f600", "\U0001f601", "\u00e9t\u00e9"]
+        data = _pool(terms)
+        reader = _Reader(_Section(data, 0, len(data)))
+        (count,) = reader.ints(1)
+        assert list(reader.ints(count)) == [0, 4, 0, 3, 0]
+        assert _read_pool(data) == terms
+
+    @pytest.mark.parametrize(
+        "shared,rests,blob",
+        [
+            ([0, 3], [2, 1], b"abc"),  # the first term has only 2 bytes
+            ([1], [1], b"a"),  # the first term has no predecessor
+        ],
+    )
+    def test_prefix_longer_than_its_predecessor_rejected(self, shared, rests, blob):
+        out = bytearray()
+        _put_ints(out, [len(shared)])
+        _put_ints(out, shared)
+        _put_ints(out, rests)
+        out += blob
+        with pytest.raises(SynopsisFormatError, match="predecessor"):
+            _read_pool(bytes(out))
+
+    def test_non_ascii_vocabulary_round_trips(self):
+        config = SummaryConfig()
+        synopsis = XClusterSynopsis()
+        root = synopsis.add_node("root", ValueType.NULL, 1)
+        synopsis.root_id = root.node_id
+        texts = [
+            frozenset({"caf\u00e9", "caf\u00ea", "na\u00efve"}),
+            frozenset({"\U0001f600", "\U0001f601", "caf\u00e9"}),
+        ]
+        text = synopsis.add_node(
+            "body", ValueType.TEXT, 2, TextSummary.from_values(texts, config)
+        )
+        synopsis.add_edge(root, text, 1.0)
+        for lazy in (True, False):
+            restored = synopsis_from_snapshot(snapshot_to_bytes(synopsis), lazy=lazy)
+            assert synopsis_to_dict(restored) == synopsis_to_dict(synopsis)

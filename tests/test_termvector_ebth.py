@@ -33,6 +33,21 @@ class TestVocabulary:
         with pytest.raises(KeyError):
             vocabulary.id_of("missing")
 
+    def test_truncate_rewinds_and_intern_all_restores(self):
+        vocabulary = Vocabulary()
+        terms = [f"t{i}" for i in range(50)]
+        vocabulary.intern_all(terms)
+        tail = vocabulary.truncate(20)
+        assert tail == terms[20:]
+        assert list(vocabulary) == terms[:20]
+        assert all(term not in vocabulary for term in tail)
+        assert vocabulary.get("t20") == -1
+        assert vocabulary.intern("new") == 20
+        vocabulary.truncate(20)
+        assert vocabulary.intern_all(tail) == list(range(20, 50))
+        assert [vocabulary.id_of(term) for term in terms] == list(range(50))
+        assert vocabulary.truncate(50) == []
+
 
 class TestTermCentroid:
     def test_from_term_sets(self):
