@@ -23,59 +23,41 @@ Quickstart::
     print(evaluate_selectivity(dataset.tree, query))  # exact count
 """
 
-from repro.core import (
-    BuildConfig,
-    CompiledEstimator,
-    WorkloadEstimator,
-    XClusterBuilder,
-    XClusterSynopsis,
-    build_reference_synopsis,
-    build_tag_synopsis,
-    build_xcluster,
-    estimate_many,
-    estimate_selectivity,
-    structural_size_bytes,
-    total_size_bytes,
-    value_size_bytes,
+from repro import _lazy
+
+# Name -> defining module, resolved on first access (PEP 562), so
+# ``import repro`` and every CLI start load only what they use.  The
+# check names pull in the whole correctness harness.
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.core.builder": (
+            "BuildConfig",
+            "XClusterBuilder",
+            "build_xcluster",
+        ),
+        "repro.core.estimation.engine": (
+            "CompiledEstimator",
+            "estimate_selectivity",
+        ),
+        "repro.core.estimation.serving": ("WorkloadEstimator", "estimate_many"),
+        "repro.core.reference": (
+            "build_reference_synopsis",
+            "build_tag_synopsis",
+        ),
+        "repro.core.sizing": (
+            "structural_size_bytes",
+            "total_size_bytes",
+            "value_size_bytes",
+        ),
+        "repro.core.synopsis": ("XClusterSynopsis",),
+        "repro.query.evaluator": ("evaluate_selectivity",),
+        "repro.query.xpath": ("parse_twig",),
+        "repro.xmltree.tree": ("XMLElement", "XMLTree"),
+        "repro.xmltree.parser": ("parse_string",),
+        "repro.check": ("audit_synopsis", "run_differential_check"),
+    },
 )
-from repro.query import evaluate_selectivity, parse_twig
-from repro.xmltree import XMLElement, XMLTree, parse_string
 
 __version__ = "1.0.0"
-
-
-def __getattr__(name):
-    # The correctness harness pulls in the differential fuzzer, the
-    # update maintainer, the dataset generators and the workload
-    # generator; load it on first use rather than on every import (and
-    # every CLI start) of the package (PEP 562).
-    if name in ("audit_synopsis", "run_differential_check"):
-        import repro.check
-
-        return getattr(repro.check, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BuildConfig",
-    "audit_synopsis",
-    "run_differential_check",
-    "CompiledEstimator",
-    "WorkloadEstimator",
-    "XClusterBuilder",
-    "XClusterSynopsis",
-    "build_reference_synopsis",
-    "build_tag_synopsis",
-    "build_xcluster",
-    "estimate_many",
-    "estimate_selectivity",
-    "evaluate_selectivity",
-    "parse_twig",
-    "structural_size_bytes",
-    "total_size_bytes",
-    "value_size_bytes",
-    "XMLElement",
-    "XMLTree",
-    "parse_string",
-    "__version__",
-]
+__all__.append("__version__")

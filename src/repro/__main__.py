@@ -52,31 +52,34 @@ import argparse
 import os
 import sys
 
-from repro.core import (
-    build_xcluster,
-    estimate_selectivity,
-    load_synopsis,
-    save_snapshot,
-    save_synopsis,
-    structural_size_bytes,
-    total_size_bytes,
-    value_size_bytes,
-)
+# At start only ``argparse``, the error type and the ``--help`` defaults
+# load; each command imports what it runs, so ``--help`` and a read-only
+# daemon compile none of the build, ingest or update layers.
+from repro.defaults import DEFAULT_CHUNK_SIZE
 from repro.errors import InputError
-from repro.query import evaluate_selectivity, parse_twig
-from repro.xmltree import ingest_file
-from repro.xmltree.events import DEFAULT_CHUNK_SIZE
 
 
 def _save_in_format(synopsis, path: str, format_name: str) -> None:
     """Persist a synopsis as interchange JSON or a binary snapshot."""
     if format_name == "snapshot":
+        from repro.core.snapshot import save_snapshot
+
         save_snapshot(synopsis, path)
     else:
+        from repro.core.serialization import save_synopsis
+
         save_synopsis(synopsis, path)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    from repro.core.builder import build_xcluster
+    from repro.core.sizing import (
+        structural_size_bytes,
+        total_size_bytes,
+        value_size_bytes,
+    )
+    from repro.xmltree.columnar import ingest_file
+
     doc = ingest_file(args.input)
     synopsis = build_xcluster(
         doc,
@@ -95,6 +98,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from repro.core.serialization import load_synopsis
+
     synopsis = load_synopsis(args.input)  # format auto-detected
     _save_in_format(synopsis, args.output, args.format)
     print(
@@ -106,7 +111,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeEngine, run_server
+    from repro.core.sizing import total_size_bytes
+    from repro.serve.engine import ServeEngine
+    from repro.serve.http import run_server
 
     given = [
         source
@@ -121,8 +128,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     if args.collection is not None:
-        from repro.collection import CollectionStore
-        from repro.serve import CollectionServeEngine
+        from repro.collection.store import CollectionStore
+        from repro.serve.collection import CollectionServeEngine
 
         store = CollectionStore(
             args.collection, max_open_shards=args.max_open_shards
@@ -142,7 +149,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     elif args.document is not None:
-        from repro.update import IncrementalMaintainer
+        from repro.update.maintainer import IncrementalMaintainer
+        from repro.xmltree.columnar import ingest_file
 
         doc = ingest_file(args.document)
         maintainer = IncrementalMaintainer(doc)
@@ -159,6 +167,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     else:
+        from repro.core.serialization import load_synopsis
+
         synopsis = load_synopsis(args.synopsis)  # format auto-detected
         engine = ServeEngine(
             synopsis,
@@ -175,6 +185,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.estimation.engine import estimate_selectivity
+    from repro.core.serialization import load_synopsis
+    from repro.query.xpath import parse_twig
+
     synopsis = load_synopsis(args.synopsis)
     query = parse_twig(args.query)
     print(f"{estimate_selectivity(synopsis, query):.3f}")
@@ -182,6 +196,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.query.evaluator import evaluate_selectivity
+    from repro.query.xpath import parse_twig
+    from repro.xmltree.columnar import ingest_file
+
     doc = ingest_file(args.input)
     query = parse_twig(args.query)
     print(evaluate_selectivity(doc, query))
@@ -189,7 +207,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    # Imported lazily: the harness pulls in the dataset generators.
     from repro.experiments import (
         ExperimentConfig,
         ExperimentContext,
@@ -261,7 +278,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    # Imported lazily: the check subsystem pulls in the harness stack.
     import json as json_module
 
     from repro.check import (
@@ -340,6 +356,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from time import perf_counter
 
+    from repro.xmltree.columnar import ingest_file
+
     source_bytes = os.path.getsize(args.input)
     started = perf_counter()
     doc = ingest_file(args.input, chunk_size=args.chunk_size)
@@ -359,10 +377,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if not args.compare:
         return 0
 
-    from repro.core import build_reference_synopsis
+    from repro.core.reference import build_reference_synopsis
     from repro.core.serialization import synopsis_to_dict
-    from repro.xmltree import parse_document
     from repro.xmltree.columnar import freeze
+    from repro.xmltree.parser import parse_document
     from repro.xmltree.stats import collect_statistics
 
     started = perf_counter()
@@ -398,7 +416,8 @@ def _read_query_log(path: str):
     """
     import json as json_module
 
-    from repro.query import QueryFormatError
+    from repro.query.jsonast import QueryFormatError
+    from repro.query.xpath import parse_twig
 
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

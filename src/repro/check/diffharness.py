@@ -34,7 +34,7 @@ exercises them on *arbitrary* documents, generated from a seed:
    semantics leave no tolerance); a diverging twig is shrunk with
    :func:`repro.check.shrink.shrink_query`;
 9. pit the production byte-level tokenizer against the character-scan
-   oracle (:func:`repro.xmltree.events.iter_events_str`) on the
+   oracle (:func:`repro.check.oracles.iter_events_str`) on the
    serialized document *and* on mutated — usually malformed — variants
    of it, whole and randomly chunked: token streams, error messages,
    and error offsets must all agree.  Diverging inputs are shrunk
@@ -74,6 +74,7 @@ from repro.check.oracles import (
     XClusterEstimator,
     apply_update_tree,
     fixpoint_reference_classes,
+    iter_events_str,
     object_reference_synopsis,
 )
 from repro.check.report import CheckReport, Failure
@@ -107,8 +108,8 @@ from repro.values.summary import SummaryConfig
 from repro.workload.generator import TwigWorkloadGenerator, WorkloadConfig
 from repro.workload.negative import make_negative_workload
 from repro.xmltree.columnar import freeze, ingest_string, thaw
-from repro.xmltree.events import iter_events, iter_events_str
-from repro.xmltree.parser import XMLParseError, parse_string
+from repro.xmltree.events import XMLParseError, iter_events
+from repro.xmltree.parser import parse_string
 from repro.xmltree.serializer import serialize
 from repro.xmltree.tree import XMLElement, XMLTree
 from repro.xmltree.types import ValueType

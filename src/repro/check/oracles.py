@@ -23,13 +23,25 @@ of the paper's sum-product with no precomputed indexes.
 ``XMLElement`` objects with per-step weighted frontiers.
 :func:`apply_update_tree` applies an update op to an object-tree twin,
 the substrate the update harness rebuilds its reference from.
+:func:`iter_events_str` is the tokenizer oracle for
+:func:`repro.xmltree.events.iter_events`: the original character
+scanner over ``str`` buffers, with identical events and errors.
 Only the differential harness, the tests and the layer benchmarks
 import this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.builder import XClusterBuilder
 from repro.core.distance import (
@@ -63,14 +75,26 @@ from repro.values.summary import (
     ValueSummary,
 )
 from repro.xmltree.columnar import Document, as_columnar
-from repro.xmltree.parser import (
-    DEFAULT_TEXT_WORD_THRESHOLD,
-    _typed_value,
-    parse_string,
+from repro.xmltree.events import (
+    _COMPACT_THRESHOLD,
+    ATTR,
+    DEFAULT_CHUNK_SIZE,
+    END,
+    START,
+    TEXT,
+    EventSource,
+    XMLEvent,
+    XMLParseError,
+    _decode_entities,
 )
+from repro.xmltree.parser import parse_string
 from repro.xmltree.paths import LabelPath, matches_any
 from repro.xmltree.tree import XMLElement, XMLTree
-from repro.xmltree.types import ValueType
+from repro.xmltree.types import (
+    DEFAULT_TEXT_WORD_THRESHOLD,
+    ValueType,
+    _typed_value,
+)
 
 #: Safety cap on refinement iterations (convergence is far faster).
 MAX_REFINEMENT_ROUNDS = 200
@@ -688,6 +712,308 @@ def apply_update_tree(
     raise ValueError(f"unknown update op {op!r}")
 
 
+# -- the character-scan tokenizer oracle --------------------------------------
+
+
+class _StreamCursor:
+    """Scan state over a chunked string input with on-demand refill.
+
+    The same surface as the tree parser's ``_Cursor`` (``peek`` /
+    ``startswith`` / ``expect`` / ``read_until`` / ``read_name``), but
+    every lookahead that runs off the buffered suffix pulls the next
+    chunk first.  ``offset`` converts buffer positions to absolute
+    document offsets so errors match the whole-string parser.
+
+    This cursor backs :func:`iter_events_str`, the character-level
+    parity oracle of the production byte tokenizer
+    (:func:`repro.xmltree.events.iter_events`).
+    """
+
+    __slots__ = ("buffer", "pos", "offset", "_chunks", "_exhausted")
+
+    def __init__(self, chunks: Iterator[str]) -> None:
+        self.buffer = ""
+        self.pos = 0
+        #: Absolute document offset of ``buffer[0]``.
+        self.offset = 0
+        self._chunks = chunks
+        self._exhausted = False
+
+    # -- buffer management -------------------------------------------------
+
+    def _pull(self) -> bool:
+        """Append the next chunk; False once the source is exhausted."""
+        if self._exhausted:
+            return False
+        for chunk in self._chunks:
+            if chunk:
+                self.buffer += chunk
+                return True
+        self._exhausted = True
+        return False
+
+    def _ensure(self, length: int) -> None:
+        """Buffer at least ``length`` characters past ``pos`` if possible."""
+        while len(self.buffer) - self.pos < length and self._pull():
+            pass
+
+    def compact(self) -> None:
+        """Drop the consumed prefix when it grows past the threshold."""
+        if self.pos > _COMPACT_THRESHOLD:
+            self.offset += self.pos
+            self.buffer = self.buffer[self.pos :]
+            self.pos = 0
+
+    def tell(self) -> int:
+        """The absolute document offset of the scan position."""
+        return self.offset + self.pos
+
+    # -- the lexer surface -------------------------------------------------
+
+    def eof(self) -> bool:
+        self._ensure(1)
+        return self.pos >= len(self.buffer)
+
+    def peek(self) -> str:
+        self._ensure(1)
+        return self.buffer[self.pos] if self.pos < len(self.buffer) else ""
+
+    def startswith(self, token: str) -> bool:
+        self._ensure(len(token))
+        return self.buffer.startswith(token, self.pos)
+
+    def expect(self, token: str) -> None:
+        if not self.startswith(token):
+            raise XMLParseError(f"expected {token!r}", self.tell())
+        self.pos += len(token)
+
+    def skip_whitespace(self) -> None:
+        while True:
+            buffer = self.buffer
+            size = len(buffer)
+            while self.pos < size and buffer[self.pos].isspace():
+                self.pos += 1
+            if self.pos < size or not self._pull():
+                return
+
+    def read_until(self, token: str) -> str:
+        """Consume through ``token``, returning the text before it."""
+        while True:
+            end = self.buffer.find(token, self.pos)
+            if end >= 0:
+                chunk = self.buffer[self.pos : end]
+                self.pos = end + len(token)
+                return chunk
+            if not self._pull():
+                raise XMLParseError(
+                    f"unterminated section, expected {token!r}", self.tell()
+                )
+
+    def read_text_run(self) -> str:
+        """Consume character data up to (not including) the next ``<``.
+
+        Returns an empty string — without consuming anything — when EOF
+        arrives before any markup, so the caller can raise its
+        contextual unterminated-element error at the run's offset.
+        """
+        while True:
+            end = self.buffer.find("<", self.pos)
+            if end >= 0:
+                chunk = self.buffer[self.pos : end]
+                self.pos = end
+                return chunk
+            if not self._pull():
+                return ""
+
+    def read_name(self) -> str:
+        start = self.pos
+        while True:
+            buffer = self.buffer
+            size = len(buffer)
+            while self.pos < size and (
+                buffer[self.pos].isalnum() or buffer[self.pos] in "_-.:@"
+            ):
+                self.pos += 1
+            if self.pos < size or not self._pull():
+                break
+        if self.pos == start:
+            raise XMLParseError("expected a name", self.tell())
+        return self.buffer[start : self.pos]
+
+
+def _str_chunk_iterator(source: EventSource, chunk_size: int) -> Iterator[str]:
+    """Normalize any supported source into an iterator of string chunks."""
+    if isinstance(source, str):
+        return iter((source,))
+    if isinstance(source, bytes):
+        return iter((source.decode("utf-8", "surrogatepass"),))
+    read = getattr(source, "read", None)
+    if callable(read):
+
+        def _file_chunks() -> Iterator[str]:
+            while True:
+                chunk = read(chunk_size)
+                if not chunk:
+                    return
+                if isinstance(chunk, bytes):
+                    chunk = chunk.decode("utf-8", "surrogatepass")
+                yield chunk
+
+        return _file_chunks()
+
+    def _decoded(chunks) -> Iterator[str]:
+        for chunk in chunks:
+            if isinstance(chunk, bytes):
+                chunk = chunk.decode("utf-8", "surrogatepass")
+            yield chunk
+
+    return _decoded(source)
+
+
+def _skip_misc(cursor: _StreamCursor) -> None:
+    """Skip whitespace, comments, processing instructions, and doctypes."""
+    while True:
+        cursor.skip_whitespace()
+        if cursor.startswith("<!--"):
+            cursor.pos += 4
+            cursor.read_until("-->")
+        elif cursor.startswith("<?"):
+            cursor.pos += 2
+            cursor.read_until("?>")
+        elif cursor.startswith("<!DOCTYPE"):
+            cursor.read_until(">")
+        else:
+            return
+
+
+def _read_start_tag(
+    cursor: _StreamCursor,
+) -> Tuple[str, List[Tuple[str, str]], bool]:
+    """Scan one start tag: ``(label, attributes, self_closed)``.
+
+    Attributes are deduplicated exactly as the tree parser's dict
+    accumulation does: a repeated name keeps its first position with the
+    last value.
+    """
+    cursor.expect("<")
+    label = cursor.read_name()
+    names: List[str] = []
+    values = {}
+    while True:
+        cursor.skip_whitespace()
+        char = cursor.peek()
+        if char in (">", "/", ""):
+            break
+        name = cursor.read_name()
+        cursor.skip_whitespace()
+        cursor.expect("=")
+        cursor.skip_whitespace()
+        quote = cursor.peek()
+        if quote not in ("'", '"'):
+            raise XMLParseError("attribute value must be quoted", cursor.tell())
+        cursor.pos += 1
+        if name not in values:
+            names.append(name)
+        values[name] = _decode_entities(cursor.read_until(quote))
+    cursor.skip_whitespace()
+    if cursor.startswith("/>"):
+        cursor.pos += 2
+        return label, [(name, values[name]) for name in names], True
+    cursor.expect(">")
+    return label, [(name, values[name]) for name in names], False
+
+
+def iter_events_str(
+    source: EventSource, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Iterator[XMLEvent]:
+    """Tokenize with the original character scanner (the parity oracle).
+
+    Same contract as :func:`iter_events` — identical event streams,
+    identical errors at identical offsets — implemented over ``str``
+    buffers.  The production path is the byte scanner; this one is kept
+    for the differential harness's tokenizer round and for tests.
+    """
+    cursor = _StreamCursor(_str_chunk_iterator(source, chunk_size))
+    _skip_misc(cursor)
+    if cursor.peek() != "<":
+        raise XMLParseError("document has no root element", cursor.tell())
+
+    # Per open element: [label, saw a child element or attribute, saw
+    # non-whitespace character data].  The flags drive the mixed-content
+    # rule the tree parser applies at element close.
+    stack: List[List] = []
+
+    label, attributes, closed = _read_start_tag(cursor)
+    yield (START, label)
+    for name, value in attributes:
+        yield (ATTR, name, value)
+    if closed:
+        yield (END, label)
+    else:
+        stack.append([label, bool(attributes), False])
+
+    while stack:
+        cursor.compact()
+        if cursor.startswith("</"):
+            cursor.pos += 2
+            closing = cursor.read_name()
+            entry = stack.pop()
+            if closing != entry[0]:
+                raise XMLParseError(
+                    f"mismatched close tag </{closing}> for <{entry[0]}>",
+                    cursor.tell(),
+                )
+            cursor.skip_whitespace()
+            cursor.expect(">")
+            if entry[2] and entry[1]:
+                raise XMLParseError(
+                    f"element <{entry[0]}> mixes character data with child "
+                    "elements",
+                    cursor.tell(),
+                )
+            yield (END, closing)
+        elif cursor.startswith("<!--"):
+            cursor.pos += 4
+            cursor.read_until("-->")
+        elif cursor.startswith("<![CDATA["):
+            cursor.pos += 9
+            data = cursor.read_until("]]>")
+            if data:
+                if data.strip():
+                    stack[-1][2] = True
+                yield (TEXT, data)
+        elif cursor.startswith("<?"):
+            cursor.pos += 2
+            cursor.read_until("?>")
+        elif cursor.peek() == "<":
+            stack[-1][1] = True
+            label, attributes, closed = _read_start_tag(cursor)
+            yield (START, label)
+            for name, value in attributes:
+                yield (ATTR, name, value)
+            if closed:
+                yield (END, label)
+            else:
+                stack.append([label, bool(attributes), False])
+        else:
+            if cursor.eof():
+                raise XMLParseError(
+                    f"unterminated element <{stack[-1][0]}>", cursor.tell()
+                )
+            run = cursor.read_text_run()
+            if not run:
+                raise XMLParseError(
+                    f"unterminated element <{stack[-1][0]}>", cursor.tell()
+                )
+            if run.strip():
+                stack[-1][2] = True
+            yield (TEXT, _decode_entities(run))
+
+    _skip_misc(cursor)
+    if not cursor.eof():
+        raise XMLParseError("trailing content after root element", cursor.tell())
+
+
 __all__ = [
     "MAX_REFINEMENT_ROUNDS",
     "ReferenceBuilder",
@@ -700,6 +1026,7 @@ __all__ = [
     "apply_update_tree",
     "fixpoint_reference_classes",
     "greedy_estimate_count",
+    "iter_events_str",
     "match_elements",
     "object_reference_synopsis",
     "reference_stepper",

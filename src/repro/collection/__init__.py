@@ -16,55 +16,38 @@ Modules:
     export    — edge-model CSV dump.
 """
 
-from repro.collection.budget import (
-    ClusteredLog,
-    QueryCluster,
-    autobudget_sample,
-    cluster_log,
-    shard_multipliers,
-)
-from repro.collection.build import (
-    BuildReport,
-    CollectionConfig,
-    build_collection,
-    rebalance_collection,
-)
-from repro.collection.export import export_edge_model
-from repro.collection.manifest import (
-    CollectionFormatError,
-    CollectionManifest,
-    ShardEntry,
-    load_manifest,
-    save_manifest,
-    verify_collection,
-)
-from repro.collection.rollup import merge_rollup, merged_document_events
-from repro.collection.store import (
-    CollectionStore,
-    ShardReader,
-    shard_for_doc,
-)
+from repro import _lazy
 
-__all__ = [
-    "BuildReport",
-    "ClusteredLog",
-    "CollectionConfig",
-    "CollectionFormatError",
-    "CollectionManifest",
-    "CollectionStore",
-    "QueryCluster",
-    "ShardEntry",
-    "ShardReader",
-    "autobudget_sample",
-    "build_collection",
-    "cluster_log",
-    "export_edge_model",
-    "load_manifest",
-    "merge_rollup",
-    "merged_document_events",
-    "rebalance_collection",
-    "save_manifest",
-    "shard_for_doc",
-    "shard_multipliers",
-    "verify_collection",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.collection.budget": (
+            "ClusteredLog",
+            "QueryCluster",
+            "autobudget_sample",
+            "cluster_log",
+            "shard_multipliers",
+        ),
+        "repro.collection.build": (
+            "BuildReport",
+            "CollectionConfig",
+            "build_collection",
+            "rebalance_collection",
+        ),
+        "repro.collection.export": ("export_edge_model",),
+        "repro.collection.manifest": (
+            "CollectionFormatError",
+            "CollectionManifest",
+            "ShardEntry",
+            "load_manifest",
+            "save_manifest",
+            "verify_collection",
+        ),
+        "repro.collection.rollup": ("merge_rollup", "merged_document_events"),
+        "repro.collection.store": (
+            "CollectionStore",
+            "ShardReader",
+            "shard_for_doc",
+        ),
+    },
+)

@@ -53,9 +53,9 @@ from repro.collection.manifest import (
     verify_collection,
 )
 from repro.core.estimation.engine import CompiledEstimator, EstimatorStats
-from repro.core.serialization import SynopsisFormatError
 from repro.core.snapshot import synopsis_from_snapshot
 from repro.core.synopsis import XClusterSynopsis
+from repro.errors import SynopsisFormatError
 from repro.query.ast import TwigQuery
 
 #: Leading bytes of every shard container; the final byte is the

@@ -25,83 +25,64 @@ This package implements the paper's primary contribution:
   plus naive merge policies used by the ablation benchmarks.
 """
 
-from repro.core.synopsis import SynopsisNode, XClusterSynopsis
-from repro.core.reference import build_reference_synopsis, build_tag_synopsis
-from repro.core.distance import merge_delta, compression_delta
-from repro.core.scoring import ScoringEngine, SelectivityProfile
-from repro.core.builder import BuildConfig, BuildStats, XClusterBuilder, build_xcluster
-from repro.core.approximate import DocumentSynthesizer, synthesize_document
-from repro.core.autobudget import (
-    AutoBudgetResult,
-    allocate_budget,
-    build_xcluster_auto,
-)
-from repro.core.estimation import (
-    CompiledEstimator,
-    CompiledPlan,
-    EstimatorStats,
-    SynopsisIndex,
-    WorkloadEstimator,
-    estimate_many,
-    estimate_selectivity,
-)
-from repro.core.explain import EstimateExplanation, explain
-from repro.core.serialization import (
-    SynopsisFormatError,
-    load_synopsis,
-    save_synopsis,
-    synopsis_from_dict,
-    synopsis_to_dict,
-)
-from repro.core.snapshot import (
-    SNAPSHOT_MAGIC,
-    is_snapshot,
-    load_snapshot,
-    save_snapshot,
-    snapshot_to_bytes,
-    synopsis_from_snapshot,
-)
-from repro.core.sizing import structural_size_bytes, value_size_bytes, total_size_bytes
+from repro import _lazy
 
-__all__ = [
-    "SynopsisNode",
-    "XClusterSynopsis",
-    "build_reference_synopsis",
-    "build_tag_synopsis",
-    "merge_delta",
-    "compression_delta",
-    "ScoringEngine",
-    "SelectivityProfile",
-    "BuildConfig",
-    "BuildStats",
-    "XClusterBuilder",
-    "build_xcluster",
-    "estimate_selectivity",
-    "CompiledEstimator",
-    "CompiledPlan",
-    "EstimatorStats",
-    "SynopsisIndex",
-    "WorkloadEstimator",
-    "estimate_many",
-    "DocumentSynthesizer",
-    "synthesize_document",
-    "EstimateExplanation",
-    "explain",
-    "AutoBudgetResult",
-    "allocate_budget",
-    "build_xcluster_auto",
-    "SynopsisFormatError",
-    "save_synopsis",
-    "load_synopsis",
-    "synopsis_to_dict",
-    "synopsis_from_dict",
-    "SNAPSHOT_MAGIC",
-    "is_snapshot",
-    "save_snapshot",
-    "load_snapshot",
-    "snapshot_to_bytes",
-    "synopsis_from_snapshot",
-    "structural_size_bytes",
-    "value_size_bytes",
-    "total_size_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.core.synopsis": ("SynopsisNode", "XClusterSynopsis"),
+        "repro.core.reference": (
+            "build_reference_synopsis",
+            "build_tag_synopsis",
+        ),
+        "repro.core.distance": ("merge_delta", "compression_delta"),
+        "repro.core.scoring": ("ScoringEngine", "SelectivityProfile"),
+        "repro.core.builder": (
+            "BuildConfig",
+            "BuildStats",
+            "XClusterBuilder",
+            "build_xcluster",
+        ),
+        "repro.core.approximate": (
+            "DocumentSynthesizer",
+            "synthesize_document",
+        ),
+        "repro.core.autobudget": (
+            "AutoBudgetResult",
+            "allocate_budget",
+            "build_xcluster_auto",
+        ),
+        "repro.core.estimation.engine": (
+            "CompiledEstimator",
+            "EstimatorStats",
+            "estimate_selectivity",
+        ),
+        "repro.core.estimation.indexes": ("SynopsisIndex",),
+        "repro.core.estimation.plan": ("CompiledPlan",),
+        "repro.core.estimation.serving": (
+            "WorkloadEstimator",
+            "estimate_many",
+        ),
+        "repro.core.explain": ("EstimateExplanation", "explain"),
+        "repro.errors": ("SynopsisFormatError",),
+        "repro.core.serialization": (
+            "load_synopsis",
+            "save_synopsis",
+            "synopsis_from_dict",
+            "synopsis_to_dict",
+        ),
+        "repro.core.snapshot": (
+            "SNAPSHOT_MAGIC",
+            "is_snapshot",
+            "load_snapshot",
+            "save_snapshot",
+            "snapshot_to_bytes",
+            "synopsis_from_snapshot",
+        ),
+        "repro.core.sizing": (
+            "structural_size_bytes",
+            "value_size_bytes",
+            "total_size_bytes",
+        ),
+    },
+)

@@ -33,47 +33,36 @@ the oracle :class:`repro.check.oracles.XClusterEstimator` (parity is
 pinned by ``tests/test_estimation.py`` and the differential harness).
 """
 
-from repro.core.estimation.engine import (
-    CompiledEstimator,
-    EstimatorStats,
-    PlanCache,
-    estimate_selectivity,
-)
-from repro.core.estimation.indexes import (
-    VIRTUAL_ROOT,
-    EdgeKey,
-    SynopsisIndex,
-    TransitionRow,
-    shared_index,
-)
-from repro.core.estimation.plan import (
-    CompiledPlan,
-    PlanSignature,
-    PlanVariable,
-    compile_query,
-    edge_key_of,
-    twig_of,
-    variable_order,
-)
-from repro.core.estimation.serving import WorkloadEstimator, estimate_many
+from repro import _lazy
 
-__all__ = [
-    "CompiledEstimator",
-    "CompiledPlan",
-    "EstimatorStats",
-    "EdgeKey",
-    "PlanCache",
-    "PlanSignature",
-    "PlanVariable",
-    "SynopsisIndex",
-    "TransitionRow",
-    "VIRTUAL_ROOT",
-    "WorkloadEstimator",
-    "compile_query",
-    "edge_key_of",
-    "estimate_many",
-    "estimate_selectivity",
-    "shared_index",
-    "twig_of",
-    "variable_order",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.core.estimation.engine": (
+            "CompiledEstimator",
+            "EstimatorStats",
+            "PlanCache",
+            "estimate_selectivity",
+        ),
+        "repro.core.estimation.indexes": (
+            "VIRTUAL_ROOT",
+            "EdgeKey",
+            "SynopsisIndex",
+            "TransitionRow",
+            "shared_index",
+        ),
+        "repro.core.estimation.plan": (
+            "CompiledPlan",
+            "PlanSignature",
+            "PlanVariable",
+            "compile_query",
+            "edge_key_of",
+            "twig_of",
+            "variable_order",
+        ),
+        "repro.core.estimation.serving": (
+            "WorkloadEstimator",
+            "estimate_many",
+        ),
+    },
+)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.core.synopsis import SynopsisNode, XClusterSynopsis
-from repro.errors import InputError
+from repro.core.synopsis import SynopsisNode, XClusterSynopsis, text_vocabulary
+from repro.errors import SynopsisFormatError
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram, HistogramBucket
 from repro.values.pst import PrunedSuffixTree
@@ -33,10 +33,6 @@ from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
 FORMAT_VERSION = 1
-
-
-class SynopsisFormatError(InputError):
-    """Raised when loading malformed or incompatible synopsis data."""
 
 
 # -- value-summary encoding ---------------------------------------------------
@@ -163,7 +159,7 @@ def _decode_summary(
 
 def synopsis_to_dict(synopsis: XClusterSynopsis) -> Dict[str, Any]:
     """Encode a synopsis (and its shared vocabulary) as plain data."""
-    vocabulary = _find_vocabulary(synopsis)
+    vocabulary = text_vocabulary(synopsis)
     return {
         "format": FORMAT_VERSION,
         "root": synopsis.root_id,
@@ -182,13 +178,6 @@ def synopsis_to_dict(synopsis: XClusterSynopsis) -> Dict[str, Any]:
             for node in sorted(synopsis, key=lambda n: n.node_id)
         ],
     }
-
-
-def _find_vocabulary(synopsis: XClusterSynopsis) -> Optional[Vocabulary]:
-    for node in synopsis.valued_nodes():
-        if isinstance(node.vsumm, TextSummary):
-            return node.vsumm.ebth.vocabulary
-    return None
 
 
 def synopsis_from_dict(

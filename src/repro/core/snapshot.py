@@ -40,7 +40,7 @@ Round-tripping is bit-exact: ``synopsis_to_dict(load(save(s)))``
 equals ``synopsis_to_dict(s)`` for every summary family.  Malformed
 input — bad magic, another format version, truncated sections, corrupt
 deflate streams, corrupt columns — raises
-:class:`~repro.core.serialization.SynopsisFormatError`, whether the
+:class:`~repro.errors.SynopsisFormatError`, whether the
 corruption surfaces at open time or at first lazy access.
 """
 
@@ -53,8 +53,8 @@ from array import array
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.serialization import SynopsisFormatError, _find_vocabulary
-from repro.core.synopsis import SynopsisNode, XClusterSynopsis
+from repro.core.synopsis import SynopsisNode, XClusterSynopsis, text_vocabulary
+from repro.errors import SynopsisFormatError
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram, HistogramBucket
 from repro.values.pst import PrunedSuffixTree
@@ -257,7 +257,7 @@ def _encode_summary(
 
 def snapshot_to_bytes(synopsis: XClusterSynopsis) -> bytes:
     """Encode a synopsis into one self-contained snapshot buffer."""
-    vocabulary = _find_vocabulary(synopsis)
+    vocabulary = text_vocabulary(synopsis)
     sections: Dict[int, bytearray] = {sid: bytearray() for sid in _SECTION_NAMES}
     labels: Dict[str, int] = {}
     rows: List[tuple] = []

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.values.summary import ValueSummary, fuse_summaries
+from repro.values.summary import TextSummary, ValueSummary, fuse_summaries
+from repro.values.termvector import Vocabulary
 from repro.xmltree.types import ValueType
 
 
@@ -103,8 +104,8 @@ class SynopsisNode:
 
     def __getstate__(self):
         # Decode thunks close over load-time buffers and are not
-        # picklable; materialize before crossing a process boundary
-        # or a ``copy.deepcopy``.
+        # picklable; materialize so a ``copy.deepcopy`` of a loaded
+        # synopsis holds ordinary summaries.
         return (
             self.node_id,
             self.label,
@@ -381,3 +382,15 @@ class XClusterSynopsis:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<XClusterSynopsis nodes={len(self.nodes)} edges={self.edge_count}>"
+
+
+def text_vocabulary(synopsis: XClusterSynopsis) -> Optional[Vocabulary]:
+    """The vocabulary the synopsis's TEXT summaries share, or ``None``.
+
+    Every TEXT summary of one synopsis interns its terms in one
+    vocabulary, so both synopsis codecs encode it once.
+    """
+    for node in synopsis.valued_nodes():
+        if isinstance(node.vsumm, TextSummary):
+            return node.vsumm.ebth.vocabulary
+    return None

@@ -18,18 +18,15 @@ with the same element vocabulary, value-type mix, and skew profile:
 All generators are pure functions of ``(scale, seed)``.
 """
 
-from repro.datasets.dataset import Dataset
-from repro.datasets.imdb import IMDB_VALUE_PATHS, generate_imdb
-from repro.datasets.xmark import XMARK_VALUE_PATHS, generate_xmark
-from repro.datasets.bibliography import bibliography_tree
-from repro.datasets.text import ZipfTextGenerator
+from repro import _lazy
 
-__all__ = [
-    "Dataset",
-    "generate_imdb",
-    "IMDB_VALUE_PATHS",
-    "generate_xmark",
-    "XMARK_VALUE_PATHS",
-    "bibliography_tree",
-    "ZipfTextGenerator",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.datasets.dataset": ("Dataset",),
+        "repro.datasets.imdb": ("IMDB_VALUE_PATHS", "generate_imdb"),
+        "repro.datasets.xmark": ("XMARK_VALUE_PATHS", "generate_xmark"),
+        "repro.datasets.bibliography": ("bibliography_tree",),
+        "repro.datasets.text": ("ZipfTextGenerator",),
+    },
+)

@@ -10,43 +10,32 @@ document, which serves as ground truth for every error measurement in the
 experiments.
 """
 
-from repro.query.predicates import (
-    AtLeastKPredicate,
-    KeywordPredicate,
-    Predicate,
-    RangePredicate,
-    SubstringPredicate,
-    TruePredicate,
-)
-from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
-from repro.query.xpath import XPathSyntaxError, parse_edge_path, parse_twig
-from repro.query.jsonast import (
-    QueryFormatError,
-    predicate_from_dict,
-    predicate_to_dict,
-    twig_from_dict,
-    twig_to_dict,
-)
-from repro.query.evaluator import evaluate_selectivity
+from repro import _lazy
 
-__all__ = [
-    "Predicate",
-    "TruePredicate",
-    "RangePredicate",
-    "SubstringPredicate",
-    "KeywordPredicate",
-    "AtLeastKPredicate",
-    "AxisStep",
-    "EdgePath",
-    "QueryNode",
-    "TwigQuery",
-    "XPathSyntaxError",
-    "parse_edge_path",
-    "parse_twig",
-    "QueryFormatError",
-    "twig_to_dict",
-    "twig_from_dict",
-    "predicate_to_dict",
-    "predicate_from_dict",
-    "evaluate_selectivity",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.query.predicates": (
+            "Predicate",
+            "TruePredicate",
+            "RangePredicate",
+            "SubstringPredicate",
+            "KeywordPredicate",
+            "AtLeastKPredicate",
+        ),
+        "repro.query.ast": ("AxisStep", "EdgePath", "QueryNode", "TwigQuery"),
+        "repro.query.xpath": (
+            "XPathSyntaxError",
+            "parse_edge_path",
+            "parse_twig",
+        ),
+        "repro.query.jsonast": (
+            "QueryFormatError",
+            "twig_to_dict",
+            "twig_from_dict",
+            "predicate_to_dict",
+            "predicate_from_dict",
+        ),
+        "repro.query.evaluator": ("evaluate_selectivity",),
+    },
+)

@@ -19,16 +19,13 @@ Snapshots (:mod:`repro.core.snapshot`) are the intended cold-start
 path: load is mmap-backed and lazy.
 """
 
-from repro.serve.collection import CollectionServeEngine
-from repro.serve.engine import PlanCoalescer, ServeEngine, ServingStats
-from repro.serve.http import ServeClient, SynopsisServer, run_server
+from repro import _lazy
 
-__all__ = [
-    "CollectionServeEngine",
-    "PlanCoalescer",
-    "ServeEngine",
-    "ServingStats",
-    "ServeClient",
-    "SynopsisServer",
-    "run_server",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.serve.collection": ("CollectionServeEngine",),
+        "repro.serve.engine": ("PlanCoalescer", "ServeEngine", "ServingStats"),
+        "repro.serve.http": ("ServeClient", "SynopsisServer", "run_server"),
+    },
+)

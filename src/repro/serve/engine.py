@@ -31,7 +31,7 @@ import asyncio
 import math
 from collections import deque
 from time import perf_counter
-from typing import Any, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
 from repro.core.estimation import WorkloadEstimator, estimate_many
 from repro.core.estimation.engine import CompiledEstimator, EstimatorStats
@@ -40,8 +40,12 @@ from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import TwigQuery
 from repro.query.jsonast import QueryFormatError, twig_from_dict
 from repro.query.xpath import XPathSyntaxError, parse_twig
-from repro.update.maintainer import IncrementalMaintainer
-from repro.update.ops import UpdateOp
+
+if TYPE_CHECKING:
+    # Only a ``--document`` daemon holds a maintainer; its caller builds
+    # it, so a read-only daemon never imports the update layer.
+    from repro.update.maintainer import IncrementalMaintainer
+    from repro.update.ops import UpdateOp
 
 #: Default coalescing window.  Zero means "flush on the next event-loop
 #: iteration": every request whose bytes were readable in the same loop

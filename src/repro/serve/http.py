@@ -76,7 +76,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro.core.estimation.plan import PlanSignature
 from repro.query.ast import TwigQuery
 from repro.serve.engine import ServeEngine
-from repro.update.ops import UpdateFormatError, update_from_dict
 
 #: Request bodies above this size are rejected (a twig AST is tiny).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -564,6 +563,10 @@ class SynopsisServer:
                 payload.get("updates"), list
             ):
                 raise _HttpError(400, "body must be {'updates': [...]}")
+            # Loaded here: a read-only daemon never imports the update
+            # layer (its tokenizer, columnar splice and maintainer).
+            from repro.update.ops import UpdateFormatError, update_from_dict
+
             try:
                 ops = [update_from_dict(item) for item in payload["updates"]]
             except UpdateFormatError as err:

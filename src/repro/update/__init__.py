@@ -11,44 +11,32 @@ rebuild-from-scratch after every step — the rebuild path stays on as
 the differential harness's oracle (``python -m repro check --updates``).
 """
 
-from repro.update.columnar import (
-    apply_update,
-    change_value,
-    delete_subtree,
-    insert_subtree,
-)
-from repro.update.maintainer import (
-    IncrementalMaintainer,
-    MaintainerStats,
-    enforce_summary_budget,
-)
-from repro.update.ops import (
-    DeleteSubtree,
-    InsertSubtree,
-    UpdateFormatError,
-    UpdateOp,
-    ValueChange,
-    parse_fragment,
-    update_from_dict,
-    update_to_dict,
-    validate_update,
-)
+from repro import _lazy
 
-__all__ = [
-    "DeleteSubtree",
-    "IncrementalMaintainer",
-    "InsertSubtree",
-    "MaintainerStats",
-    "UpdateFormatError",
-    "UpdateOp",
-    "ValueChange",
-    "apply_update",
-    "change_value",
-    "delete_subtree",
-    "enforce_summary_budget",
-    "insert_subtree",
-    "parse_fragment",
-    "update_from_dict",
-    "update_to_dict",
-    "validate_update",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.update.columnar": (
+            "apply_update",
+            "change_value",
+            "delete_subtree",
+            "insert_subtree",
+        ),
+        "repro.update.maintainer": (
+            "IncrementalMaintainer",
+            "MaintainerStats",
+            "enforce_summary_budget",
+        ),
+        "repro.update.ops": (
+            "DeleteSubtree",
+            "InsertSubtree",
+            "UpdateFormatError",
+            "UpdateOp",
+            "ValueChange",
+            "parse_fragment",
+            "update_from_dict",
+            "update_to_dict",
+            "validate_update",
+        ),
+    },
+)

@@ -52,8 +52,7 @@ from repro.xmltree.columnar import (
     ColumnarDocument,
     _store_text_terms,
 )
-from repro.xmltree.parser import DEFAULT_TEXT_WORD_THRESHOLD
-from repro.xmltree.types import tokenize_text_ordered
+from repro.xmltree.types import DEFAULT_TEXT_WORD_THRESHOLD, tokenize_text_ordered
 
 #: The preorder columns every structural op splices in lockstep.
 _NODE_COLUMNS = (

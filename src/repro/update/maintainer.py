@@ -108,9 +108,8 @@ from repro.xmltree.columnar import (
     KIND_TEXT,
     ColumnarDocument,
 )
-from repro.xmltree.parser import DEFAULT_TEXT_WORD_THRESHOLD
 from repro.xmltree.paths import LabelPath, matches_any
-from repro.xmltree.types import ValueType
+from repro.xmltree.types import DEFAULT_TEXT_WORD_THRESHOLD, ValueType
 
 #: Per-advance compression amounts when enforcing a summary budget,
 #: matching the builder's phase-2 defaults per summary family.

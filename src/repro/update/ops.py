@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional, Union
 from repro.errors import InputError
 from repro.xmltree.columnar import ColumnarDocument, from_events
 from repro.xmltree.events import XMLParseError, iter_events
-from repro.xmltree.parser import DEFAULT_TEXT_WORD_THRESHOLD
+from repro.xmltree.types import DEFAULT_TEXT_WORD_THRESHOLD
 
 
 class UpdateFormatError(InputError):

@@ -21,32 +21,23 @@ core consumes (selectivity lookup, fusion, compression, atomic predicates
 for the Δ metric, and byte-accurate size accounting).
 """
 
-from repro.values.rle import RunLengthBitmap
-from repro.values.histogram import Histogram, HistogramBucket
-from repro.values.pst import PrunedSuffixTree
-from repro.values.termvector import TermCentroid, Vocabulary
-from repro.values.ebth import EndBiasedTermHistogram
-from repro.values.summary import (
-    HistogramSummary,
-    StringSummary,
-    TextSummary,
-    ValueSummary,
-    build_summary,
-    fuse_summaries,
-)
+from repro import _lazy
 
-__all__ = [
-    "RunLengthBitmap",
-    "Histogram",
-    "HistogramBucket",
-    "PrunedSuffixTree",
-    "TermCentroid",
-    "Vocabulary",
-    "EndBiasedTermHistogram",
-    "ValueSummary",
-    "HistogramSummary",
-    "StringSummary",
-    "TextSummary",
-    "build_summary",
-    "fuse_summaries",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.values.rle": ("RunLengthBitmap",),
+        "repro.values.histogram": ("Histogram", "HistogramBucket"),
+        "repro.values.pst": ("PrunedSuffixTree",),
+        "repro.values.termvector": ("TermCentroid", "Vocabulary"),
+        "repro.values.ebth": ("EndBiasedTermHistogram",),
+        "repro.values.summary": (
+            "ValueSummary",
+            "HistogramSummary",
+            "StringSummary",
+            "TextSummary",
+            "build_summary",
+            "fuse_summaries",
+        ),
+    },
+)

@@ -17,32 +17,20 @@ counts, same float arithmetic — while replacing the scalar hot loops:
   the builder's phase-2 priority queue drives.
 """
 
-from repro.values.kernels.ebth import EBTHCompressionKernel, fuse_ebth
-from repro.values.kernels.histogram import (
-    HistogramCompressionKernel,
-    compress_histogram,
+from repro import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.values.kernels.ebth": ("EBTHCompressionKernel", "fuse_ebth"),
+        "repro.values.kernels.histogram": (
+            "HistogramCompressionKernel",
+            "compress_histogram",
+        ),
+        "repro.values.kernels.pst": (
+            "PSTPruneKernel",
+            "prune_leaves_reference",
+        ),
+        "repro.values.kernels.queue": ("SummaryStepper", "make_stepper"),
+    },
 )
-from repro.values.kernels.pst import PSTPruneKernel, prune_leaves_reference
-
-
-def __getattr__(name):
-    # The stepper layer imports repro.values.summary, which itself uses
-    # the fusion/compression kernels above — loading it lazily keeps this
-    # package importable from summary.py without a cycle (PEP 562).
-    if name in ("SummaryStepper", "make_stepper"):
-        from repro.values.kernels import queue
-
-        return getattr(queue, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "EBTHCompressionKernel",
-    "HistogramCompressionKernel",
-    "PSTPruneKernel",
-    "SummaryStepper",
-    "compress_histogram",
-    "fuse_ebth",
-    "make_stepper",
-    "prune_leaves_reference",
-]

@@ -11,32 +11,25 @@
   breakdown of Figure 9.
 """
 
-from repro.workload.generator import (
-    QueryClass,
-    TwigWorkloadGenerator,
-    Workload,
-    WorkloadQuery,
-    generate_workload,
-)
-from repro.workload.negative import make_negative_workload
-from repro.workload.metrics import (
-    ErrorReport,
-    absolute_relative_error,
-    evaluate_estimates,
-    evaluate_synopsis,
-    sanity_bound,
-)
+from repro import _lazy
 
-__all__ = [
-    "QueryClass",
-    "TwigWorkloadGenerator",
-    "Workload",
-    "WorkloadQuery",
-    "generate_workload",
-    "make_negative_workload",
-    "ErrorReport",
-    "absolute_relative_error",
-    "evaluate_estimates",
-    "evaluate_synopsis",
-    "sanity_bound",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.workload.generator": (
+            "QueryClass",
+            "TwigWorkloadGenerator",
+            "Workload",
+            "WorkloadQuery",
+            "generate_workload",
+        ),
+        "repro.workload.negative": ("make_negative_workload",),
+        "repro.workload.metrics": (
+            "ErrorReport",
+            "absolute_relative_error",
+            "evaluate_estimates",
+            "evaluate_synopsis",
+            "sanity_bound",
+        ),
+    },
+)

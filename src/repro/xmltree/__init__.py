@@ -16,40 +16,25 @@ tree too, frozen once at the entry by
 :func:`~repro.xmltree.columnar.as_columnar`.
 """
 
-from repro.xmltree.tree import XMLElement, XMLTree
-from repro.xmltree.types import ValueType, infer_value_type
-from repro.xmltree.parser import XMLParseError, parse_document, parse_string
-from repro.xmltree.serializer import serialize, serialized_size_bytes
-from repro.xmltree.stats import TreeStatistics, collect_statistics
-from repro.xmltree.events import iter_events
-from repro.xmltree.columnar import (
-    ColumnarDocument,
-    as_columnar,
-    freeze,
-    from_events,
-    ingest_file,
-    ingest_string,
-    thaw,
-)
+from repro import _lazy
 
-__all__ = [
-    "XMLElement",
-    "XMLTree",
-    "ValueType",
-    "infer_value_type",
-    "XMLParseError",
-    "parse_document",
-    "parse_string",
-    "serialize",
-    "serialized_size_bytes",
-    "TreeStatistics",
-    "collect_statistics",
-    "iter_events",
-    "ColumnarDocument",
-    "as_columnar",
-    "freeze",
-    "from_events",
-    "ingest_file",
-    "ingest_string",
-    "thaw",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "repro.xmltree.tree": ("XMLElement", "XMLTree"),
+        "repro.xmltree.types": ("ValueType", "infer_value_type"),
+        "repro.xmltree.events": ("XMLParseError", "iter_events"),
+        "repro.xmltree.parser": ("parse_document", "parse_string"),
+        "repro.xmltree.serializer": ("serialize", "serialized_size_bytes"),
+        "repro.xmltree.stats": ("TreeStatistics", "collect_statistics"),
+        "repro.xmltree.columnar": (
+            "ColumnarDocument",
+            "as_columnar",
+            "freeze",
+            "from_events",
+            "ingest_file",
+            "ingest_string",
+            "thaw",
+        ),
+    },
+)

@@ -43,6 +43,7 @@ from __future__ import annotations
 from array import array
 from operator import add, sub
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -62,13 +63,19 @@ from repro.xmltree.events import (
     XMLEvent,
     iter_events,
 )
-from repro.xmltree.parser import (
+from repro.xmltree.types import (
     DEFAULT_TEXT_WORD_THRESHOLD,
+    ElementValue,
     TypeKey,
+    ValueType,
     _typed_value,
+    tokenize_text_ordered,
 )
-from repro.xmltree.tree import XMLElement, XMLTree
-from repro.xmltree.types import ElementValue, ValueType, tokenize_text_ordered
+
+if TYPE_CHECKING:
+    # The object model loads only where a document crosses to or from it
+    # (``thaw``), not on the streaming ingest path.
+    from repro.xmltree.tree import XMLElement, XMLTree
 
 #: ``value_kind`` codes, aligned with :data:`KIND_TO_TYPE`.
 KIND_NULL = 0
@@ -700,7 +707,7 @@ def freeze(tree: XMLTree) -> ColumnarDocument:
 
 #: What the core accepts: a columnar document, or an object tree that
 #: :func:`as_columnar` freezes once at the entry point.
-Document = Union[XMLTree, ColumnarDocument]
+Document = Union["XMLTree", ColumnarDocument]
 
 
 def as_columnar(document: Document) -> ColumnarDocument:
@@ -718,6 +725,8 @@ def as_columnar(document: Document) -> ColumnarDocument:
 def thaw(doc: ColumnarDocument, root: int = 0) -> XMLTree:
     """The object :class:`XMLTree` of a columnar document's subtree at
     ``root`` (by default, of the whole document)."""
+    from repro.xmltree.tree import XMLElement, XMLTree
+
     if not len(doc):
         raise ValueError("cannot thaw an empty ColumnarDocument")
     elements: List[XMLElement] = []

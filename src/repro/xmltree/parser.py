@@ -16,34 +16,16 @@ becomes STRING.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional
 
-from repro.errors import InputError
+from repro.xmltree.events import XMLParseError, _decode_entities
 from repro.xmltree.tree import XMLElement, XMLTree
-from repro.xmltree.types import ValueType, tokenize_text
-
-#: Keys of a type map: either a bare tag or a root-to-element label path.
-TypeKey = Union[str, Tuple[str, ...]]
-
-_ENTITY_TABLE = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
-
-#: Default number of whitespace-separated words at which character data is
-#: treated as free TEXT rather than a short STRING.
-DEFAULT_TEXT_WORD_THRESHOLD = 8
-
-
-class XMLParseError(InputError):
-    """Raised on malformed input, with the offset where parsing failed."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
+from repro.xmltree.types import (
+    DEFAULT_TEXT_WORD_THRESHOLD,
+    TypeKey,
+    ValueType,
+    _typed_value,
+)
 
 
 class _Cursor:
@@ -94,49 +76,6 @@ class _Cursor:
         return text[start : self.pos]
 
 
-def _decode_char_reference(digits: str, base: int, position: int) -> str:
-    """Decode ``&#n;`` / ``&#xh;`` digits, rejecting malformed references.
-
-    Empty, non-numeric, or out-of-range code points surface as
-    :class:`XMLParseError` (found by fuzzing: ``&#;`` previously escaped
-    as a raw ``ValueError``).
-    """
-    try:
-        return chr(int(digits, base))
-    except (ValueError, OverflowError):
-        raise XMLParseError(
-            f"malformed character reference &#{digits};", position
-        ) from None
-
-
-def _decode_entities(raw: str) -> str:
-    """Replace the five predefined XML entities and numeric references."""
-    if "&" not in raw:
-        return raw
-    pieces = []
-    index = 0
-    while index < len(raw):
-        amp = raw.find("&", index)
-        if amp < 0:
-            pieces.append(raw[index:])
-            break
-        pieces.append(raw[index:amp])
-        semi = raw.find(";", amp)
-        if semi < 0:
-            raise XMLParseError("unterminated entity reference", amp)
-        name = raw[amp + 1 : semi]
-        if name.startswith("#x") or name.startswith("#X"):
-            pieces.append(_decode_char_reference(name[2:], 16, amp))
-        elif name.startswith("#"):
-            pieces.append(_decode_char_reference(name[1:], 10, amp))
-        elif name in _ENTITY_TABLE:
-            pieces.append(_ENTITY_TABLE[name])
-        else:
-            raise XMLParseError(f"unknown entity &{name};", amp)
-        index = semi + 1
-    return "".join(pieces)
-
-
 def _skip_misc(cursor: _Cursor) -> None:
     """Skip whitespace, comments, processing instructions, and doctypes."""
     while True:
@@ -151,34 +90,6 @@ def _skip_misc(cursor: _Cursor) -> None:
             cursor.read_until(">")
         else:
             return
-
-
-def _typed_value(
-    text: str,
-    label_path: Tuple[str, ...],
-    type_map: Mapping[TypeKey, ValueType],
-    text_word_threshold: int,
-):
-    """Convert raw character data into a typed element value."""
-    forced = type_map.get(label_path, type_map.get(label_path[-1]))
-    if forced is ValueType.NULL:
-        return None
-    if forced is ValueType.NUMERIC:
-        return int(text.strip())
-    if forced is ValueType.STRING:
-        return text.strip()
-    if forced is ValueType.TEXT:
-        return tokenize_text(text)
-    stripped = text.strip()
-    if not stripped:
-        return None
-    try:
-        return int(stripped)
-    except ValueError:
-        pass
-    if len(stripped.split()) >= text_word_threshold:
-        return tokenize_text(stripped)
-    return stripped
 
 
 def _parse_attributes(cursor: _Cursor) -> Dict[str, str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import FrozenSet, Union
+from typing import FrozenSet, Mapping, Tuple, Union
 
 #: A TEXT value is a set of terms (the Boolean-vector IR model of the
 #: paper: entry ``t`` is 1 iff term ``t`` occurs in the free text).
@@ -99,3 +99,39 @@ def tokenize_text(text: str) -> TermSet:
     stored term-set layouts are unchanged.
     """
     return frozenset(set(tokenize_text_ordered(text)))
+
+
+#: Keys of a type map: either a bare tag or a root-to-element label path.
+TypeKey = Union[str, Tuple[str, ...]]
+
+#: Default number of whitespace-separated words at which character data is
+#: treated as free TEXT rather than a short STRING.
+DEFAULT_TEXT_WORD_THRESHOLD = 8
+
+
+def _typed_value(
+    text: str,
+    label_path: Tuple[str, ...],
+    type_map: Mapping[TypeKey, ValueType],
+    text_word_threshold: int,
+):
+    """Convert raw character data into a typed element value."""
+    forced = type_map.get(label_path, type_map.get(label_path[-1]))
+    if forced is ValueType.NULL:
+        return None
+    if forced is ValueType.NUMERIC:
+        return int(text.strip())
+    if forced is ValueType.STRING:
+        return text.strip()
+    if forced is ValueType.TEXT:
+        return tokenize_text(text)
+    stripped = text.strip()
+    if not stripped:
+        return None
+    try:
+        return int(stripped)
+    except ValueError:
+        pass
+    if len(stripped.split()) >= text_word_threshold:
+        return tokenize_text(stripped)
+    return stripped

@@ -189,7 +189,7 @@ class TestFailurePaths:
         """The mutator must actually produce malformed documents —
         otherwise the error-parity half of the round never runs."""
         from repro.check.diffharness import _stream_outcome
-        from repro.xmltree.events import iter_events_str
+        from repro.check.oracles import iter_events_str
 
         harness = DifferentialHarness(HarnessConfig(seed=3))
         rng = random.Random(1234)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check.oracles import iter_events_str
 from repro.core import build_reference_synopsis
 from repro.core.serialization import synopsis_to_dict
 from repro.datasets import bibliography_tree
@@ -28,8 +29,7 @@ from repro.xmltree import (
     thaw,
 )
 from repro.xmltree.columnar import from_events
-from repro.xmltree.events import iter_events, iter_events_str
-from repro.xmltree.parser import XMLParseError
+from repro.xmltree.events import XMLParseError, iter_events
 from repro.xmltree.stats import collect_statistics
 from repro.xmltree.types import ValueType, tokenize_text
 

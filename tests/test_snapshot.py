@@ -26,7 +26,6 @@ from repro.core import (
 from repro.core.builder import BuildConfig
 from repro.core.estimation import CompiledEstimator
 from repro.core.serialization import SynopsisFormatError
-from repro.core.serialization import _find_vocabulary
 from repro.core.snapshot import (
     SNAPSHOT_MAGIC,
     is_snapshot,
@@ -51,7 +50,7 @@ from repro.core.snapshot import (
     _SEC_RETIRED,
     _SEC_VOCAB,
 )
-from repro.core.synopsis import XClusterSynopsis
+from repro.core.synopsis import XClusterSynopsis, text_vocabulary
 from repro.query import parse_twig
 from repro.values.summary import (
     HistogramSummary,
@@ -369,7 +368,7 @@ class TestSectionSizes:
     def test_vocabulary_ships_under_its_format_two_bytes(self, served):
         # Format 2 stored the pool as its UTF-8 blob plus a 2-byte end
         # offset per term.
-        terms = list(_find_vocabulary(served))
+        terms = list(text_vocabulary(served))
         format_two = sum(len(term.encode("utf-8")) + 2 for term in terms)
         shipped = snapshot_sections(snapshot_to_bytes(served))["vocabulary"]
         assert shipped <= 0.7 * format_two, (shipped, format_two)

@@ -270,7 +270,8 @@ class TestTokenizerChunkFuzz:
 
     def test_generated_documents_tokenize_identically_chunked(self, seeded_rng):
         from repro.check import DocumentConfig, DocumentGenerator
-        from repro.xmltree.events import iter_events, iter_events_str
+        from repro.check.oracles import iter_events_str
+        from repro.xmltree.events import iter_events
 
         generator = DocumentGenerator(
             DocumentConfig(min_elements=10, max_elements=40)
@@ -284,7 +285,8 @@ class TestTokenizerChunkFuzz:
                 assert self._outcome(iter_events, iter(chunks)) == expected
 
     def test_mutated_documents_fail_identically_chunked(self, seeded_rng):
-        from repro.xmltree.events import iter_events, iter_events_str
+        from repro.check.oracles import iter_events_str
+        from repro.xmltree.events import iter_events
 
         source = "<a><b>5</b><c>héllo wörld</c><d>&amp; 🙂</d></a>"
         for _ in range(40):
