@@ -6,8 +6,10 @@ serve`` as a child process, drives it with a mixed XPath/JSON-AST
 workload over plain HTTP (stdlib ``urllib``, no client library), checks
 every estimate bit-for-bit against an in-process estimator, sends two
 pipelined ``/estimate`` requests in one write on a raw keep-alive
-socket and checks both answers arrive in order, scrapes ``/stats``, and
-shuts the daemon down cleanly.
+socket and checks both answers arrive in order, sends every workload
+body twice on one raw keep-alive socket and checks each repeat's
+response bytes equal the first answer's, scrapes ``/stats``, and shuts
+the daemon down cleanly.
 
 Run with::
 
@@ -44,42 +46,72 @@ def _post(url, payload):
         return json.loads(response.read().decode("utf-8"))
 
 
+def _estimate_request(host, payload):
+    """One keep-alive ``POST /estimate`` request's bytes."""
+    body = json.dumps(payload).encode("utf-8")
+    return (
+        f"POST /estimate HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def _read_response(reader):
+    """The next response on ``reader``: its status, its raw bytes (head
+    and body) and its decoded JSON body."""
+    status_line = reader.readline()
+    if not status_line:
+        raise ConnectionError("daemon closed the connection early")
+    raw = status_line
+    length = 0
+    while True:
+        line = reader.readline()
+        raw += line
+        if line == b"\r\n":
+            break
+        if not line:
+            raise ConnectionError("daemon closed mid-response head")
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    data = reader.read(length)
+    if len(data) < length:
+        raise ConnectionError("daemon closed mid-response body")
+    return int(status_line.split()[1]), raw + data, json.loads(data)
+
+
 def _pipelined_estimates(base_url, queries):
     """Estimates for ``queries``, all sent in one write on one raw
     keep-alive socket, read back in arrival order."""
     host, port = base_url.split("//", 1)[1].rsplit(":", 1)
-    requests = b""
-    for query in queries:
-        body = json.dumps({"query": query.to_xpath()}).encode("utf-8")
-        requests += (
-            f"POST /estimate HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii") + body
+    requests = b"".join(
+        _estimate_request(host, {"query": query.to_xpath()}) for query in queries
+    )
     with socket.create_connection((host, int(port)), timeout=10) as sock:
         sock.sendall(requests)
         reader = sock.makefile("rb")
         estimates = []
         for _ in queries:
-            status_line = reader.readline()
-            if not status_line:
-                raise ConnectionError("daemon closed the connection early")
-            status = int(status_line.split()[1])
-            length = 0
-            while True:
-                line = reader.readline()
-                if line == b"\r\n":
-                    break
-                if not line:
-                    raise ConnectionError("daemon closed mid-response head")
-                name, _, value = line.partition(b":")
-                if name.strip().lower() == b"content-length":
-                    length = int(value)
-            data = reader.read(length)
-            if len(data) < length:
-                raise ConnectionError("daemon closed mid-response body")
-            body = json.loads(data)
+            status, _raw, body = _read_response(reader)
             estimates.append(body["estimate"] if status == 200 else body)
         return estimates
+
+
+def _repeated_responses(base_url, payloads):
+    """Per payload, the raw responses to it sent twice in a row on one
+    raw keep-alive socket (the second answer comes from the daemon's
+    stored response bytes)."""
+    host, port = base_url.split("//", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        pairs = []
+        for payload in payloads:
+            request = _estimate_request(host, payload)
+            pair = []
+            for _ in range(2):
+                sock.sendall(request)
+                pair.append(_read_response(reader))
+            pairs.append(pair)
+        return pairs
 
 
 def main() -> int:
@@ -134,12 +166,13 @@ def main() -> int:
             else:
                 print(f"pipelined pair answered in order: {pipelined!r}")
 
-            for index, query in enumerate(queries):
-                # Alternate the two wire formats.
-                if index % 2:
-                    payload = {"ast": twig_to_dict(query)}
-                else:
-                    payload = {"query": query.to_xpath()}
+            # Alternate the two wire formats.
+            payloads = [
+                {"ast": twig_to_dict(query)} if index % 2
+                else {"query": query.to_xpath()}
+                for index, query in enumerate(queries)
+            ]
+            for query, payload in zip(queries, payloads):
                 body = _post(f"{base_url}/estimate", payload)
                 expected = estimator.estimate(query)
                 if body["estimate"] != expected:
@@ -148,6 +181,20 @@ def main() -> int:
                         f"DRIFT: {query.to_xpath()} -> {body['estimate']!r}, "
                         f"expected {expected!r}"
                     )
+
+            # A keep-alive repeat is answered from the bytes the daemon
+            # stored for its body; urllib's requests above close.
+            pairs = _repeated_responses(base_url, payloads)
+            for query, (first, repeat) in zip(queries, pairs):
+                expected = estimator.estimate(query)
+                if not (first[0] == 200 and first[2]["estimate"] == expected
+                        and repeat[1] == first[1]):
+                    drift += 1
+                    print(
+                        f"DRIFT: repeated {query.to_xpath()} -> "
+                        f"{first[1]!r} then {repeat[1]!r}, expected {expected!r}"
+                    )
+            print(f"{len(pairs)} keep-alive repeats answered byte-identically")
 
             with urllib.request.urlopen(
                 f"{base_url}/stats", timeout=10

@@ -167,9 +167,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     else:
-        from repro.core.serialization import load_synopsis
+        from repro.core.snapshot import is_snapshot, load_snapshot
 
-        synopsis = load_synopsis(args.synopsis)  # format auto-detected
+        if is_snapshot(args.synopsis):
+            synopsis = load_snapshot(args.synopsis)
+        else:
+            from repro.core.serialization import load_synopsis
+
+            synopsis = load_synopsis(args.synopsis)
         engine = ServeEngine(
             synopsis,
             window_seconds=args.window_ms / 1000.0,

@@ -28,9 +28,11 @@ another service) can talk to the daemon without a client library:
   execution.  Two memos answer repeated requests: the request memo
   maps coalescer-bound body bytes that parsed to ``(user tag, scope,
   plan signature)``, skipping the JSON decode, the query parse and the
-  compile; the coalescer's estimate memo maps a plan signature to its
-  estimate for the current synopsis version.  Document-routed and
-  rollup requests use neither.
+  compile, plus the keep-alive response last written for the body,
+  which answers a keep-alive repeat as long as the synopsis version it
+  was computed at holds; the coalescer's estimate memo maps a plan
+  signature to its estimate for the current synopsis version.
+  Document-routed and rollup requests use neither.
 * ``POST /batch`` — body ``{"queries": [<request body>, ...]}``, at
   most :data:`MAX_BATCH_QUERIES` of them (413 otherwise); response
   ``{"estimates": [...]}``.
@@ -47,9 +49,9 @@ another service) can talk to the daemon without a client library:
 
 Malformed queries and JSON bodies (too deeply nested ones too) map to
 400 with a JSON error body; unknown routes to 404.  A framing error (a
-head over :data:`MAX_HEAD_BYTES` or a bad ``Content-Length``: 400; a
-body over :data:`MAX_BODY_BYTES`: 413; ``Transfer-Encoding``: 501) gets
-one response, and the connection closes.
+head over :data:`MAX_HEAD_BYTES`, a bad ``Content-Length`` or two that
+differ: 400; a body over :data:`MAX_BODY_BYTES`: 413;
+``Transfer-Encoding``: 501) gets one response, and the connection closes.
 
 Each connection is an :class:`asyncio.Protocol` that parses requests off
 its receive buffer and answers them inside ``data_received``.  Only an
@@ -69,7 +71,7 @@ import asyncio
 import json
 import math
 import re
-from functools import partial
+from functools import lru_cache, partial
 from time import monotonic, perf_counter
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -89,8 +91,8 @@ MAX_BATCH_QUERIES = 1024
 #: ``/estimate`` bodies above this size are never kept in the request memo.
 MEMO_MAX_BODY_BYTES = 4 * 1024
 
-#: The request memo's bodies total at most this many bytes; the oldest
-#: entry is evicted first.
+#: The request memo's bodies and stored responses total at most this
+#: many bytes; the oldest entry is evicted first.
 MEMO_MAX_TOTAL_BYTES = 1024 * 1024
 
 #: A keep-alive connection waiting this long for its next request is closed.
@@ -149,6 +151,9 @@ def _response_bytes(
     return head + payload
 
 
+# A pure function of the head bytes, and a keep-alive client repeats
+# its heads; a head that raises is not cached, so it fails every time.
+@lru_cache(maxsize=256)
 def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
     """A request head's method, path, keep-alive flag and body length."""
     try:
@@ -161,7 +166,12 @@ def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
     headers: Dict[str, str] = {}
     for field in fields:
         name, _, value = field.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        value = value.strip()
+        # RFC 9112 §6.3: differing lengths leave the framing unknown.
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _HttpError(400, "conflicting content-length fields")
+        headers[name] = value
     if "transfer-encoding" in headers:
         raise _HttpError(
             501, "transfer-encoding is not supported; send Content-Length"
@@ -256,7 +266,9 @@ class _HttpProtocol(asyncio.Protocol):
                 if request is None:
                     break
                 method, path, keep_alive, body, start = request
-                self._answer(keep_alive, self._server._dispatch, method, path, body)
+                self._answer(
+                    keep_alive, self._server._dispatch, method, path, body, keep_alive
+                )
         except _HttpError as err:
             self.transport.write(
                 _response_bytes(err.status, {"error": err.message}, False)
@@ -294,12 +306,16 @@ class _HttpProtocol(asyncio.Protocol):
         return method, path, keep_alive, bytes(buffer[start + size : end]), end
 
     def _answer(self, keep_alive: bool, handler: Any, *args: Any) -> None:
-        """Write ``handler(*args)``'s ``(status, body)``; if it returns
-        ``(future, answer)`` instead, write ``answer(result)`` once the
-        future is done."""
+        """Write ``handler(*args)``'s response bytes or ``(status,
+        body)``; if it returns ``(future, answer)`` instead, write
+        ``answer(result)`` once the future is done."""
         try:
             response = handler(*args)
-            if response[0].__class__ is not int:
+            if response.__class__ is bytes:
+                data = response
+            elif response[0].__class__ is int:
+                data = _response_bytes(*response, keep_alive)
+            else:
                 future, answer = response
                 self._waiting = future
                 self.transport.pause_reading()
@@ -307,7 +323,6 @@ class _HttpProtocol(asyncio.Protocol):
                     partial(self._answered, keep_alive, answer)
                 )
                 return
-            data = _response_bytes(*response, keep_alive)
         except _HttpError as err:
             data = _response_bytes(err.status, {"error": err.message}, keep_alive)
         except Exception as err:  # pragma: no cover - last resort
@@ -344,9 +359,11 @@ class SynopsisServer:
         self._sweeper: Optional["asyncio.Task[None]"] = None
         #: The request memo: coalescer-bound ``/estimate`` body bytes
         #: that parsed, in insertion order, to their ``(user, scope,
-        #: plan signature)``, and the total size of those bodies.
-        #: Coalescer-bound bodies carry no ``doc``.
-        self._requests: Dict[bytes, Tuple[Any, Any, PlanSignature]] = {}
+        #: plan signature, response, version)``, the last two None
+        #: until a keep-alive 200 is written, and the total size of
+        #: those bodies and responses.  Coalescer-bound bodies carry no
+        #: ``doc``.
+        self._requests: Dict[bytes, Tuple[Any, ...]] = {}
         self._request_bytes = 0
         self.request_memo_hits = 0
 
@@ -407,9 +424,9 @@ class SynopsisServer:
 
     # -- request handling --------------------------------------------------
 
-    def _parse_estimate(self, body: bytes) -> _ParsedEstimate:
+    def _parse_estimate(self, body: bytes, remembered: Any) -> _ParsedEstimate:
         """An ``/estimate`` body's user tag, routing keys, twig and plan
-        signature.
+        signature; ``remembered`` is the body's request-memo entry.
 
         A body bound for the coalescer (no ``doc``, no rollup scope)
         that parsed is remembered with its user tag, scope and signature
@@ -418,10 +435,9 @@ class SynopsisServer:
         signature if its estimate memo misses.  Plans hold no synopsis
         state, so entries stay valid across ``/update``.
         """
-        remembered = self._requests.get(body)
         if remembered is not None:
             self.request_memo_hits += 1
-            user, scope, signature = remembered
+            user, scope, signature = remembered[:3]
             return user, None, scope, None, signature
         payload = _parse_json_body(body)
         try:
@@ -436,13 +452,17 @@ class SynopsisServer:
             return user, doc_id, scope, query, None
         signature = self.engine.plan_signature(query)
         if len(body) <= MEMO_MAX_BODY_BYTES:
-            self._requests[body] = (user, scope, signature)
+            self._requests[body] = (user, scope, signature, None, None)
             self._request_bytes += len(body)
-            while self._request_bytes > MEMO_MAX_TOTAL_BYTES:
-                oldest = next(iter(self._requests))
-                del self._requests[oldest]
-                self._request_bytes -= len(oldest)
+            self._evict()
         return user, None, scope, query, signature
+
+    def _evict(self) -> None:
+        """Drop the oldest request-memo entries until the memo fits."""
+        while self._request_bytes > MEMO_MAX_TOTAL_BYTES:
+            oldest = next(iter(self._requests))
+            response = self._requests.pop(oldest)[3]
+            self._request_bytes -= len(oldest) + len(response or b"")
 
     def _stats(self) -> Dict[str, Any]:
         """The engine's ``/stats`` snapshot plus the request memo."""
@@ -454,33 +474,63 @@ class SynopsisServer:
         }
         return snapshot
 
-    def _estimate(self, body: bytes) -> Any:
-        """An ``/estimate`` response now if the estimate memo holds its
-        signature, else ``(future, answer)``: a coalescer future, or a
-        task for a document-routed or rollup body."""
-        user, doc_id, scope, query, signature = self._parse_estimate(body)
+    def _estimate(self, body: bytes, keep_alive: bool) -> Any:
+        """An ``/estimate`` response now if the request memo holds a
+        keep-alive response to ``body`` at the current synopsis version
+        or the estimate memo holds its signature, else ``(future,
+        answer)``: a coalescer future, or a task for a document-routed
+        or rollup body.
+
+        Stored bytes count as the estimate-memo hit they stand for.
+        """
+        remembered = self._requests.get(body)
+        version = self.engine.synopsis.version
+        if keep_alive and remembered is not None and remembered[4] == version:
+            started = perf_counter()
+            self.request_memo_hits += 1
+            self.engine.coalescer.memo_hits += 1
+            self.engine.stats.observe_latency(perf_counter() - started)
+            return remembered[3]
+        user, doc_id, scope, query, signature = self._parse_estimate(
+            body, remembered
+        )
         if signature is None:
             task = asyncio.ensure_future(self._estimate_routed(doc_id, scope, query))
-            return task, partial(self._estimated, user, None)
+            return task, partial(self._estimated, user, None, None)
+        # Read before the estimate is computed, so an update landing
+        # before the answer leaves the stored bytes unservable.
+        stored = (body, version) if keep_alive else None
         coalescer = self.engine.coalescer
         started = perf_counter()
         estimate = coalescer.remembered(signature)
         if estimate is None:
             future = coalescer.enqueue(query, signature)
-            return future, partial(self._estimated, user, started)
-        return self._estimated(user, started, estimate)
+            return future, partial(self._estimated, user, started, stored)
+        return self._estimated(user, started, stored, estimate)
 
     def _estimated(
-        self, user: Any, started: Optional[float], estimate: float
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, user: Any, started: Optional[float], stored: Any, estimate: float
+    ) -> Any:
         """An ``/estimate`` response.  A coalesced one (``started`` set)
         records its latency as ``engine.estimate`` would; routed ones are
-        recorded by the engine.  ``_answer`` counts a failure."""
+        recorded by the engine.  With ``stored``, a keep-alive request's
+        ``(body, version)``, the response bytes are kept in the body's
+        request-memo entry while it lasts.  ``_answer`` counts a failure."""
         if started is not None:
             self.engine.stats.observe_latency(perf_counter() - started)
-        if user is _NO_USER:
-            return 200, {"estimate": estimate}
-        return 200, {"estimate": estimate, "user": user}
+        payload = {"estimate": estimate}
+        if user is not _NO_USER:
+            payload["user"] = user
+        if stored is None:
+            return 200, payload
+        body, version = stored
+        response = _response_bytes(200, payload, True)
+        remembered = self._requests.get(body)
+        if remembered is not None:
+            self._requests[body] = remembered[:3] + (response, version)
+            self._request_bytes += len(response) - len(remembered[3] or b"")
+            self._evict()
+        return response
 
     async def _estimate_routed(
         self, doc_id: Any, scope: Any, query: TwigQuery
@@ -521,12 +571,13 @@ class SynopsisServer:
             )
         return await estimate_rollup(query)
 
-    def _dispatch(self, method: str, path: str, body: bytes) -> Any:
-        """One request's ``(status, body)``, or a future of it."""
+    def _dispatch(self, method: str, path: str, body: bytes, keep_alive: bool) -> Any:
+        """One request's response bytes or ``(status, body)``, or a
+        future of it."""
         if path == "/estimate":
             if method != "POST":
                 raise _HttpError(405, "use POST /estimate")
-            return self._estimate(body)
+            return self._estimate(body, keep_alive)
         if path == "/healthz":
             if method != "GET":
                 raise _HttpError(405, "use GET /healthz")

@@ -34,8 +34,6 @@ from repro.query.predicates import (
 )
 from repro.values.ebth import EndBiasedTermHistogram
 from repro.values.histogram import Histogram
-from repro.values.kernels.ebth import fuse_ebth
-from repro.values.kernels.histogram import compress_histogram
 from repro.values.pst import PrunedSuffixTree
 from repro.values.termvector import TermCentroid, Vocabulary
 from repro.xmltree.types import ValueType
@@ -207,6 +205,10 @@ class HistogramSummary(ValueSummary):
     def compress(self, amount: int = 1) -> Optional["HistogramSummary"]:
         if not self.can_compress:
             return None
+        # The compression kernels load on first use: a snapshot daemon
+        # never compresses or fuses.
+        from repro.values.kernels.histogram import compress_histogram
+
         return HistogramSummary(compress_histogram(self.histogram, amount))
 
     def size_bytes(self) -> int:
@@ -450,6 +452,8 @@ class TextSummary(ValueSummary):
     def fuse(self, other: "ValueSummary") -> "TextSummary":
         if not isinstance(other, TextSummary):
             raise TypeError("can only fuse TEXT with TEXT")
+        from repro.values.kernels.ebth import fuse_ebth
+
         return TextSummary(fuse_ebth(self.ebth, other.ebth))
 
     @property

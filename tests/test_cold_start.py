@@ -178,4 +178,5 @@ def test_snapshot_daemon_loads_no_build_ingest_or_update(document):
         "repro.update", "repro.core.builder", "repro.core.pool",
         "repro.core.scoring", "repro.core.reference", "repro.xmltree.events",
         "repro.xmltree.columnar", "repro.xmltree.parser", "repro.xmltree.tree",
+        "repro.core.serialization", "repro.values.kernels",
     ]) == []

@@ -381,6 +381,30 @@ class TestHttpFraming:
         assert received.startswith(b"HTTP/1.1 400 ")
         assert b"content-length" in received
 
+    def test_conflicting_content_lengths_get_one_400_and_close(self, synopsis):
+        body = b'{"query": "//movie/title"}'
+        received = _run_raw(
+            synopsis,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Connection: close\r\nContent-Length: %d\r\n\r\n"
+            % (len(body) + 5, len(body)) + body + b"x" * 5,
+        )
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in received
+        assert b"conflicting content-length" in received
+
+    def test_identical_content_lengths_are_accepted(self, synopsis):
+        body = b'{"query": "//movie/title"}'
+        (status, response), = _responses(_run_raw(
+            synopsis,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"content-length:%d\r\nConnection: close\r\n\r\n"
+            % (len(body), len(body)) + body,
+        ))
+        estimate = CompiledEstimator(synopsis).estimate(parse_twig("//movie/title"))
+        assert (status, response) == (200, {"estimate": estimate})
+
 
 class TestConnectionDeadlines:
     def test_half_request_line_is_disconnected(self, synopsis, monkeypatch):
@@ -592,6 +616,162 @@ class TestMemoAcrossUpdates:
         # Each version answered its repeats from the memos.
         assert stats["memo"]["estimates"]["hits"] > 0
         assert stats["memo"]["requests"]["hits"] > 0
+
+
+def _document_engine():
+    """A ``--document`` engine over :data:`UPDATE_BASE`."""
+    from repro.update import IncrementalMaintainer
+    from repro.xmltree.columnar import ingest_string
+
+    return ServeEngine(maintainer=IncrementalMaintainer(
+        ingest_string(UPDATE_BASE, text_word_threshold=2), None,
+        text_word_threshold=2,
+    ))
+
+
+def _http_response(status, payload, connection):
+    """A response's bytes, built apart from the server's own encoder."""
+    import json
+
+    body = json.dumps(payload).encode()
+    reason = {200: b"OK", 400: b"Bad Request", 404: b"Not Found"}[status]
+    return (
+        b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\nConnection: %s\r\n\r\n"
+        % (status, reason, len(body), connection)
+    ) + body
+
+
+class TestStoredResponses:
+    """A keep-alive repeat of an ``/estimate`` body is answered with the
+    response bytes last written for it, only at the synopsis version
+    they were computed at."""
+
+    INSERT = {"op": "insert", "parent": 0, "position": 0,
+              "xml": "<item><name>gammaword</name><qty>30</qty></item>"}
+
+    def _exchange(self, engine, data):
+        async def main():
+            async with SynopsisServer(engine) as server:
+                received = await _raw_exchange(server, data)
+                return received, server
+
+        return asyncio.run(main())
+
+    def test_update_never_serves_stale_bytes(self):
+        engine = _document_engine()
+        body = {"query": "//item/name"}
+
+        async def scenario(server, client):
+            before = [await client.estimate(body) for _ in range(2)]
+            status, _ = await client.request(
+                "POST", "/update", {"updates": [self.INSERT]}
+            )
+            assert status == 200
+            after = [await client.estimate(body) for _ in range(2)]
+            return before, after, await client.stats()
+
+        before, after, stats = TestMemos()._serve(engine, scenario)
+        expected = CompiledEstimator(engine.synopsis).estimate(
+            parse_twig("//item/name")
+        )
+        assert after == [(200, {"estimate": expected})] * 2
+        assert before[0] == before[1] != after[0]
+        assert stats["memo"]["requests"]["hits"] == 3
+
+    def test_connection_close_repeat_gets_a_close_response(self, synopsis):
+        estimate = CompiledEstimator(synopsis).estimate(parse_twig(PROBES[1]))
+        received, server = self._exchange(
+            ServeEngine(synopsis),
+            _estimate_request(PROBES[1]) * 2
+            + _estimate_request(PROBES[1], close=True),
+        )
+        keep = _http_response(200, {"estimate": estimate}, b"keep-alive")
+        close = _http_response(200, {"estimate": estimate}, b"close")
+        # The connection closed after the third answer (the read hit EOF).
+        assert received == keep + keep + close
+        assert server.request_memo_hits == 2
+
+    def test_bodies_differing_only_in_user_get_their_own_echo(self, synopsis):
+        bodies = [{"query": PROBES[0], "user": user} for user in ("a", "b", 7)]
+        bodies.append({"query": PROBES[0]})
+
+        async def scenario(server, client):
+            return [await client.estimate(body) for body in bodies * 3]
+
+        answers = TestMemos()._serve(ServeEngine(synopsis), scenario)
+        estimate = CompiledEstimator(synopsis).estimate(parse_twig(PROBES[0]))
+        expected = [{"estimate": estimate, "user": u} for u in ("a", "b", 7)]
+        expected.append({"estimate": estimate})
+        assert answers == [(200, body) for body in expected * 3]
+
+    def test_every_response_matches_a_server_that_stores_none(self, monkeypatch):
+        import json
+        from repro.serve import http
+
+        probe = _estimate_request("//item/name")
+        update = _raw_request(
+            "POST", "/update", json.dumps({"updates": [self.INSERT]}).encode()
+        )
+        sequence = (
+            probe + probe
+            + _estimate_request("//item/qty[. >= 20]") * 2
+            + _estimate_request("///[[[") * 2
+            + _raw_request("POST", "/estimate", b"{not json")
+            + _raw_request("GET", "/nope")
+            + update + probe + probe
+            + _raw_request("POST", "/estimate", b'{"query": "//item/name", "user": 1}')
+            + _estimate_request("//item/qty[. >= 20]", close=True)
+        )
+        received, server = self._exchange(_document_engine(), sequence)
+        assert server.request_memo_hits > 0
+        # No body is ever remembered, so no response is ever stored.
+        monkeypatch.setattr(http, "MEMO_MAX_BODY_BYTES", -1)
+        reference, plain = self._exchange(_document_engine(), sequence)
+        assert plain.request_memo_hits == 0
+        assert received == reference
+        statuses = [status for status, _ in _responses(received)]
+        assert statuses == [200] * 4 + [400] * 3 + [404] + [200] * 5
+        assert received.startswith(_http_response(
+            200, {"estimate": 2.0}, b"keep-alive"
+        ) * 2)
+
+    def test_memo_bytes_count_stored_responses(self, synopsis):
+        from repro.serve.http import MEMO_MAX_TOTAL_BYTES
+
+        pad = "x" * 1000
+        count = MEMO_MAX_TOTAL_BYTES // 2000 + 100
+
+        async def scenario(server, client):
+            for user in range(count):
+                body = {"query": PROBES[0], "user": f"{user}-{pad}"}
+                for _ in range(2):
+                    assert (await client.estimate(body))[0] == 200
+            return server, await client.stats()
+
+        server, stats = TestMemos()._serve(ServeEngine(synopsis), scenario)
+        memo = server._requests
+        held = sum(len(body) + len(entry[3] or b"") for body, entry in memo.items())
+        assert stats["memo"]["requests"]["bytes"] == held
+        assert held <= MEMO_MAX_TOTAL_BYTES
+        assert all(entry[3] is not None for entry in memo.values())
+        assert stats["memo"]["requests"]["entries"] < count
+        assert stats["memo"]["requests"]["hits"] == count
+
+    def test_malformed_head_is_rejected_on_every_send(self, synopsis):
+        head = (
+            b"POST /estimate HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Content-Length: 4\r\n\r\n{}"
+        )
+
+        async def main():
+            async with SynopsisServer(ServeEngine(synopsis)) as server:
+                return [await _raw_exchange(server, head) for _ in range(3)]
+
+        for received in asyncio.run(main()):
+            assert received.count(b"HTTP/1.1 ") == 1
+            assert received.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in received
 
 
 def _raw_request(method, path, body=b"", close=False):
